@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import CalderonError
+from .errors import CalderonError, SignIterationStalled
 
 _ENV_BACKEND = os.environ.get("CALDERON_BACKEND", "auto").strip().lower()
 if _ENV_BACKEND not in ("auto", "numba", "numpy"):
@@ -259,9 +259,10 @@ def stable_projector_sweep(mats, tol=_SIGN_TOL, maxit=_SIGN_MAXIT, backend=None)
         sign, ok = _sign_numpy(mats, tol, maxit)
     if not ok.all():
         bad = int(np.nonzero(~ok)[0][0])
-        raise CalderonError(
+        raise SignIterationStalled(
             f"matrix sign iteration stalled at stack index {bad}; "
-            "spectrum is too close to the imaginary axis"
+            "spectrum is too close to the imaginary axis",
+            index=bad,
         )
     eye = np.eye(d, dtype=np.complex128)
     return 0.5 * (eye[None, :, :] - sign)

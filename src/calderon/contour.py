@@ -56,10 +56,14 @@ class Contour:
 
     def boundary(self, n):
         """Nodes z_j and derivatives dz/dtheta at n equispaced angles."""
-        t = 2 * np.pi * np.arange(n) / n
+        return self._at(2 * np.pi * np.arange(n) / n)
+
+    def _at(self, t):
+        """Nodes and derivatives dz/dtheta at the angles ``t``."""
         a, b = self.radii
-        z = self.center + a * np.cos(t) + 1j * b * np.sin(t)
-        dz = -a * np.sin(t) + 1j * b * np.cos(t)
+        cos, sin = np.cos(t), np.sin(t)
+        z = self.center + a * cos + 1j * b * sin
+        dz = -a * sin + 1j * b * cos
         return z, dz
 
     def distance(self, points):
@@ -87,7 +91,8 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
     Returns
     -------
     (value, n) : the converged integral and the node count that achieved
-    it.
+    it.  Each doubling reuses the previous level's nodes, so ``f`` is
+    evaluated at ``n`` nodes in all.
 
     Raises
     ------
@@ -95,19 +100,25 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
         When doubling passes ``max_nodes`` without agreement.
     """
     n = max(8, contour.nodes)
+    t = 2 * np.pi * np.arange(n) / n
+    total = 0.0
     prev = None
     while n <= max_nodes:
-        z, dz = contour.boundary(n)
+        # the 2n-node grid is the n-node grid plus its midpoints, so each
+        # level evaluates f only at the nodes the previous one lacked
+        z, dz = contour._at(t)
         vals = np.asarray(f(z), dtype=complex)
-        if vals.shape[0] != n:
+        if vals.shape[0] != t.size:
             raise ValueError("integrand must be vectorized over the node axis")
-        weights = dz.reshape((n,) + (1,) * (vals.ndim - 1))
-        value = (vals * weights).sum(axis=0) / (1j * n)
+        weights = dz.reshape((t.size,) + (1,) * (vals.ndim - 1))
+        total = total + (vals * weights).sum(axis=0)
+        value = total / (1j * n)
         if prev is not None:
             err = np.abs(value - prev).max()
             if err <= tol * max(1.0, float(np.abs(value).max())):
                 return value, n
         prev = value
+        t = 2 * np.pi * (np.arange(n) + 0.5) / n
         n *= 2
     raise ContourNotConverged(f"no convergence with up to {max_nodes} nodes")
 
@@ -150,7 +161,12 @@ def characteristic_roots(sym, allow_real=False):
     """
     from .projector import companion_matrix
 
-    lam = np.linalg.eigvals(companion_matrix(sym))
+    return group_roots(sym, np.linalg.eigvals(companion_matrix(sym)), allow_real)
+
+
+def group_roots(sym, lam, allow_real=False):
+    """Characteristic roots of ``sym`` from its companion eigenvalues
+    ``lam``, grouped as in :func:`characteristic_roots`."""
     xi = -1j * lam
     scale = 1.0 + float(np.abs(xi).max()) if xi.size else 1.0
     group_tol = 1e-7 * scale

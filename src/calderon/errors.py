@@ -23,6 +23,16 @@ class DefectMode(CalderonError):
         self.roots = roots
 
 
+class SignIterationStalled(DefectMode):
+    """The matrix sign iteration did not converge for one matrix of a
+    stack, whose spectrum is too close to the imaginary axis; ``index``
+    is its position in the stack."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
 class ContourNotConverged(CalderonError):
     """Node doubling exceeded the node budget without convergence."""
 

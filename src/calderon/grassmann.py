@@ -18,6 +18,7 @@ from .errors import (
     DefectMode,
     InsufficientData,
     NoChiralStructure,
+    SignIterationStalled,
     SpecError,
     ThresholdAmbiguous,
     TailUnsafe,
@@ -92,7 +93,8 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False, backend=None
     Frames are the stable invariant subspaces of the per-mode companion
     matrices, rescaled by ``W^{1/2}`` and re-orthonormalized.  Defect
     modes (real-axis characteristic roots) are excluded and listed,
-    unless ``strict`` is set, in which case they raise.
+    unless ``strict`` is set, in which case they raise.  A retained mode
+    whose sign iteration stalls raises DefectMode naming that mode.
     """
     if cutoff < 1:
         raise SpecError("cutoff must be at least 1")
@@ -115,7 +117,15 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False, backend=None
     comp = comp[keep]
     dims = (lam[keep].real < 0).sum(axis=1).astype(np.int64)
 
-    proj = _kernels.stable_projector_sweep(comp, backend=backend)
+    try:
+        proj = _kernels.stable_projector_sweep(comp, backend=backend)
+    except SignIterationStalled as exc:
+        key = _mode_key(modes[exc.index])
+        raise DefectMode(
+            f"matrix sign iteration stalled at mode {key}; "
+            "spectrum is too close to the imaginary axis",
+            mode=key,
+        ) from exc
     raw = _kernels.orthonormal_range_sweep(proj, dims, backend=backend)
     w = _weight_diag(modes, spec.k, spec.r, alpha)
     weighted = np.sqrt(w)[:, :, None] * raw

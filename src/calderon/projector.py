@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .contour import Contour, characteristic_roots, contour_quadrature, enclosing_circle, spectral_split
+from .contour import Contour, contour_quadrature, enclosing_circle, group_roots, spectral_split
 from .errors import CalderonError, IllConditionedFrame, SingularBlock, SpecError
 from .symbols import mode_symbol
 
@@ -238,15 +238,14 @@ def invert_jump_operator(a_op, block_size):
 
 
 def _adjugate(M):
-    d = M.shape[0]
-    if d == 1:
-        return np.eye(1, dtype=complex)
-    adj = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+    """Adjugates of a stack ``(..., d, d)`` from all d^2 cofactor
+    determinants at once.  Unlike ``det * inv`` this is defined at
+    singular matrices, which is where the residues evaluate it."""
+    d = M.shape[-1]
+    keep = np.array([np.delete(np.arange(d), i) for i in range(d)])  # (d, d-1)
+    minors = M[..., keep[:, None, :, None], keep[None, :, None, :]]
+    sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+    return np.swapaxes(sign * np.linalg.det(minors), -1, -2)
 
 
 def _powers_of_inverse(sym, n_powers):
@@ -276,31 +275,31 @@ def layer_potential_blocks(sym, quad_tol=1e-10, agreement_tol=1e-8, cross_check=
     """
     k, r = sym.k, sym.r
     n_powers = 2 * k - 1
-    roots = characteristic_roots(sym)
+    lam = np.linalg.eigvals(companion_matrix(sym))
+    roots = group_roots(sym, lam)
     upper = [c for c in roots if c[2] == "upper"]
     J = np.zeros((n_powers, r, r), dtype=complex)
+    powers = np.arange(n_powers)
 
-    if upper:
-        lam = np.linalg.eigvals(companion_matrix(sym))
-        det_top = np.linalg.det(sym.A[k])
-        powers = np.arange(n_powers)
-        for root, mult, _ in upper:
-            if mult == 1:
-                adj = _adjugate(sym(root))
-                lam_l = 1j * root
-                i0 = int(np.argmin(np.abs(lam - lam_l)))
-                denom = det_top * 1j * np.prod(lam_l - np.delete(lam, i0))
-                res = adj / denom
-                J += (root**powers)[:, None, None] * res
+    # simple roots: residue adj a(xi_l) / (d/dxi det a)(xi_l), where
+    # det a(xi) = det A_k * prod_j (i xi - lam_j)
+    simple = np.array([root for root, mult, _ in upper if mult == 1], dtype=complex)
+    if simple.size:
+        diff = 1j * simple[:, None] - lam[None, :]
+        diff[np.arange(simple.size), np.abs(diff).argmin(axis=1)] = 1.0
+        denom = np.linalg.det(sym.A[k]) * 1j * diff.prod(axis=1)
+        res = _adjugate(sym(simple)) / denom[:, None, None]
+        J += np.tensordot(simple[:, None] ** powers, res, axes=(0, 0))
+    for root, mult, _ in upper:
+        if mult > 1:
+            others = [c[0] for c in roots if abs(c[0] - root) > 0]
+            if others:
+                radius = 0.45 * min(abs(root - o) for o in others)
             else:
-                others = [c[0] for c in roots if abs(c[0] - root) > 0]
-                if others:
-                    radius = 0.45 * min(abs(root - o) for o in others)
-                else:
-                    radius = max(0.5, 0.5 * abs(root))
-                circle = Contour.circle(root, radius)
-                val, _ = contour_quadrature(_powers_of_inverse(sym, n_powers), circle, tol=quad_tol)
-                J += val
+                radius = max(0.5, 0.5 * abs(root))
+            circle = Contour.circle(root, radius)
+            val, _ = contour_quadrature(_powers_of_inverse(sym, n_powers), circle, tol=quad_tol)
+            J += val
 
     def assemble(j_w):
         out = np.zeros((r * k, r * k), dtype=complex)
@@ -329,16 +328,21 @@ def calderon_projector(sym, side="plus", quad_tol=1e-10, cross_check=True):
     """Projector onto one side's Cauchy-data space along the other.
 
     The plus projector is the layer-potential block matrix times the
-    jump operator; the minus one is its complement, exactly.
+    jump operator; the minus one is its complement, exactly.  The plus
+    matrix is kept on ``sym`` per ``(quad_tol, cross_check)``, so asking
+    for both sides of one symbol runs the layer route, and its
+    cross-check, once.  The returned matrix is the caller's own copy.
     """
-    B = layer_potential_blocks(sym, quad_tol=quad_tol, cross_check=cross_check)
-    R = B @ jump_operator(sym)
-    if side == "minus":
-        R = np.eye(R.shape[0], dtype=complex) - R
-        return BlockProjector(m=sym.m, matrix=R, kind="Rminus")
-    if side != "plus":
+    if side not in ("plus", "minus"):
         raise SpecError(f"side must be plus or minus, got {side!r}")
-    return BlockProjector(m=sym.m, matrix=R, kind="Rplus")
+    key = (quad_tol, bool(cross_check))
+    R = sym._routes.get(key)
+    if R is None:
+        B = layer_potential_blocks(sym, quad_tol=quad_tol, cross_check=cross_check)
+        R = sym._routes[key] = B @ jump_operator(sym)
+    if side == "minus":
+        return BlockProjector(m=sym.m, matrix=np.eye(R.shape[0], dtype=complex) - R, kind="Rminus")
+    return BlockProjector(m=sym.m, matrix=R.copy(), kind="Rplus")
 
 
 def orthogonal_projector(frame_or_proj, weight):

@@ -80,17 +80,27 @@ class OperatorSpec:
         return self.terms.get((q, tuple(beta)), np.zeros((self.r, self.r), dtype=complex))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeSymbol:
     """One tangential mode of an operator: matrices A_q(m), q = 0..k.
 
     ``A[q] = sum_beta c[q, beta] (i m)^beta``; the top matrix ``A[k]``
-    equals the d_n^k coefficient for every mode.
+    equals the d_n^k coefficient for every mode.  ``A`` is a read-only
+    copy, so projectors computed from it stay valid for the symbol's
+    lifetime.
     """
 
     spec: OperatorSpec
     m: tuple
     A: np.ndarray  # (k+1, r, r)
+    # plus-side projector matrices by (quad_tol, cross_check), filled by
+    # projector.calderon_projector
+    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        A = np.array(self.A, dtype=complex)
+        A.setflags(write=False)
+        object.__setattr__(self, "A", A)
 
     @property
     def r(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from calderon.contour import (
+    MAX_NODES,
     Contour,
     characteristic_roots,
     contour_quadrature,
@@ -56,10 +57,66 @@ def test_matrix_valued_quadrature_and_ellipse():
 
 def test_quadrature_gives_up_on_nonanalytic_data():
     rng = np.random.default_rng(0)
+    evaluated = []
+
+    def noise(z):
+        evaluated.append(len(z))
+        return rng.normal(size=len(z))
+
     with pytest.raises(ContourNotConverged):
-        contour_quadrature(
-            lambda z: rng.normal(size=len(z)), Contour.circle(0, 1.0), max_nodes=256
-        )
+        contour_quadrature(noise, Contour.circle(0, 1.0), max_nodes=256)
+    assert sum(evaluated) == 256  # every level reuses the nodes before it
+
+
+def _full_grid_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
+    """Reference doubling loop that evaluates every node of every level."""
+    n = max(8, contour.nodes)
+    prev = None
+    while n <= max_nodes:
+        z, dz = contour.boundary(n)
+        vals = np.asarray(f(z), dtype=complex)
+        value = (vals * dz.reshape((n,) + (1,) * (vals.ndim - 1))).sum(axis=0) / (1j * n)
+        if prev is not None and np.abs(value - prev).max() <= tol * max(
+            1.0, float(np.abs(value).max())
+        ):
+            return value, n
+        prev = value
+        n *= 2
+    raise ContourNotConverged("reference loop did not converge")
+
+
+def _resolvent_12(z):
+    M = np.array([[0.0, 1.0], [-2.0, 3.0]], dtype=complex)  # eigenvalues 1, 2
+    return np.linalg.inv(z[:, None, None] * np.eye(2) - M)
+
+
+QUADRATURE_CASES = {
+    "reciprocal": (lambda z: 1 / z, Contour.circle(0, 1.0)),
+    "pole_outside": (lambda z: 1 / (z - 2.0), Contour.circle(0, 1.0)),
+    "double_pole": (lambda z: z**-2.0, Contour.circle(0, 1.0)),
+    "resolvent_ellipse": (_resolvent_12, Contour.ellipse(1.5, 1.2, 0.7)),
+    "near_pole": (lambda z: 1 / (z - 0.9), Contour.circle(0, 1.0, nodes=8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUADRATURE_CASES))
+def test_nested_quadrature_matches_full_grid(case):
+    f, contour = QUADRATURE_CASES[case]
+    evaluated = []
+
+    def counted(z):
+        evaluated.append(z)
+        return f(z)
+
+    value, n = contour_quadrature(counted, contour)
+    ref, n_ref = _full_grid_quadrature(f, contour)
+    assert n == n_ref
+    assert np.abs(value - ref).max() <= 1e-14
+    # the levels together visit the final n-node grid, each node once
+    nodes = np.concatenate(evaluated)
+    grid, _ = contour.boundary(n)
+    assert nodes.size == n
+    assert np.abs(nodes[:, None] - grid[None, :]).min(axis=1).max() <= 1e-14
 
 
 def test_contour_validation():

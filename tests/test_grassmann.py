@@ -3,6 +3,7 @@ import pytest
 
 from calderon.errors import (
     CutoffMismatch,
+    DefectMode,
     NoChiralStructure,
     SpecError,
     ThresholdAmbiguous,
@@ -73,6 +74,15 @@ def test_defect_modes_excluded_and_listed():
 
     with pytest.raises(DefectMode):
         assemble_point(build_gallery("dirac2", mu=1, v=0), 8, strict=True)
+
+
+def test_sign_iteration_stall_names_the_mode():
+    # the spectrum at mode (-1, 0) sits close enough to the imaginary
+    # axis that the sign iteration stalls, although it passes the
+    # defect screen
+    with pytest.raises(DefectMode) as info:
+        assemble_point(build_gallery("dirac3", mu=1, v=0.005), 16)
+    assert info.value.mode == (-1, 0)
 
 
 def test_assembly_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from calderon import _kernels
-from calderon.errors import CalderonError
+from calderon.errors import CalderonError, SignIterationStalled
 
 needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
 
@@ -71,9 +71,10 @@ def test_range_sweep_spans_and_is_orthonormal():
 
 
 def test_sign_iteration_rejects_imaginary_spectrum():
-    bad = np.array([[[1j, 0.0], [0.0, -1.0]]], dtype=complex)
-    with pytest.raises(CalderonError):
+    bad = np.array([[[1.0, 0.0], [0.0, -1.0]], [[1j, 0.0], [0.0, -1.0]]], dtype=complex)
+    with pytest.raises(SignIterationStalled) as info:
         _kernels.stable_projector_sweep(bad, backend="numpy")
+    assert info.value.index == 1
 
 
 @needs_numba

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from calderon import projector
 from calderon.errors import DefectMode, IllConditionedFrame, SingularBlock, SpecError
 from calderon.projector import (
+    _adjugate,
     calderon_projector,
     cauchy_frame_oracle,
     companion_matrix,
@@ -215,6 +219,86 @@ def test_projector_algebra_and_oracle_range(name):
         # R+ is the spectral projector of the companion matrix
         sp = spectral_split(companion_matrix(sym))
         assert np.abs(rp - sp.projector).max() < 1e-8
+        assert np.abs(rp - sp.projector).max() / (1.0 + np.abs(sp.projector).max()) <= 1e-10
+
+
+def _counting(monkeypatch, name):
+    """Count calls of a function that the projector module imported."""
+    calls = []
+    real = getattr(projector, name)
+
+    def wrapped(*args, **kw):
+        calls.append(kw)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(projector, name, wrapped)
+    return calls
+
+
+def test_both_sides_of_one_symbol_share_one_route(monkeypatch):
+    routes = _counting(monkeypatch, "layer_potential_blocks")
+    sym = mode_symbol(build_gallery("dirac3", mu=1, v=0.3), (2, -1))
+    rp = calderon_projector(sym, "plus").matrix
+    rm = calderon_projector(sym, "minus").matrix
+    assert len(routes) == 1
+    assert np.array_equal(rm, np.eye(rp.shape[0]) - rp)
+
+
+def test_returned_projectors_are_private_copies():
+    sym = mode_symbol(build_gallery("laplace_mass", mu=1), 3)
+    rp = calderon_projector(sym, "plus").matrix
+    rm = calderon_projector(sym, "minus").matrix
+    plus, minus = rp.copy(), rm.copy()
+    rp[:] = 7.0
+    rm[:] = 7.0
+    assert np.array_equal(calderon_projector(sym, "plus").matrix, plus)
+    assert np.array_equal(calderon_projector(sym, "minus").matrix, minus)
+    # the symbol the kept routes were computed from cannot change either
+    with pytest.raises(ValueError):
+        sym.A[0, 0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sym.A = np.zeros_like(sym.A)
+
+
+def test_checked_request_never_reuses_an_unchecked_route(monkeypatch):
+    quadratures = _counting(monkeypatch, "contour_quadrature")
+    sym = mode_symbol(build_gallery("laplace_mass", mu=1), 3)  # simple roots only
+    unchecked = calderon_projector(sym, "plus", cross_check=False).matrix
+    assert len(quadratures) == 0
+    checked = calderon_projector(sym, "plus", cross_check=True).matrix
+    assert len(quadratures) == 1
+    calderon_projector(sym, "minus", cross_check=True)
+    assert len(quadratures) == 1
+    calderon_projector(sym, "minus", quad_tol=1e-12)
+    assert len(quadratures) == 2
+    assert np.array_equal(checked, unchecked)
+
+
+def _cofactor_adjugate(M):
+    d = M.shape[0]
+    adj = np.empty((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
+            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_adjugate_matches_cofactors(d):
+    rng = np.random.default_rng(d)
+    full = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    u, s, vh = np.linalg.svd(full)
+    s[:, -1] = 0.0  # rank d - 1: no inverse, but a rank-one adjugate
+    deficient = (u * s[:, None, :]) @ vh
+    mats = np.concatenate([full, deficient])
+    adj = _adjugate(mats)
+    assert adj.shape == mats.shape
+    for M, got in zip(mats, adj):
+        assert np.abs(got - _cofactor_adjugate(M)).max() <= 1e-12 * (1 + np.abs(M).max()) ** d
+        assert np.abs(M @ got - np.linalg.det(M) * np.eye(d)).max() <= 1e-12 * (1 + np.abs(M).max()) ** d
+    if d > 1:
+        assert all(np.linalg.matrix_rank(a, tol=1e-8) == 1 for a in adj[3:])
 
 
 @pytest.mark.parametrize("name", ["dbar", "laplace_mass", "dirac2"])
