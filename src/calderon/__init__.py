@@ -32,7 +32,6 @@ from .projector import (
     SobolevWeight,
     calderon_projector,
     cauchy_frame_oracle,
-    companion_matrix,
     entry_growth_fit,
     invert_jump_operator,
     jump_operator,
@@ -50,6 +49,7 @@ from .symbols import (
     agree_up_to_order,
     build_gallery,
     check_ellipticity,
+    companion_matrix,
     dump_spec,
     find_agmon_ray,
     from_document,

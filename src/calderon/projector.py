@@ -9,14 +9,22 @@ inverse applied to delta layers) and the companion spectral-split
 oracle.  They must agree, and tests hold them to that.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .contour import Contour, contour_quadrature, enclosing_circle, group_roots, spectral_split
+from .contour import (
+    Contour,
+    _sized_nodes,
+    contour_quadrature,
+    enclosing_circle,
+    group_roots,
+    spectral_split,
+)
 from .errors import CalderonError, IllConditionedFrame, SingularBlock, SpecError
-from .symbols import mode_symbol
+from .symbols import companion_matrix, mode_symbol
 
 __all__ = [
     "CauchyFrame",
@@ -163,21 +171,6 @@ def scan_defect_modes(spec, cutoff, backend=None):
 # single-mode operations
 
 
-def companion_matrix(sym):
-    """First-order reduction of the mode ODE on ``(u, ..., d_n^{k-1} u)``.
-
-    Its spectrum is ``{i xi_n}`` over the characteristic roots.
-    """
-    k, r = sym.k, sym.r
-    d = r * k
-    C = np.zeros((d, d), dtype=complex)
-    for j in range(k - 1):
-        C[j * r : (j + 1) * r, (j + 1) * r : (j + 2) * r] = np.eye(r)
-    for q in range(k):
-        C[(k - 1) * r :, q * r : (q + 1) * r] = -np.linalg.solve(sym.A[k], sym.A[q])
-    return C
-
-
 def cauchy_frame_oracle(sym, side):
     """Cauchy-data frame of one side, straight from the companion split.
 
@@ -237,15 +230,24 @@ def invert_jump_operator(a_op, block_size):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _cofactor_tables(d):
+    """Row/column indices of every (d-1)-minor of a d x d matrix and the
+    cofactor signs: ``keep[i, j] = j + (j >= i)`` skips row/column i."""
+    j = np.arange(d - 1)
+    keep = j[None, :] + (j[None, :] >= np.arange(d)[:, None])  # (d, d-1)
+    sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+    for table in (keep, sign):
+        table.setflags(write=False)  # shared by every call of this size
+    return keep[:, None, :, None], keep[None, :, None, :], sign
+
+
 def _adjugate(M):
     """Adjugates of a stack ``(..., d, d)`` from all d^2 cofactor
     determinants at once.  Unlike ``det * inv`` this is defined at
     singular matrices, which is where the residues evaluate it."""
-    d = M.shape[-1]
-    keep = np.array([np.delete(np.arange(d), i) for i in range(d)])  # (d, d-1)
-    minors = M[..., keep[:, None, :, None], keep[None, :, None, :]]
-    sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
-    return np.swapaxes(sign * np.linalg.det(minors), -1, -2)
+    rows, cols, sign = _cofactor_tables(M.shape[-1])
+    return np.swapaxes(sign * np.linalg.det(M[..., rows, cols]), -1, -2)
 
 
 def _powers_of_inverse(sym, n_powers):
@@ -294,10 +296,12 @@ def layer_potential_blocks(sym, quad_tol=1e-10, agreement_tol=1e-8, cross_check=
         if mult > 1:
             others = [c[0] for c in roots if abs(c[0] - root) > 0]
             if others:
-                radius = 0.45 * min(abs(root - o) for o in others)
+                gap = min(abs(root - o) for o in others)
+                radius = 0.45 * gap
             else:
                 radius = max(0.5, 0.5 * abs(root))
-            circle = Contour.circle(root, radius)
+                gap = np.inf
+            circle = Contour.circle(root, radius, _sized_nodes(0.0, radius, gap))
             val, _ = contour_quadrature(_powers_of_inverse(sym, n_powers), circle, tol=quad_tol)
             J += val
 

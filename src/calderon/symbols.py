@@ -123,6 +123,21 @@ class ModeSymbol:
         return out
 
 
+def companion_matrix(sym):
+    """First-order reduction of the mode ODE on ``(u, ..., d_n^{k-1} u)``.
+
+    Its spectrum is ``{i xi_n}`` over the characteristic roots.
+    """
+    k, r = sym.k, sym.r
+    d = r * k
+    C = np.zeros((d, d), dtype=complex)
+    for j in range(k - 1):
+        C[j * r : (j + 1) * r, (j + 1) * r : (j + 2) * r] = np.eye(r)
+    # bottom block row: -A_k^{-1} A_q for q = 0..k-1, from one stacked solve
+    C[(k - 1) * r :, :] = -np.linalg.solve(sym.A[k], sym.A[:k]).transpose(1, 0, 2).reshape(r, d)
+    return C
+
+
 @dataclass
 class EllipticityReport:
     directions: np.ndarray

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from calderon.errors import (
     EigenvalueOnCut,
     SpecError,
 )
-from calderon.projector import companion_matrix
+from calderon.projector import companion_matrix, mode_lattice
 from calderon.symbols import build_gallery, mode_symbol
 
 from test_symbols import GALLERY, sample_modes
@@ -117,6 +119,114 @@ def test_nested_quadrature_matches_full_grid(case):
     grid, _ = contour.boundary(n)
     assert nodes.size == n
     assert np.abs(nodes[:, None] - grid[None, :]).min(axis=1).max() <= 1e-14
+
+
+@pytest.mark.parametrize("start", [8, 16, 64])
+def test_first_call_covers_two_levels(start):
+    calls = []
+
+    def counted(z):
+        calls.append(z.size)
+        return 1 / z  # exact on every grid: the first comparison agrees
+
+    value, n = contour_quadrature(counted, Contour.circle(0, 1.0, nodes=start))
+    assert abs(value - 1.0) < 1e-12
+    assert (n, calls) == (2 * start, [2 * start])
+    # with no room for the second level, the loop gives up before calling f
+    calls.clear()
+    with pytest.raises(ContourNotConverged):
+        contour_quadrature(counted, Contour.circle(0, 1.0, nodes=start), max_nodes=2 * start - 1)
+    assert calls == []
+
+
+def _separable_group(eigs, anchor, margin=0.05):
+    """Largest eigenvalue group around ``eigs[anchor]`` that a circle
+    separates from the rest with the given margin, or None."""
+    order = np.argsort(np.abs(eigs - eigs[anchor]))
+    best = None
+    for g in range(1, len(eigs)):
+        group, rest = eigs[order[:g]], eigs[order[g:]]
+        center = group.mean()
+        if np.abs(rest - center).min() - np.abs(group - center).max() > margin:
+            best = (group, rest)
+    return best
+
+
+def _sized_and_unsized_counts(f, group, rest):
+    sized = enclosing_circle(group, excluded=rest)
+    assert sized.nodes in (16, 32, 64, 128, 256)
+    _, n = contour_quadrature(f, sized)
+    _, n16 = contour_quadrature(f, enclosing_circle(group, excluded=rest, nodes=16))
+    return sized, n, n16
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_sized_start_keeps_the_cross_check_node_count(name):
+    spec = build_gallery(name, **GALLERY[name])
+    powers = np.arange(2 * spec.k - 1)
+    checked = 0
+    for m in mode_lattice(spec.n, 16):
+        sym = mode_symbol(spec, m)
+        roots = characteristic_roots(sym, allow_real=True)
+        upper = [root for root, _, half in roots if half == "upper"]
+        if not upper or any(half == "real" for _, _, half in roots):
+            continue
+
+        def f(z, sym=sym):
+            inv = np.linalg.inv(sym(z))
+            return (z[:, None] ** powers)[:, :, None, None] * inv[:, None, :, :]
+
+        others = [root for root, _, half in roots if half != "upper"]
+        sized, n, n16 = _sized_and_unsized_counts(f, upper, others)
+        assert n == n16, (m, sized.nodes)
+        checked += 1
+    assert checked >= 16
+
+
+def test_sized_start_keeps_riesz_node_counts_up_to_borderline_separation():
+    rng = np.random.default_rng(7)
+    problems = []
+    while len(problems) < 60:
+        M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        split = _separable_group(np.linalg.eigvals(M), len(problems) % 6)
+        if split is not None:
+            problems.append((M, *split))
+    oversized = 0
+    for M, group, rest in problems:
+        def resolvent(z, M=M):
+            return np.linalg.inv(z[:, None, None] * np.eye(6) - M)
+
+        sized, n, n16 = _sized_and_unsized_counts(resolvent, group, rest)
+        if n != n16:
+            # the bound rho^n leaves out the residue's size relative to the
+            # value; when it is small, the doubling loop converged one level
+            # below the sized start, which must then have been borderline
+            center = group.mean()
+            radius = sized.radii[0]
+            rho = max(
+                np.abs(group - center).max() / radius,
+                radius / np.abs(rest - center).min(),
+            )
+            assert n == 2 * n16 and rho ** (sized.nodes // 2) <= 3e-10
+            oversized += 1
+    assert oversized <= len(problems) // 10
+
+
+def test_quadrature_peak_memory_stays_near_one_level():
+    d = 8
+    inside = np.array([0.0, 0.3, -0.5j, 0.6 + 0.2j, 0.99])
+    M = np.diag(np.concatenate([inside, [1.3, -1.4, 2j]])).astype(complex)
+    contour = Contour.circle(0, 1.0)
+    _, n = contour_quadrature(lambda z: np.linalg.inv(z[:, None, None] * np.eye(d) - M), contour)
+    assert n >= 4096
+    tracemalloc.start()
+    try:
+        P = riesz_projector(M, contour)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.abs(P - np.diag([1.0] * 5 + [0.0] * 3)).max() < 1e-9
+    assert peak <= 3 * (n // 2) * d * d * 16
 
 
 def test_contour_validation():

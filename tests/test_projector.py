@@ -10,6 +10,7 @@ from calderon.projector import (
     calderon_projector,
     cauchy_frame_oracle,
     companion_matrix,
+    companion_stack,
     entry_growth_fit,
     invert_jump_operator,
     jump_operator,
@@ -51,6 +52,24 @@ def test_companion_spectrum_is_i_times_roots():
     lam = np.sort_complex(np.linalg.eigvals(companion_matrix(sym)))
     s = np.sqrt(5.0)
     assert np.abs(lam - np.array([-s, s])).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY) + ["order_three"])
+def test_companion_matrix_matches_companion_stack(name):
+    if name == "order_three":
+        rng = np.random.default_rng(3)
+        terms = {
+            (q, (b,)): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            for q in range(4)
+            for b in range(4 - q)
+        }
+        spec = build_gallery("custom", n=2, r=2, k=3, terms=terms)
+    else:
+        spec = build_gallery(name, **GALLERY[name])
+    for m in sample_modes(spec, 9, count=20):
+        single = companion_matrix(mode_symbol(spec, m))
+        stacked = companion_stack(spec, np.array([m]))[0]
+        assert np.abs(single - stacked).max() <= 1e-15
 
 
 def test_oracle_frames():
