@@ -104,6 +104,15 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu":
+            return obj.tolist()
+        if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
+            # one tolist instead of a per-element walk; NaN becomes None
+            nan = np.isnan(obj)
+            if nan.any():
+                obj = obj.astype(object)
+                obj[nan] = None
+            return obj.tolist()
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)

@@ -8,7 +8,6 @@ of the contour; node doubling supplies the error estimate.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CalderonError,
@@ -328,7 +327,9 @@ def spectral_split(C, validate=False, gap_tol=None):
     Frames come from ordered Schur decompositions, so they survive
     Jordan structure.  With ``validate=True`` the stable projector is
     recomputed independently through :func:`riesz_projector` on a circle
-    in the left half plane and both must agree to 1e-8.
+    in the left half plane and both must agree to 1e-8.  scipy is
+    imported on the first call, so only runs that reach this oracle
+    pay for loading it.
 
     Raises DefectMode when an eigenvalue sits on the imaginary axis
     (no splitting exists).
@@ -342,6 +343,8 @@ def spectral_split(C, validate=False, gap_tol=None):
     gap = float(np.abs(eigs.real).min()) if d else np.inf
     if gap <= gap_tol:
         raise DefectMode(f"eigenvalue within {gap_tol:.2e} of the imaginary axis")
+
+    import scipy.linalg  # deferred: the only scipy use in calderon
 
     _, zs, ds = scipy.linalg.schur(C, output="complex", sort="lhp")
     _, zu, du = scipy.linalg.schur(C, output="complex", sort="rhp")

@@ -8,6 +8,7 @@ realize compactness, Schatten-class membership and the Fredholm index
 at finite truncation.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +59,11 @@ class GrassmannPoint:
     excluded: list = field(default_factory=list)  # defect modes left out
     chiral_side: str | None = None
 
-    def __post_init__(self):
-        self._index = {_mode_key(m): i for i, m in enumerate(self.modes)}
+    @functools.cached_property
+    def _index(self):
+        # built on the first lookup: compare_points and fredholm_index
+        # match modes without it
+        return {_mode_key(m): i for i, m in enumerate(self.modes)}
 
     @property
     def ambient_dim(self):
@@ -213,15 +217,22 @@ class CompareReport:
 
 
 def _common_indices(a, b):
-    keys_a = {_mode_key(m): i for i, m in enumerate(a.modes)}
-    ia, ib, rows = [], [], []
-    for j, m in enumerate(b.modes):
-        key = _mode_key(m)
-        if key in keys_a:
-            ia.append(keys_a[key])
-            ib.append(j)
-            rows.append(m)
-    return np.array(ia, dtype=int), np.array(ib, dtype=int), np.array(rows)
+    """Row positions ``(ia, ib)`` of the modes retained by both points,
+    in the order of ``b.modes``, and those mode rows.
+
+    Each integer row becomes one linear index in base ``2 M + 1``, with
+    ``M`` the largest ``|m_i|`` of either point, and ``b``'s rows are
+    looked up in a table of ``a``'s positions.
+    """
+    ma, mb = a.modes, b.modes
+    M = max((int(np.abs(x).max()) for x in (ma, mb) if x.size), default=0)
+    base = 2 * M + 1
+    place = base ** np.arange(mb.shape[1] - 1, -1, -1, dtype=np.int64)
+    lookup = np.full(base ** mb.shape[1], -1, dtype=np.intp)
+    lookup[(ma + M) @ place] = np.arange(len(ma))
+    hits = lookup[(mb + M) @ place]
+    ib = np.flatnonzero(hits >= 0)
+    return hits[ib], ib, mb[ib]
 
 
 def compare_points(a, b, backend=None):

@@ -199,3 +199,24 @@ def test_timing_flag_controls_payload(specs, tmp_path):
     assert "timings" not in json.loads(out.read_text())
     assert main(args + ["--timing"]) == 0
     assert "timings" in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("shape", [(0,), (5,), (3, 4)])
+def test_jsonable_array_fast_path_matches_the_generic_walk(shape):
+    from calderon.cli import _jsonable
+
+    size = int(np.prod(shape))
+    pool = np.array([np.nan, np.inf, -np.inf, -0.0, 1.5, 7.0, -2.0, np.nan])
+    arrays = [
+        np.resize(pool, size).reshape(shape),
+        np.resize(pool, size).reshape(shape).astype(np.float32),
+        np.arange(-3, size - 3).reshape(shape),
+        np.arange(size, dtype=np.uint8).reshape(shape),
+        (np.arange(size) % 3 == 0).reshape(shape),
+    ]
+    for arr in arrays:
+        fast = _jsonable({"a": arr, "list": [arr]})
+        generic = _jsonable({"a": arr.tolist(), "list": [arr.tolist()]})
+        assert fast == generic
+        dump = lambda obj: json.dumps(obj, sort_keys=True, indent=2).encode()
+        assert dump(fast) == dump(generic)

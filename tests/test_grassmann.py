@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from calderon.errors import (
     ThresholdAmbiguous,
 )
 from calderon.grassmann import (
+    _common_indices,
     assemble_point,
     chiral_point,
     compare_points,
@@ -283,3 +286,60 @@ def test_index_zero_for_equal_operators_with_weights():
     idx = fredholm_index(pa, pb)
     assert idx.index == 0
     assert idx.tail_safe
+
+
+# ---------------------------------------------------------------------------
+# mode matching
+
+
+def _common_indices_by_dict(a, b):
+    # reference: one Python key per mode row
+    keys_a = {tuple(int(x) for x in m): i for i, m in enumerate(a.modes)}
+    ia, ib = [], []
+    for j, m in enumerate(b.modes):
+        key = tuple(int(x) for x in m)
+        if key in keys_a:
+            ia.append(keys_a[key])
+            ib.append(j)
+    return np.array(ia, dtype=int), np.array(ib, dtype=int)
+
+
+def _matching_pairs():
+    near = assemble_point(build_gallery("dbar", mu=2 + 1e-12), 8)
+    tw = assemble_point(twist(1), 8)
+    half = chiral_point(build_gallery("dirac3", mu=1, v=0.1), "L", 6)
+    full = assemble_point(build_gallery("dirac3", mu=1, v=1.5), 6)
+    assert near.excluded == [2] and tw.excluded == []
+    assert half.excluded == [(0, 0)] and full.excluded == []
+    rng = np.random.default_rng(5)
+    lattice = np.stack(np.meshgrid(np.arange(-9, 10), np.arange(-3, 40), indexing="ij"), -1)
+    rows = rng.permutation(lattice.reshape(-1, 2))
+    sa = SimpleNamespace(modes=rows[:500])
+    sb = SimpleNamespace(modes=rows[300:][rng.permutation(517)])
+    return [(near, tw), (tw, near), (half, full), (full, half), (sa, sb)]
+
+
+@pytest.mark.parametrize("pair", range(5))
+def test_common_indices_match_the_dict_lookup(pair):
+    a, b = _matching_pairs()[pair]
+    ia, ib, rows = _common_indices(a, b)
+    ref_a, ref_b = _common_indices_by_dict(a, b)
+    assert 0 < len(ref_b) < max(len(a.modes), len(b.modes))
+    assert ia.dtype == ref_a.dtype and ib.dtype == ref_b.dtype
+    assert np.array_equal(ia, ref_a) and np.array_equal(ib, ref_b)
+    assert rows.dtype == b.modes.dtype
+    assert np.array_equal(rows, b.modes[ref_b])
+
+
+def test_mode_index_is_built_on_first_lookup():
+    pa = assemble_point(twist(2), 8)
+    pb = assemble_point(dbar(), 8)
+    compare_points(pa, pb)
+    fredholm_index(pa, pb)
+    assert "_index" not in vars(pa) and "_index" not in vars(pb)
+    assert pa.mode_index(-8) == 0
+    assert pa.frame(3).m == (3,)
+    assert "_index" in vars(pa)
+    near = assemble_point(build_gallery("dbar", mu=2 + 1e-12), 8)
+    with pytest.raises(SpecError, match="mode 2 is not retained"):
+        near.frame(2)

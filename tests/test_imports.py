@@ -1,0 +1,87 @@
+"""A fresh process loads scipy only when the Schur oracle runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import calderon
+from calderon.cli import main
+
+PACKAGE = Path(calderon.__file__).resolve().parent
+
+# runs cli.main on each argv list, then reports the exit codes and the
+# scipy and calderon modules the process has loaded
+SCRIPT = """\
+import json, sys
+import calderon, calderon.cli
+codes = [calderon.cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "calderon"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def _fresh(runs, cwd):
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(runs)],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture()
+def specs(tmp_path):
+    paths = {}
+    for name, gallery, params in [
+        ("dbar", "dbar", ["mu=0.5"]),
+        ("twist2", "twisted_dbar", ["mu=0.5", "d=2"]),
+        ("dirac_a", "dirac2", ["mu=1", "v=0.1"]),
+        ("dirac_b", "dirac2", ["mu=1", "v=0.3"]),
+        ("laplace", "laplace_mass", ["mu=1.5"]),
+    ]:
+        out = tmp_path / f"{name}.spec"
+        args = ["write-spec", gallery, "--out", str(out)]
+        for p in params:
+            args += ["-p", p]
+        assert main(args) == 0
+        paths[name] = str(out)
+    return paths
+
+
+def test_pipelines_never_load_scipy(specs, tmp_path):
+    pair = ["--spec-a", specs["dirac_a"], "--spec-b", specs["dirac_b"], "--cutoff", "8"]
+    runs = [
+        ["compare", *pair, "--out", "compare.json"],
+        ["index", "--spec-a", specs["twist2"], "--spec-b", specs["dbar"], "--cutoff", "8",
+         "--out", "index.json"],
+        ["schatten", *pair, "--format", "csv", "--out", "schatten.csv"],
+        ["ellipticity", "--spec", specs["dirac_a"], "--cutoff", "8", "--out", "ell.json"],
+        ["projector", "--spec", specs["laplace"], "--mode", "3", "--kind", "R", "--cutoff", "8",
+         "--out", "proj.json"],
+    ]
+    got = _fresh(runs, tmp_path)
+    assert got["codes"] == [0] * len(runs)
+    for argv in runs:
+        assert (tmp_path / argv[-1]).stat().st_size > 0
+    # every calderon module was imported, and none of them pulled in scipy
+    modules = {f"calderon.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert modules <= set(got["loaded"])
+    assert [m for m in got["loaded"] if m.startswith("scipy")] == []
+
+
+def test_schur_oracle_loads_scipy_and_matches_in_process(specs, tmp_path):
+    args = ["projector", "--spec", specs["laplace"], "--mode", "3", "--kind", "P", "--cutoff", "8"]
+    got = _fresh([args + ["--out", "fresh.json"]], tmp_path)
+    assert got["codes"] == [0]
+    assert "scipy.linalg" in got["loaded"]
+    assert main(args + ["--out", str(tmp_path / "here.json")]) == 0
+    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
