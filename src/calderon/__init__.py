@@ -2,7 +2,6 @@
 constant-coefficient elliptic operators on flat model geometries."""
 
 from . import errors
-from ._kernels import active_backend, warmup
 from .contour import (
     Contour,
     SpectralSplit,

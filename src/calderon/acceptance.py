@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import warmup
 from .contour import enclosing_circle, matrix_power, riesz_projector
 from .grassmann import (
     assemble_point,
@@ -24,14 +23,18 @@ from .projector import (
     calderon_projector,
     cauchy_frame_oracle,
     entry_growth_fit,
-    mode_lattice,
     orthogonal_projector,
     principal_angles,
     range_basis,
-    scan_defect_modes,
     sobolev_weights,
 )
-from .symbols import build_gallery, mode_symbol, selfadjoint_double
+from .symbols import (
+    build_gallery,
+    mode_lattice,
+    mode_symbol,
+    scan_defect_modes,
+    selfadjoint_double,
+)
 
 
 @dataclass
@@ -308,12 +311,7 @@ CRITERIA = (
 
 
 def run_acceptance(echo=print):
-    """Run every criterion in order; returns the list of results.
-
-    Kernels are warmed before the first timer starts so one-time JIT
-    compilation does not count against any runtime budget.
-    """
-    warmup()
+    """Run every criterion in order; returns the list of results."""
     results = []
     for crit in CRITERIA:
         res = crit()

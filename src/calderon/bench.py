@@ -1,8 +1,7 @@
-"""Benchmark the numba kernel lane against the batched-numpy fallback.
+"""Time the mode-sweep kernels and one end-to-end point assembly.
 
 Synthetic stacks mimic the per-mode companion matrices (small, complex,
-spectrum off the imaginary axis); one end-to-end point assembly is also
-timed for each lane.
+spectrum off the imaginary axis); the assembly is dirac3 at cutoff 48.
 """
 
 import time
@@ -31,33 +30,28 @@ def _time(fn, repeat):
 
 
 def run_bench(n_modes=4096, dim=4, repeat=3, echo=print):
-    """Time every kernel in both lanes; returns rows of timing data."""
-    lanes = ["numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
-    for lane in lanes:
-        _kernels.warmup(lane)
-
+    """Best-of-``repeat`` time of every kernel; returns one row per case."""
     stack = _synthetic_stack(n_modes, dim)
-    eigs = _kernels.eigvals_sweep(stack, backend="numpy")
+    eigs = _kernels.eigvals_sweep(stack)
     dims = (eigs.real < 0).sum(axis=1).astype(np.int64)
-    proj = _kernels.stable_projector_sweep(stack, backend="numpy")
+    proj = _kernels.stable_projector_sweep(stack)
+    dirac3 = build_gallery("dirac3", mu=1, v=0.3)
 
     cases = [
-        ("eigvals_sweep", lambda lane: _kernels.eigvals_sweep(stack, backend=lane)),
-        ("stable_projector_sweep", lambda lane: _kernels.stable_projector_sweep(stack, backend=lane)),
-        ("svdvals_sweep", lambda lane: _kernels.svdvals_sweep(stack, backend=lane)),
-        ("orthonormal_range_sweep", lambda lane: _kernels.orthonormal_range_sweep(proj, dims, backend=lane)),
-        ("assemble dirac3 cutoff 48", lambda lane: assemble_point(build_gallery("dirac3", mu=1, v=0.3), 48, backend=lane)),
+        ("eigvals_sweep", lambda: _kernels.eigvals_sweep(stack)),
+        ("stable_projector_sweep", lambda: _kernels.stable_projector_sweep(stack)),
+        ("svdvals_sweep", lambda: _kernels.svdvals_sweep(stack)),
+        ("orthonormal_range_sweep", lambda: _kernels.orthonormal_range_sweep(proj, dims)),
+        ("assemble dirac3 cutoff 48", lambda: assemble_point(dirac3, 48)),
     ]
 
     rows = []
     if echo:
         echo(f"kernel bench: {n_modes} modes, dim {dim}, best of {repeat}")
-        echo(f"{'kernel':28s} " + " ".join(f"{lane:>12s}" for lane in lanes) + "  speedup")
+        echo(f"{'kernel':28s} {'time':>12s}")
     for name, fn in cases:
-        times = {lane: _time(lambda lane=lane: fn(lane), repeat) for lane in lanes}
-        ratio = times["numpy"] / times["numba"] if "numba" in times else float("nan")
-        rows.append({"kernel": name, "times": times, "numba_speedup": ratio})
+        seconds = _time(fn, repeat)
+        rows.append({"kernel": name, "seconds": seconds})
         if echo:
-            cells = " ".join(f"{times[lane] * 1e3:10.2f}ms" for lane in lanes)
-            echo(f"{name:28s} {cells}  {ratio:6.2f}x")
+            echo(f"{name:28s} {seconds * 1e3:10.2f}ms")
     return rows

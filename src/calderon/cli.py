@@ -424,7 +424,7 @@ def _build_parser():
     p = sub.add_parser("acceptance", help="run the acceptance suite")
     common(p)
 
-    p = sub.add_parser("bench", help="compare the numba and numpy kernel lanes")
+    p = sub.add_parser("bench", help="time the mode-sweep kernels and one point assembly")
     p.add_argument("--modes", type=int, default=4096)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--repeat", type=int, default=3)

@@ -17,7 +17,7 @@ from .errors import (
     EigenvalueOnCut,
     SpecError,
 )
-from .symbols import companion_matrix
+from .symbols import companion_matrix, on_real_axis
 
 MAX_NODES = 2**16
 
@@ -218,12 +218,11 @@ def group_roots(sym, lam, allow_real=False):
         else:
             clusters.append([z, 1])
 
-    mnorm = float(np.linalg.norm(sym.m))
-    real_tol = 1e-10 * (1.0 + mnorm)
+    roots = [total / mult for total, mult in clusters]
+    real = on_real_axis(np.abs(np.imag(roots)), sym.m)
     out = []
-    for total, mult in clusters:
-        root = total / mult
-        if abs(root.imag) <= real_tol:
+    for root, (_, mult), on_axis in zip(roots, clusters, real):
+        if on_axis:
             half = "real"
         elif root.imag > 0:
             half = "upper"

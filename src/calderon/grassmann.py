@@ -24,25 +24,10 @@ from .errors import (
     ThresholdAmbiguous,
     TailUnsafe,
 )
-from .projector import CauchyFrame, companion_stack, mode_lattice
-from .symbols import agree_up_to_order, build_gallery
+from .projector import CauchyFrame, mode_weights
+from .symbols import agree_up_to_order, build_gallery, defect_screen, mode_key, mode_lattice
 
 DEFAULT_ALPHA = 0.5
-
-
-def _mode_key(vec):
-    vec = np.atleast_1d(vec)
-    if len(vec) == 1:
-        return int(vec[0])
-    return tuple(int(x) for x in vec)
-
-
-def _weight_diag(modes, k, r, alpha):
-    """Full per-mode weight diagonals, shape (N, rk)."""
-    msq = (np.asarray(modes, dtype=float) ** 2).sum(axis=1)
-    exps = np.array([k - 1 + alpha - j for j in range(k)])
-    vals = (1.0 + msq)[:, None] ** exps[None, :]
-    return np.repeat(vals, r, axis=1)
 
 
 @dataclass
@@ -63,14 +48,14 @@ class GrassmannPoint:
     def _index(self):
         # built on the first lookup: compare_points and fredholm_index
         # match modes without it
-        return {_mode_key(m): i for i, m in enumerate(self.modes)}
+        return {mode_key(m): i for i, m in enumerate(self.modes)}
 
     @property
     def ambient_dim(self):
         return self.ortho.shape[1]
 
     def mode_index(self, m):
-        key = _mode_key(np.atleast_1d(m))
+        key = mode_key(np.atleast_1d(m))
         if key not in self._index:
             raise SpecError(f"mode {key} is not retained in this point")
         return self._index[key]
@@ -88,10 +73,10 @@ class GrassmannPoint:
         )
 
     def nontrivial_modes(self):
-        return [_mode_key(m) for m, d in zip(self.modes, self.dims) if d > 0]
+        return [mode_key(m) for m, d in zip(self.modes, self.dims) if d > 0]
 
 
-def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False, backend=None):
+def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False):
     """Build the truncated decaying-side point of an operator.
 
     Frames are the stable invariant subspaces of the per-mode companion
@@ -102,38 +87,30 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False, backend=None
     """
     if cutoff < 1:
         raise SpecError("cutoff must be at least 1")
-    if alpha <= 0:
-        raise SpecError("alpha must be positive")
     modes = mode_lattice(spec.n, cutoff)
-    comp = companion_stack(spec, modes)
-    lam = _kernels.eigvals_sweep(comp, backend=backend)
-    gap = np.abs(lam.real).min(axis=1)
-    tol = 1e-10 * (1.0 + np.linalg.norm(modes, axis=1))
-    bad = gap <= tol
+    comp, lam, bad = defect_screen(spec, modes)
     if strict and bad.any():
-        first = modes[bad][0]
-        raise DefectMode(
-            f"defect mode {_mode_key(first)} in strict assembly", mode=_mode_key(first)
-        )
-    excluded = [_mode_key(m) for m in modes[bad]]
+        first = mode_key(modes[bad][0])
+        raise DefectMode(f"defect mode {first} in strict assembly", mode=first)
+    excluded = [mode_key(m) for m in modes[bad]]
     keep = ~bad
     modes = modes[keep]
     comp = comp[keep]
     dims = (lam[keep].real < 0).sum(axis=1).astype(np.int64)
+    w = np.repeat(mode_weights(modes, spec.k, alpha)[1], spec.r, axis=1)
 
     try:
-        proj = _kernels.stable_projector_sweep(comp, backend=backend)
+        proj = _kernels.stable_projector_sweep(comp)
     except SignIterationStalled as exc:
-        key = _mode_key(modes[exc.index])
+        key = mode_key(modes[exc.index])
         raise DefectMode(
             f"matrix sign iteration stalled at mode {key}; "
             "spectrum is too close to the imaginary axis",
             mode=key,
         ) from exc
-    raw = _kernels.orthonormal_range_sweep(proj, dims, backend=backend)
-    w = _weight_diag(modes, spec.k, spec.r, alpha)
+    raw = _kernels.orthonormal_range_sweep(proj, dims)
     weighted = np.sqrt(w)[:, :, None] * raw
-    ortho = _kernels.orthonormal_range_sweep(weighted, dims, backend=backend)
+    ortho = _kernels.orthonormal_range_sweep(weighted, dims)
     return GrassmannPoint(
         spec=spec,
         cutoff=int(cutoff),
@@ -154,7 +131,7 @@ def krichever_reference(cutoff, alpha=DEFAULT_ALPHA):
     return assemble_point(build_gallery("dbar", mu=0.5), cutoff, alpha=alpha)
 
 
-def chiral_point(spec, side, cutoff, alpha=DEFAULT_ALPHA, strict=False, backend=None):
+def chiral_point(spec, side, cutoff, alpha=DEFAULT_ALPHA, strict=False):
     """Project a point's frames onto the declared L or R component block.
 
     Only available for first-order operators of even rank carrying a
@@ -167,12 +144,12 @@ def chiral_point(spec, side, cutoff, alpha=DEFAULT_ALPHA, strict=False, backend=
         raise NoChiralStructure(
             f"{spec.name} has no usable chiral block structure (need k=1, even rank, marking)"
         )
-    base = assemble_point(spec, cutoff, alpha=alpha, strict=strict, backend=backend)
+    base = assemble_point(spec, cutoff, alpha=alpha, strict=strict)
     rows = list(spec.chiral_blocks[0 if side == "L" else 1])
     sub = np.ascontiguousarray(base.ortho[:, rows, :])
-    svals = _kernels.svdvals_sweep(sub, backend=backend)
+    svals = _kernels.svdvals_sweep(sub)
     dims = (svals > 1e-10).sum(axis=1).astype(np.int64)
-    ortho = _kernels.orthonormal_range_sweep(sub, dims, backend=backend)
+    ortho = _kernels.orthonormal_range_sweep(sub, dims)
     return GrassmannPoint(
         spec=spec,
         cutoff=base.cutoff,
@@ -235,7 +212,7 @@ def _common_indices(a, b):
     return hits[ib], ib, mb[ib]
 
 
-def compare_points(a, b, backend=None):
+def compare_points(a, b):
     """Principal-angle comparison of two Grassmannian points.
 
     Requires matching cutoff, weight exponent and ambient conventions.
@@ -260,10 +237,10 @@ def compare_points(a, b, backend=None):
     if n:
         cross = np.einsum("nij,nik->njk", QA.conj(), QB)
         comp_a = QA - QB @ np.conj(np.swapaxes(cross, 1, 2))
-        sines_a = _kernels.svdvals_sweep(comp_a, backend=backend)
+        sines_a = _kernels.svdvals_sweep(comp_a)
         diff = QA @ np.conj(np.swapaxes(QA, 1, 2)) - QB @ np.conj(np.swapaxes(QB, 1, 2))
-        diff_sv = _kernels.svdvals_sweep(diff, backend=backend)
-        cos_sv = _kernels.svdvals_sweep(cross, backend=backend)
+        diff_sv = _kernels.svdvals_sweep(diff)
+        cos_sv = _kernels.svdvals_sweep(cross)
     else:
         sines_a = np.zeros((0, d))
         diff_sv = np.zeros((0, d))
@@ -476,7 +453,7 @@ def fredholm_index(a, b, tol=1e-6, strict_tail=False, rep=None):
         if band.any():
             raise ThresholdAmbiguous(
                 f"singular value in [{tol:.1e}, {10 * tol:.1e}) at mode "
-                f"{_mode_key(rep.modes[i])}; adjust tol"
+                f"{mode_key(rep.modes[i])}; adjust tol"
             )
         rank = int((cos > tol).sum())
         ker[i] = na - rank

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .contour import (
     Contour,
     _sized_nodes,
@@ -24,7 +23,14 @@ from .contour import (
     spectral_split,
 )
 from .errors import CalderonError, IllConditionedFrame, SingularBlock, SpecError
-from .symbols import companion_matrix, mode_symbol
+from .symbols import (  # the stack builders and the defect scan are re-exported
+    companion_matrix,
+    companion_stack,
+    mode_lattice,
+    mode_matrix_stack,
+    mode_symbol,
+    scan_defect_modes,
+)
 
 __all__ = [
     "CauchyFrame",
@@ -103,68 +109,20 @@ class SobolevWeight:
         return np.repeat(self.values, r)
 
 
-def sobolev_weights(m, k, alpha):
+def mode_weights(modes, k, alpha):
+    """Sobolev exponents ``s_j = k - 1 + alpha - j`` and the weights
+    ``(1 + |m|^2)^{s_j}`` of a stack of modes, shape ``(N, k)``."""
     if alpha <= 0:
         raise SpecError("alpha must be positive")
+    exps = np.array([k - 1 + alpha - j for j in range(k)])
+    msq = (np.asarray(modes, dtype=float) ** 2).sum(axis=1)
+    return exps, (1.0 + msq)[:, None] ** exps[None, :]
+
+
+def sobolev_weights(m, k, alpha):
     m = tuple(np.atleast_1d(m))
-    msq = float(sum(float(x) ** 2 for x in m))
-    indices = tuple(k - 1 + alpha - j for j in range(k))
-    values = np.array([(1.0 + msq) ** s for s in indices])
-    return SobolevWeight(alpha=alpha, k=k, m=m, indices=indices, values=values)
-
-
-# ---------------------------------------------------------------------------
-# mode stacks (shared by the sweeps in grassmann and the defect scan)
-
-
-def mode_lattice(n, cutoff):
-    """Integer modes with |m|_inf <= cutoff, in ascending lex order."""
-    if cutoff < 0:
-        raise SpecError("cutoff must be nonnegative")
-    axes = [np.arange(-cutoff, cutoff + 1)] * (n - 1)
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, n - 1).astype(np.int64)
-
-
-def mode_matrix_stack(spec, modes):
-    """A_q(m) for a whole stack of modes: shape (k+1, N, r, r)."""
-    modes = np.asarray(modes, dtype=float)
-    N = modes.shape[0]
-    A = np.zeros((spec.k + 1, N, spec.r, spec.r), dtype=complex)
-    for (q, beta), c in spec.terms.items():
-        phase = np.ones(N, dtype=complex)
-        for j, bj in enumerate(beta):
-            if bj:
-                phase *= (1j * modes[:, j]) ** bj
-        A[q] += phase[:, None, None] * c
-    return A
-
-
-def companion_stack(spec, modes):
-    """Block companion matrices for a stack of modes: (N, rk, rk)."""
-    A = mode_matrix_stack(spec, modes)
-    k, r = spec.k, spec.r
-    N = A.shape[1]
-    d = r * k
-    C = np.zeros((N, d, d), dtype=complex)
-    for j in range(k - 1):
-        C[:, j * r : (j + 1) * r, (j + 1) * r : (j + 2) * r] = np.eye(r)
-    top = spec.top_coefficient
-    for q in range(k):
-        C[:, (k - 1) * r :, q * r : (q + 1) * r] = -np.linalg.solve(top, A[q])
-    return C
-
-
-def scan_defect_modes(spec, cutoff, backend=None):
-    """Modes in the lattice whose roots touch the real axis."""
-    modes = mode_lattice(spec.n, cutoff)
-    lam = _kernels.eigvals_sweep(companion_stack(spec, modes), backend=backend)
-    gap = np.abs(lam.real).min(axis=1)
-    tol = 1e-10 * (1.0 + np.linalg.norm(modes, axis=1))
-    bad = modes[gap <= tol]
-    if spec.n == 2:
-        return [int(m[0]) for m in bad]
-    return [tuple(int(x) for x in m) for m in bad]
+    exps, values = mode_weights([m], k, alpha)
+    return SobolevWeight(alpha=alpha, k=k, m=m, indices=tuple(exps.tolist()), values=values[0])
 
 
 # ---------------------------------------------------------------------------

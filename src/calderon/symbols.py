@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import NoFreeRay, ParseError, SpecError
 
 _PAULI = {
@@ -123,19 +124,91 @@ class ModeSymbol:
         return out
 
 
+def _companion(A):
+    """Block companion matrices from an ``A`` stack of shape
+    ``(k+1, ..., r, r)``: shape ``(..., rk, rk)``."""
+    k, r = A.shape[0] - 1, A.shape[-1]
+    C = np.zeros(A.shape[1:-2] + (r * k, r * k), dtype=complex)
+    for j in range(k - 1):
+        C[..., j * r : (j + 1) * r, (j + 1) * r : (j + 2) * r] = np.eye(r)
+    # bottom block row: -A_k^{-1} A_q for q = 0..k-1, from one stacked solve
+    X = np.linalg.solve(A[k], A[:k])
+    for q in range(k):
+        C[..., (k - 1) * r :, q * r : (q + 1) * r] = -X[q]
+    return C
+
+
 def companion_matrix(sym):
     """First-order reduction of the mode ODE on ``(u, ..., d_n^{k-1} u)``.
 
     Its spectrum is ``{i xi_n}`` over the characteristic roots.
     """
-    k, r = sym.k, sym.r
-    d = r * k
-    C = np.zeros((d, d), dtype=complex)
-    for j in range(k - 1):
-        C[j * r : (j + 1) * r, (j + 1) * r : (j + 2) * r] = np.eye(r)
-    # bottom block row: -A_k^{-1} A_q for q = 0..k-1, from one stacked solve
-    C[(k - 1) * r :, :] = -np.linalg.solve(sym.A[k], sym.A[:k]).transpose(1, 0, 2).reshape(r, d)
-    return C
+    return _companion(sym.A)
+
+
+# ---------------------------------------------------------------------------
+# mode stacks
+
+
+def mode_lattice(n, cutoff):
+    """Integer modes with |m|_inf <= cutoff, in ascending lex order."""
+    if cutoff < 0:
+        raise SpecError("cutoff must be nonnegative")
+    axes = [np.arange(-cutoff, cutoff + 1)] * (n - 1)
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, n - 1).astype(np.int64)
+
+
+def mode_key(vec):
+    """A mode row as reported: an int for n = 2, else a tuple of ints."""
+    vec = np.atleast_1d(vec)
+    if len(vec) == 1:
+        return int(vec[0])
+    return tuple(int(x) for x in vec)
+
+
+def mode_matrix_stack(spec, modes):
+    """A_q(m) for a whole stack of modes: shape (k+1, N, r, r)."""
+    modes = np.asarray(modes, dtype=float)
+    N = modes.shape[0]
+    A = np.zeros((spec.k + 1, N, spec.r, spec.r), dtype=complex)
+    for (q, beta), c in spec.terms.items():
+        phase = np.ones(N, dtype=complex)
+        for j, bj in enumerate(beta):
+            if bj:
+                phase *= (1j * modes[:, j]) ** bj
+        A[q] += phase[:, None, None] * c
+    return A
+
+
+def companion_stack(spec, modes):
+    """Block companion matrices for a stack of modes: (N, rk, rk)."""
+    return _companion(mode_matrix_stack(spec, modes))
+
+
+def on_real_axis(dist, modes):
+    """The defect predicate: a characteristic root at distance ``dist``
+    from the real axis makes mode ``m`` a defect when
+    ``dist <= 1e-10 (1 + |m|)``.  ``modes`` holds one mode per row
+    (or is one mode) and broadcasts against ``dist``."""
+    m = np.asarray(modes, dtype=float)
+    return dist <= 1e-10 * (1.0 + np.sqrt((m * m).sum(axis=-1)))
+
+
+def defect_screen(spec, modes):
+    """Companion stack and eigenvalues of a mode stack, and the mask of
+    its defect modes (a companion eigenvalue on the imaginary axis is a
+    real characteristic root)."""
+    comp = companion_stack(spec, modes)
+    lam = _kernels.eigvals_sweep(comp)
+    return comp, lam, on_real_axis(np.abs(lam.real).min(axis=1), modes)
+
+
+def scan_defect_modes(spec, cutoff):
+    """Modes in the lattice whose roots touch the real axis."""
+    modes = mode_lattice(spec.n, cutoff)
+    bad = defect_screen(spec, modes)[2]
+    return [mode_key(m) for m in modes[bad]]
 
 
 @dataclass
@@ -357,8 +430,6 @@ def check_ellipticity(spec, samples=64, mode_scan=None):
     )
     min_det = float(np.abs(dets).min())
     passed = min_det > 1e-10 * (1.0 + float(np.abs(dets).max()))
-
-    from .projector import scan_defect_modes
 
     if mode_scan is None:
         mode_scan = 64 if spec.n == 2 else 24

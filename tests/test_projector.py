@@ -22,10 +22,22 @@ from calderon.projector import (
     scan_defect_modes,
     sobolev_weights,
 )
-from calderon.contour import spectral_split
-from calderon.symbols import build_gallery, mode_symbol
+from calderon.contour import characteristic_roots, spectral_split
+from calderon.grassmann import assemble_point
+from calderon.symbols import build_gallery, mode_key, mode_symbol, selfadjoint_double
 
 from test_symbols import GALLERY, sample_modes
+
+
+def _order_three():
+    """A random order-3 rank-2 custom operator on the circle."""
+    rng = np.random.default_rng(3)
+    terms = {
+        (q, (b,)): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for q in range(4)
+        for b in range(4 - q)
+    }
+    return build_gallery("custom", n=2, r=2, k=3, terms=terms)
 
 
 def _weighted_angle_frames(F, w):
@@ -57,19 +69,14 @@ def test_companion_spectrum_is_i_times_roots():
 @pytest.mark.parametrize("name", sorted(GALLERY) + ["order_three"])
 def test_companion_matrix_matches_companion_stack(name):
     if name == "order_three":
-        rng = np.random.default_rng(3)
-        terms = {
-            (q, (b,)): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            for q in range(4)
-            for b in range(4 - q)
-        }
-        spec = build_gallery("custom", n=2, r=2, k=3, terms=terms)
+        spec = _order_three()
     else:
         spec = build_gallery(name, **GALLERY[name])
-    for m in sample_modes(spec, 9, count=20):
-        single = companion_matrix(mode_symbol(spec, m))
-        stacked = companion_stack(spec, np.array([m]))[0]
-        assert np.abs(single - stacked).max() <= 1e-15
+    modes = sample_modes(spec, 9, count=20)
+    stacked = companion_stack(spec, np.array(modes))
+    for m, row in zip(modes, stacked):
+        assert np.array_equal(companion_matrix(mode_symbol(spec, m)), row)
+        assert np.array_equal(companion_stack(spec, np.array([m]))[0], row)
 
 
 def test_oracle_frames():
@@ -357,6 +364,31 @@ def test_sobolev_weight_values():
         sobolev_weights((0,), 1, -1.0)
 
 
+@pytest.mark.parametrize(
+    "name, params, alpha",
+    [
+        ("dbar", {"mu": 0.5}, 0.5),
+        ("laplace_mass", {"mu": 2}, 0.8),
+        ("dirac2", {"mu": 1, "v": 0.3}, 1.7),
+        ("dirac3", {"mu": 1, "v": 0.3}, 0.5),
+        ("dirac3", {"mu": 1, "v": 0.3}, 2.25),
+        ("order_three", {}, 0.3),
+        ("laplace_double", {}, 1.0),
+    ],
+)
+def test_stacked_weights_match_single_mode_weights(name, params, alpha):
+    if name == "order_three":
+        spec = _order_three()
+    elif name == "laplace_double":
+        spec = selfadjoint_double(build_gallery("laplace_mass", mu=1))
+    else:
+        spec = build_gallery(name, **params)
+    pt = assemble_point(spec, 12, alpha=alpha)
+    single = np.array([sobolev_weights(m, spec.k, alpha).full(spec.r) for m in pt.modes])
+    assert pt.weights.shape == (len(pt.modes), spec.r * spec.k)
+    np.testing.assert_array_max_ulp(pt.weights, single, maxulp=1)
+
+
 def test_weights_decrease_along_components():
     w = sobolev_weights((3,), 3, 0.7)
     assert all(np.diff(w.values) < 0)
@@ -485,6 +517,29 @@ def test_scan_defect_modes():
     assert scan_defect_modes(build_gallery("dirac2", mu=1, v=0), 8) == [-1, 0, 1]
     assert scan_defect_modes(build_gallery("dbar", mu=0.5), 8) == []
     assert scan_defect_modes(build_gallery("dirac3", mu=1, v=0), 4) == [(-1, 0), (0, 0), (1, 0)]
+
+
+@pytest.mark.parametrize(
+    "name, params, cutoff, expected",
+    [
+        ("dbar", {"mu": 2 + 1e-12}, 4, [2]),
+        ("dbar", {"mu": 2 + 1e-9}, 4, []),
+        ("dirac2", {"mu": 1, "v": 0}, 4, [-1, 0, 1]),
+        ("twisted_dbar", {"mu": 0.5 + 1e-11, "d": 1.5}, 4, [2]),
+        ("dirac3", {"mu": 1, "v": 0}, 3, [(-1, 0), (0, 0), (1, 0)]),
+    ],
+)
+def test_one_defect_predicate_across_routes(name, params, cutoff, expected):
+    spec = build_gallery(name, **params)
+    raising = []
+    for row in mode_lattice(spec.n, cutoff):
+        try:
+            characteristic_roots(mode_symbol(spec, row))
+        except DefectMode:
+            raising.append(mode_key(row))
+    assert scan_defect_modes(spec, cutoff) == expected
+    assert assemble_point(spec, cutoff).excluded == expected
+    assert raising == expected
 
 
 def test_mode_lattice_order_and_size():
