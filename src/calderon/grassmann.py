@@ -73,7 +73,7 @@ class GrassmannPoint:
         )
 
     def nontrivial_modes(self):
-        return [mode_key(m) for m, d in zip(self.modes, self.dims) if d > 0]
+        return [mode_key(m) for m in self.modes[self.dims > 0]]
 
 
 def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False):
@@ -167,18 +167,26 @@ def chiral_point(spec, side, cutoff, alpha=DEFAULT_ALPHA, strict=False):
 class CompareReport:
     """Mode-by-mode geometry of two points plus the merged spectrum.
 
-    Per mode the report keeps the principal angles (dimension jumps
-    count as right angles), the operator norm of the projector
-    difference, and the singular values of the one-sided restriction
-    ``(I - P_B)|_A``.  The global list ``svals`` repeats the sine of
-    every angle twice, the fixed counting convention for projector
-    differences used throughout.
+    Per-mode values are padded ``(N, d)`` arrays, ``d`` the ambient
+    dimension, with the frame dimensions as masks.  Row ``i`` of
+    ``angle_rows`` holds the principal angles of mode ``i``, largest
+    first, in its leading ``max(dims_a[i], dims_b[i])`` entries
+    (dimension jumps count as right angles); row ``i`` of ``cos_rows``
+    holds the cross-Gram singular values in its leading
+    ``min(dims_a[i], dims_b[i])`` entries.  Both are zero past the mask.
+    ``angles`` and ``cos_svals`` are the per-mode lists of those row
+    prefixes, made as views on first read.  The report also keeps the
+    operator norm of the projector difference per mode and the singular
+    values of the one-sided restriction ``(I - P_B)|_A``.  The global
+    list ``svals`` repeats the sine of every angle twice, the fixed
+    counting convention for projector differences used throughout.
     """
 
     modes: np.ndarray
     dims_a: np.ndarray
     dims_b: np.ndarray
-    angles: list
+    angle_rows: np.ndarray = field(repr=False)
+    cos_rows: np.ndarray = field(repr=False)
     diff_norms: np.ndarray
     svals: np.ndarray
     q_svals: np.ndarray
@@ -186,11 +194,22 @@ class CompareReport:
     skipped: list
     cutoff: int
     alpha: float
-    cos_svals: list = field(repr=False, default_factory=list)
+
+    @functools.cached_property
+    def angles(self):
+        return _row_views(self.angle_rows, np.maximum(self.dims_a, self.dims_b))
+
+    @functools.cached_property
+    def cos_svals(self):
+        return _row_views(self.cos_rows, np.minimum(self.dims_a, self.dims_b))
 
     @property
     def max_difference(self):
         return float(self.diff_norms.max()) if len(self.diff_norms) else 0.0
+
+
+def _row_views(rows, lengths):
+    return [row[:k] for row, k in zip(rows, lengths.tolist())]
 
 
 def _common_indices(a, b):
@@ -227,58 +246,39 @@ def compare_points(a, b):
 
     ia, ib, rows = _common_indices(a, b)
     skipped = sorted(set(a.excluded) | set(b.excluded), key=lambda x: (np.atleast_1d(x).tolist()))
-    QA = a.ortho[ia]
-    QB = b.ortho[ib]
-    da = a.dims[ia]
-    db = b.dims[ib]
-    n = len(ia)
+    QA, QB = a.ortho[ia], b.ortho[ib]
+    da, db = a.dims[ia], b.dims[ib]
     d = a.ambient_dim
 
-    if n:
-        cross = np.einsum("nij,nik->njk", QA.conj(), QB)
-        comp_a = QA - QB @ np.conj(np.swapaxes(cross, 1, 2))
-        sines_a = _kernels.svdvals_sweep(comp_a)
-        diff = QA @ np.conj(np.swapaxes(QA, 1, 2)) - QB @ np.conj(np.swapaxes(QB, 1, 2))
-        diff_sv = _kernels.svdvals_sweep(diff)
-        cos_sv = _kernels.svdvals_sweep(cross)
-    else:
-        sines_a = np.zeros((0, d))
-        diff_sv = np.zeros((0, d))
-        cos_sv = np.zeros((0, d))
+    cross = np.einsum("nij,nik->njk", QA.conj(), QB)
+    comp_a = QA - QB @ np.conj(np.swapaxes(cross, 1, 2))
+    sines_a = _kernels.svdvals_sweep(comp_a)
+    diff = QA @ np.conj(np.swapaxes(QA, 1, 2)) - QB @ np.conj(np.swapaxes(QB, 1, 2))
+    diff_sv = _kernels.svdvals_sweep(diff)
+    cos_sv = _kernels.svdvals_sweep(cross)
 
-    angles = []
-    cosines = []
-    q_parts = []
-    global_parts = []
-    diff_norms = np.zeros(n)
-    for i in range(n):
-        na, nb = int(da[i]), int(db[i])
-        sines = sines_a[i][:na]
-        if nb > na:
-            sines = np.concatenate([np.ones(nb - na), sines])
-        sines = np.sort(sines)[::-1]
-        angles.append(np.arcsin(np.clip(sines, 0.0, 1.0)))
-        cosines.append(cos_sv[i][: min(na, nb)])
-        q_parts.append(sines_a[i][:na])
-        global_parts.append(np.repeat(sines, 2))
-        diff_norms[i] = diff_sv[i][0] if (na or nb) else 0.0
-
-    svals = np.sort(np.concatenate(global_parts))[::-1] if global_parts else np.zeros(0)
-    q_svals = np.sort(np.concatenate(q_parts))[::-1] if q_parts else np.zeros(0)
+    # each row: (db - da)+ right-angle sines, then A's da complement
+    # sines, then -1 padding, which sorts last and clips to angle 0
+    j = np.arange(d)
+    lead = np.maximum(db - da, 0)[:, None]
+    shifted = np.take_along_axis(sines_a, np.clip(j - lead, 0, d - 1), axis=1)
+    sines = np.where(j < lead, 1.0, np.where(j < lead + da[:, None], shifted, -1.0))
+    sines = np.sort(sines, axis=1)[:, ::-1]
+    live = j < np.maximum(da, db)[:, None]
     same_shape = (a.spec.n, a.spec.r, a.spec.k) == (b.spec.n, b.spec.r, b.spec.k)
     return CompareReport(
         modes=rows,
         dims_a=da,
         dims_b=db,
-        angles=angles,
-        diff_norms=diff_norms,
-        svals=svals,
-        q_svals=q_svals,
+        angle_rows=np.arcsin(np.clip(sines, 0.0, 1.0)),
+        cos_rows=np.where(j < np.minimum(da, db)[:, None], cos_sv, 0.0),
+        diff_norms=np.where((da > 0) | (db > 0), diff_sv[:, 0], 0.0),
+        svals=np.sort(np.repeat(sines[live], 2))[::-1],
+        q_svals=np.sort(sines_a[j < da[:, None]])[::-1],
         agreement=agree_up_to_order(a.spec, b.spec) if same_shape else None,
         skipped=skipped,
         cutoff=a.cutoff,
         alpha=a.alpha,
-        cos_svals=cosines,
     )
 
 
@@ -411,8 +411,10 @@ class IndexReport:
 
     The map goes from the first point's subspace to the second's; its
     kernel collects the directions of the first point that the second
-    point's projector annihilates.  ``tail_safe`` certifies that the
-    outermost mode shell is far from producing further kernel
+    point's projector annihilates.  ``kernel_dims`` and
+    ``cokernel_dims`` are counted on the comparison's padded cosine
+    rows, masked by the frame dimensions.  ``tail_safe`` certifies that
+    the outermost mode shell is far from producing further kernel
     directions; only then is the index declared converged.
     """
 
@@ -443,29 +445,23 @@ def fredholm_index(a, b, tol=1e-6, strict_tail=False, rep=None):
     """
     if rep is None:
         rep = compare_points(a, b)
-    n = len(rep.modes)
-    ker = np.zeros(n, dtype=int)
-    cok = np.zeros(n, dtype=int)
-    for i in range(n):
-        na, nb = int(rep.dims_a[i]), int(rep.dims_b[i])
-        cos = np.asarray(rep.cos_svals[i])
-        band = (cos >= tol) & (cos < 10 * tol)
-        if band.any():
-            raise ThresholdAmbiguous(
-                f"singular value in [{tol:.1e}, {10 * tol:.1e}) at mode "
-                f"{mode_key(rep.modes[i])}; adjust tol"
-            )
-        rank = int((cos > tol).sum())
-        ker[i] = na - rank
-        cok[i] = nb - rank
+    da, db = rep.dims_a, rep.dims_b
+    cos = rep.cos_rows
+    live = np.arange(cos.shape[1]) < np.minimum(da, db)[:, None]
+    ambiguous = (live & (cos >= tol) & (cos < 10 * tol)).any(axis=1)
+    if ambiguous.any():
+        raise ThresholdAmbiguous(
+            f"singular value in [{tol:.1e}, {10 * tol:.1e}) at mode "
+            f"{mode_key(rep.modes[ambiguous.argmax()])}; adjust tol"
+        )
+    rank = (live & (cos > tol)).sum(axis=1)
+    ker = da - rank
+    cok = db - rank
 
-    radius = np.abs(rep.modes).max(axis=1) if n else np.zeros(0)
-    shell = radius == rep.cutoff
-    gaps = []
-    for i in np.nonzero(shell)[0]:
-        ang = rep.angles[i]
-        gaps.append(np.pi / 2 - float(ang[0]) if len(ang) else np.pi / 2)
-    min_gap = min(gaps) if gaps else np.pi / 2
+    # a shell mode without angles has padding angle 0: a gap of pi/2
+    shell = np.abs(rep.modes).max(axis=1) == rep.cutoff
+    gaps = np.pi / 2 - rep.angle_rows[shell, 0]
+    min_gap = float(gaps.min()) if gaps.size else np.pi / 2
     tail_safe = min_gap > 0.5
     if strict_tail and not tail_safe:
         raise TailUnsafe(f"outermost shell angle gap {min_gap:.3f} rad is below 0.5")

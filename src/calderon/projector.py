@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import orthonormal_range_sweep
 from .contour import (
     Contour,
     _sized_nodes,
@@ -357,9 +358,7 @@ def range_basis(proj_matrix):
     """
     M = np.asarray(proj_matrix, dtype=complex)
     rank = int(round(float(np.trace(M).real)))
-    if rank == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    return np.linalg.svd(M)[0][:, :rank]
+    return orthonormal_range_sweep(M[None], [rank])[0][:, :rank]
 
 
 def principal_angles(F, G):
@@ -368,7 +367,10 @@ def principal_angles(F, G):
     Angles near zero are resolved through complement sines rather than
     arccos of Gram singular values, so subspace agreement down to 1e-14
     is measurable.  A dimension mismatch contributes right angles; the
-    returned list has length max(dim F, dim G).
+    returned list has length max(dim F, dim G).  The smaller side is the
+    one complemented, where ``compare_points`` always complements its
+    first point; the two differ near right angles by about 1e-8, so each
+    keeps its own convention.
     """
     F = np.asarray(F, dtype=complex)
     G = np.asarray(G, dtype=complex)

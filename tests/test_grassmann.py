@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from calderon.errors import (
     SpecError,
     ThresholdAmbiguous,
 )
+from calderon._kernels import svdvals_sweep
 from calderon.grassmann import (
     _common_indices,
     assemble_point,
@@ -21,7 +23,7 @@ from calderon.grassmann import (
     schatten_fit,
 )
 from calderon.projector import sobolev_weights
-from calderon.symbols import build_gallery, selfadjoint_double
+from calderon.symbols import build_gallery, mode_key, selfadjoint_double
 
 
 def dbar():
@@ -343,3 +345,167 @@ def test_mode_index_is_built_on_first_lookup():
     near = assemble_point(build_gallery("dbar", mu=2 + 1e-12), 8)
     with pytest.raises(SpecError, match="mode 2 is not retained"):
         near.frame(2)
+
+
+# ---------------------------------------------------------------------------
+# padded compare and index against the per-mode loops they replaced
+
+
+def _compare_by_loop(a, b):
+    # reference: one Python iteration per common mode
+    ia, ib, rows = _common_indices(a, b)
+    QA, QB = a.ortho[ia], b.ortho[ib]
+    da, db = a.dims[ia], b.dims[ib]
+    cross = np.einsum("nij,nik->njk", QA.conj(), QB)
+    sines_a = svdvals_sweep(QA - QB @ np.conj(np.swapaxes(cross, 1, 2)))
+    diff = QA @ np.conj(np.swapaxes(QA, 1, 2)) - QB @ np.conj(np.swapaxes(QB, 1, 2))
+    diff_sv = svdvals_sweep(diff)
+    cos_sv = svdvals_sweep(cross)
+    angles, cosines, q_parts, global_parts = [], [], [], []
+    diff_norms = np.zeros(len(ia))
+    for i in range(len(ia)):
+        na, nb = int(da[i]), int(db[i])
+        sines = sines_a[i][:na]
+        if nb > na:
+            sines = np.concatenate([np.ones(nb - na), sines])
+        sines = np.sort(sines)[::-1]
+        angles.append(np.arcsin(np.clip(sines, 0.0, 1.0)))
+        cosines.append(cos_sv[i][: min(na, nb)])
+        q_parts.append(sines_a[i][:na])
+        global_parts.append(np.repeat(sines, 2))
+        diff_norms[i] = diff_sv[i][0] if (na or nb) else 0.0
+    return SimpleNamespace(
+        modes=rows,
+        dims_a=da,
+        dims_b=db,
+        angles=angles,
+        cos_svals=cosines,
+        diff_norms=diff_norms,
+        svals=np.sort(np.concatenate(global_parts))[::-1] if global_parts else np.zeros(0),
+        q_svals=np.sort(np.concatenate(q_parts))[::-1] if q_parts else np.zeros(0),
+        cutoff=a.cutoff,
+    )
+
+
+def _index_by_loop(ref, tol):
+    # reference: kernel counts, threshold band and tail gap mode by mode
+    n = len(ref.modes)
+    ker = np.zeros(n, dtype=int)
+    cok = np.zeros(n, dtype=int)
+    for i in range(n):
+        na, nb = int(ref.dims_a[i]), int(ref.dims_b[i])
+        cos = np.asarray(ref.cos_svals[i])
+        if ((cos >= tol) & (cos < 10 * tol)).any():
+            raise ThresholdAmbiguous(
+                f"singular value in [{tol:.1e}, {10 * tol:.1e}) at mode "
+                f"{mode_key(ref.modes[i])}; adjust tol"
+            )
+        rank = int((cos > tol).sum())
+        ker[i] = na - rank
+        cok[i] = nb - rank
+    radius = np.abs(ref.modes).max(axis=1) if n else np.zeros(0)
+    gaps = [
+        np.pi / 2 - float(ref.angles[i][0]) if len(ref.angles[i]) else np.pi / 2
+        for i in np.nonzero(radius == ref.cutoff)[0]
+    ]
+    return ker, cok, min(gaps) if gaps else np.pi / 2
+
+
+def _split(point, keep):
+    # the same point restricted to a subset of its modes
+    return dataclasses.replace(
+        point,
+        modes=point.modes[keep],
+        dims=point.dims[keep],
+        ortho=point.ortho[keep],
+        weights=point.weights[keep],
+    )
+
+
+def _padded_pairs():
+    pairs = {}
+    base = assemble_point(dbar(), 12)
+    for d in (1, 2, 3):
+        tw = assemble_point(twist(d), 12)
+        pairs[f"twist{d}-dbar"] = (tw, base)
+        pairs[f"dbar-twist{d}"] = (base, tw)
+    pairs["double"] = tuple(
+        assemble_point(selfadjoint_double(build_gallery("dirac2", mu=1, v=v)), 12) for v in (0, 0.3)
+    )
+    pairs["laplace"] = tuple(
+        assemble_point(build_gallery("laplace_mass", mu=mu), 16) for mu in (1, 2)
+    )
+    # the dirac3 L half at (mu, v) = (1, 1) collapses to zero dimensions on
+    # the modes (1..6, 0), against all-one-dimensional and matching halves
+    half = chiral_point(build_gallery("dirac3", mu=1, v=1.0), "L", 6)
+    pairs["chiral_full"] = (half, chiral_point(build_gallery("dirac3", mu=1, v=1.5), "L", 6))
+    pairs["chiral_zero"] = (half, chiral_point(build_gallery("dirac3", mu=0, v=0), "L", 6))
+    lap = pairs["laplace"][0]
+    pairs["disjoint"] = (_split(lap, lap.modes[:, 0] < 0), _split(lap, lap.modes[:, 0] >= 0))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def padded_pairs():
+    return _padded_pairs()
+
+
+PADDED_NAMES = [
+    "twist1-dbar", "twist2-dbar", "twist3-dbar", "dbar-twist1", "dbar-twist2", "dbar-twist3",
+    "double", "laplace", "chiral_full", "chiral_zero", "disjoint",
+]
+
+
+@pytest.mark.parametrize("name", PADDED_NAMES)
+def test_padded_compare_and_index_match_the_loops(padded_pairs, name):
+    a, b = padded_pairs[name]
+    rep = compare_points(a, b)
+    ref = _compare_by_loop(a, b)
+    assert len(rep.angles) == len(ref.angles) == len(rep.cos_svals) == len(rep.modes)
+    assert all(np.array_equal(x, y) for x, y in zip(rep.angles, ref.angles))
+    assert all(np.array_equal(x, y) for x, y in zip(rep.cos_svals, ref.cos_svals))
+    for key in ("svals", "q_svals", "diff_norms"):
+        assert np.array_equal(getattr(rep, key), getattr(ref, key)), key
+    idx = fredholm_index(a, b, rep=rep)
+    ker, cok, gap = _index_by_loop(ref, 1e-6)
+    assert np.array_equal(idx.kernel_dims, ker) and np.array_equal(idx.cokernel_dims, cok)
+    assert idx.min_tail_gap == gap
+    # each pair covers the dimension pattern it is named for
+    da, db = rep.dims_a, rep.dims_b
+    covers = {
+        "twist": (da > db).any(),
+        "dbar": (da < db).any(),
+        "double": (da == 2).all() and (db == 2).all(),
+        "laplace": (da == 1).all() and (db == 1).all(),
+        "chiral_full": ((da == 0) & (db == 1)).any(),
+        "chiral_zero": ((da == 0) & (db == 0)).any(),
+        "disjoint": len(rep.modes) == 0 and gap == np.pi / 2,
+    }
+    assert covers[name.split("-")[0].rstrip("123")]
+
+
+def _ambiguous_message(fn):
+    with pytest.raises(ThresholdAmbiguous) as info:
+        fn()
+    return str(info.value)
+
+
+def test_padded_threshold_band_names_the_loops_mode(padded_pairs):
+    a, b = padded_pairs["laplace"]
+    rep = compare_points(a, b)
+    ref = _compare_by_loop(a, b)
+    cos = np.sort(np.unique(rep.cos_rows[:, 0]))[::-1]
+    # the two modes +-16 share the largest cosine: only they reach the band
+    tol = 0.5 * (cos[0] + cos[1])
+    assert ((rep.cos_rows[:, 0] >= tol) & (rep.cos_rows[:, 0] < 10 * tol)).sum() == 2
+    got = _ambiguous_message(lambda: fredholm_index(a, b, tol=tol, rep=rep))
+    assert got == _ambiguous_message(lambda: _index_by_loop(ref, tol))
+    assert got.endswith("at mode -16; adjust tol")
+    # the largest cosine exactly on the open upper edge 10 tol stays outside
+    tol = next(
+        t for t in (cos[0] / 10, np.nextafter(cos[0] / 10, 0), np.nextafter(cos[0] / 10, 1))
+        if 10 * t == cos[0]
+    )
+    got = _ambiguous_message(lambda: fredholm_index(a, b, tol=tol, rep=rep))
+    assert got == _ambiguous_message(lambda: _index_by_loop(ref, tol))
+    assert got.endswith("at mode -15; adjust tol")

@@ -248,6 +248,28 @@ def test_projector_algebra_and_oracle_range(name):
         assert np.abs(rp - sp.projector).max() / (1.0 + np.abs(sp.projector).max()) <= 1e-10
 
 
+def _range_basis_by_svd(M):
+    # reference: the single-matrix formula range_basis had before it became
+    # the N=1 call of orthonormal_range_sweep
+    rank = int(round(float(np.trace(M).real)))
+    if rank == 0:
+        return np.zeros((M.shape[0], 0), dtype=complex)
+    return np.linalg.svd(M)[0][:, :rank]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_range_basis_is_the_stacked_range_sweep(d):
+    rng = np.random.default_rng(40 + d)
+    for rank in range(d + 1):
+        for _ in range(5):
+            V = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            W = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            P = V @ np.linalg.solve(W.conj().T @ V, W.conj().T)  # oblique projector
+            got, ref = range_basis(P), _range_basis_by_svd(P)
+            assert got.shape == ref.shape == (d, rank) and got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+
 def _counting(monkeypatch, name):
     """Count calls of a function that the projector module imported."""
     calls = []
