@@ -22,12 +22,12 @@ def _as_stack(mats):
     return a
 
 
-def _sign(mats, tol, maxit):
+def _sign(mats):
     x = mats.copy()
     n, d, _ = x.shape
     converged = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
-    for _ in range(maxit):
+    for _ in range(_SIGN_MAXIT):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -48,7 +48,7 @@ def _sign(mats, tol, maxit):
         num = np.sqrt((np.abs(xn - xa) ** 2).sum(axis=(1, 2)))
         den = np.sqrt((np.abs(xn) ** 2).sum(axis=(1, 2)))
         x[idx] = xn
-        done = num <= tol * den
+        done = num <= _SIGN_TOL * den
         converged[idx[done]] = True
         active[idx[done]] = False
     return x, converged
@@ -64,19 +64,21 @@ def svdvals_sweep(mats):
     return np.linalg.svd(_as_stack(mats), compute_uv=False)
 
 
-def stable_projector_sweep(mats, tol=_SIGN_TOL, maxit=_SIGN_MAXIT):
+def stable_projector_sweep(mats):
     """Spectral projector onto the Re < 0 invariant subspace, per mode.
 
     Computed through the Newton iteration for the matrix sign function,
     which needs no eigenvector basis and therefore tolerates Jordan
     structure.  Matrices with eigenvalues on the imaginary axis must be
-    screened out beforehand; the iteration cannot converge for them.
+    screened out beforehand; the iteration cannot converge for them.  It
+    stops once the relative step is at most 1e-13 and gives up after 100
+    steps.
     """
     mats = _as_stack(mats)
     n, d, _ = mats.shape
     if d == 0 or n == 0:
         return np.zeros_like(mats)
-    sign, ok = _sign(mats, tol, maxit)
+    sign, ok = _sign(mats)
     if not ok.all():
         bad = int(np.nonzero(~ok)[0][0])
         raise SignIterationStalled(

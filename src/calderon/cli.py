@@ -13,17 +13,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .acceptance import run_acceptance
-from .bench import run_bench
 from .errors import CalderonError, ParseError, SpecError
 from .grassmann import assemble_point, compare_points, fredholm_index, schatten_fit
 from .projector import calderon_projector, cauchy_frame_oracle, orthogonal_projector, sobolev_weights
-from .symbols import GALLERY_NAMES, build_gallery, check_ellipticity, dump_spec, mode_symbol, read_spec
+from .symbols import (
+    GALLERY_NAMES,
+    agree_up_to_order,
+    build_gallery,
+    check_ellipticity,
+    dump_spec,
+    mode_symbol,
+    read_spec,
+)
 
 _GALLERY_TEXT = """\
 available model operators (calderon write-spec NAME -p key=value ...):
@@ -47,7 +54,11 @@ available model operators (calderon write-spec NAME -p key=value ...):
 
 @dataclass
 class ExperimentConfig:
-    """Echoable description of one CLI invocation."""
+    """Echoable description of one CLI invocation.
+
+    Its field defaults are the only defaults of the command line: the
+    parser leaves every option that was not given unset.
+    """
 
     subcommand: str
     spec: str | None = None
@@ -65,7 +76,6 @@ class ExperimentConfig:
     samples: int = 64
     q: int | None = None
     include_timing: bool = False
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.cutoff < 4:
@@ -126,10 +136,6 @@ def _jsonable(obj):
     return obj
 
 
-def _load(path):
-    return read_spec(path)
-
-
 def _mode_tuple(text, n):
     parts = [int(x) for x in str(text).split(",")]
     if len(parts) != n - 1:
@@ -142,7 +148,7 @@ def _mode_tuple(text, n):
 
 
 def _run_ellipticity(cfg, reports, timings):
-    spec = _load(cfg.spec)
+    spec = read_spec(cfg.spec)
     t0 = time.time()
     rep = check_ellipticity(spec, samples=cfg.samples)
     timings["ellipticity"] = time.time() - t0
@@ -157,7 +163,7 @@ def _run_ellipticity(cfg, reports, timings):
 
 
 def _run_projector(cfg, reports, timings):
-    spec = _load(cfg.spec)
+    spec = read_spec(cfg.spec)
     mode = cfg.mode if cfg.mode is not None else (0,) * (spec.n - 1)
     t0 = time.time()
     sym = mode_symbol(spec, mode)
@@ -194,11 +200,17 @@ def _compare_payload(rep):
     }
 
 
-def _run_compare(cfg, reports, timings):
-    sa, sb = _load(cfg.spec_a), _load(cfg.spec_b)
-    t0 = time.time()
+def _points(cfg):
+    """Both specs of a pair command and their assembled points."""
+    sa, sb = read_spec(cfg.spec_a), read_spec(cfg.spec_b)
     pa = assemble_point(sa, cfg.cutoff, alpha=cfg.alpha)
     pb = assemble_point(sb, cfg.cutoff, alpha=cfg.alpha)
+    return sa, sb, pa, pb
+
+
+def _run_compare(cfg, reports, timings):
+    t0 = time.time()
+    _, _, pa, pb = _points(cfg)
     rep = compare_points(pa, pb)
     timings["compare"] = time.time() - t0
     reports["compare"] = _compare_payload(rep)
@@ -206,13 +218,9 @@ def _run_compare(cfg, reports, timings):
 
 
 def _run_schatten(cfg, reports, timings):
-    sa, sb = _load(cfg.spec_a), _load(cfg.spec_b)
     t0 = time.time()
-    pa = assemble_point(sa, cfg.cutoff, alpha=cfg.alpha)
-    pb = assemble_point(sb, cfg.cutoff, alpha=cfg.alpha)
+    sa, sb, pa, pb = _points(cfg)
     rep = compare_points(pa, pb)
-    from .symbols import agree_up_to_order
-
     q = cfg.q
     if q is None:
         agreement = agree_up_to_order(sa, sb)
@@ -240,10 +248,8 @@ def _run_schatten(cfg, reports, timings):
 
 
 def _run_index(cfg, reports, timings):
-    sa, sb = _load(cfg.spec_a), _load(cfg.spec_b)
     t0 = time.time()
-    pa = assemble_point(sa, cfg.cutoff, alpha=cfg.alpha)
-    pb = assemble_point(sb, cfg.cutoff, alpha=cfg.alpha)
+    sa, _, pa, pb = _points(cfg)
     rep = fredholm_index(pa, pb, tol=cfg.tol)
     timings["index"] = time.time() - t0
     nonzero = [
@@ -380,19 +386,23 @@ def _build_parser():
     ap.add_argument("--version", action="version", version=f"calderon {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, pair=False, single=False):
+    def pipeline(name, summary, pair=False, single=False):
+        # unset options stay out of the namespace: ExperimentConfig holds the defaults
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if single:
             p.add_argument("--spec", required=True, help="operator document path")
         if pair:
             p.add_argument("--spec-a", required=True)
             p.add_argument("--spec-b", required=True)
-        p.add_argument("--cutoff", type=int, default=16)
-        p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--p", default="1,2", help="comma-separated Schatten orders")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--timing", action="store_true", help="include timings in reports")
+        p.add_argument("--cutoff", type=int)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--p", dest="p_list", metavar="P", help="comma-separated Schatten orders")
+        p.add_argument("--out")
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
+        p.add_argument("--timing", dest="include_timing", action="store_true",
+                       help="include timings in reports")
+        return p
 
     p = sub.add_parser("list-gallery", help="print the model-operator gallery")
 
@@ -401,62 +411,34 @@ def _build_parser():
     p.add_argument("-p", "--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("ellipticity", help="cosphere determinant scan and defect modes")
-    common(p, single=True)
-    p.add_argument("--samples", type=int, default=64)
+    p = pipeline("ellipticity", "cosphere determinant scan and defect modes", single=True)
+    p.add_argument("--samples", type=int)
 
-    p = sub.add_parser("projector", help="dump one per-mode projector matrix")
-    common(p, single=True)
-    p.add_argument("--mode", default="0", help="tangential frequency (comma-separated for T^2)")
-    p.add_argument("--side", choices=("plus", "minus"), default="plus")
-    p.add_argument("--kind", choices=("R", "P"), default="R")
+    p = pipeline("projector", "dump one per-mode projector matrix", single=True)
+    p.add_argument("--mode", help="tangential frequency (comma-separated for T^2)")
+    p.add_argument("--side", choices=("plus", "minus"))
+    p.add_argument("--kind", choices=("R", "P"))
 
-    p = sub.add_parser("compare", help="principal-angle comparison of two points")
-    common(p, pair=True)
-
-    p = sub.add_parser("schatten", help="tail decay fit of a comparison")
-    common(p, pair=True)
-    p.add_argument("--q", type=int, default=None, help="agreement order (default: computed)")
-
-    p = sub.add_parser("index", help="Fredholm index of the cross restriction")
-    common(p, pair=True)
-
-    p = sub.add_parser("acceptance", help="run the acceptance suite")
-    common(p)
-
-    p = sub.add_parser("bench", help="time the mode-sweep kernels and one point assembly")
-    p.add_argument("--modes", type=int, default=4096)
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--repeat", type=int, default=3)
+    pipeline("compare", "principal-angle comparison of two points", pair=True)
+    p = pipeline("schatten", "tail decay fit of a comparison", pair=True)
+    p.add_argument("--q", type=int, help="agreement order (default: computed)")
+    pipeline("index", "Fredholm index of the cross restriction", pair=True)
+    pipeline("acceptance", "run the acceptance suite")
     return ap
 
 
 def _config_from_args(args):
-    kwargs = dict(
-        subcommand=args.subcommand,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "json"),
-        cutoff=getattr(args, "cutoff", 16),
-        alpha=getattr(args, "alpha", 0.5),
-        tol=getattr(args, "tol", 1e-6),
-        include_timing=getattr(args, "timing", False),
-        samples=getattr(args, "samples", 64),
-        side=getattr(args, "side", "plus"),
-        kind=getattr(args, "kind", "R"),
-        q=getattr(args, "q", None),
-        spec=getattr(args, "spec", None),
-        spec_a=getattr(args, "spec_a", None),
-        spec_b=getattr(args, "spec_b", None),
-    )
-    ptext = getattr(args, "p", "1,2")
-    try:
-        kwargs["p_list"] = tuple(float(x) for x in str(ptext).split(",") if x)
-    except ValueError as exc:
-        raise SpecError(f"bad --p list {ptext!r}: {exc}") from exc
+    kwargs = dict(vars(args))
+    mode = kwargs.pop("mode", None)
+    if "p_list" in kwargs:
+        ptext = kwargs["p_list"]
+        try:
+            kwargs["p_list"] = tuple(float(x) for x in ptext.split(",") if x)
+        except ValueError as exc:
+            raise SpecError(f"bad --p list {ptext!r}: {exc}") from exc
     cfg = ExperimentConfig(**kwargs)
-    if args.subcommand == "projector":
-        spec = _load(cfg.spec)
-        cfg.mode = _mode_tuple(args.mode, spec.n)
+    if mode is not None:
+        cfg.mode = _mode_tuple(mode, read_spec(cfg.spec).n)
     return cfg
 
 
@@ -484,9 +466,6 @@ def main(argv=None):
                     fh.write(text)
             else:
                 sys.stdout.write(text)
-            return 0
-        if args.subcommand == "bench":
-            run_bench(n_modes=args.modes, dim=args.dim, repeat=args.repeat)
             return 0
 
         cfg = _config_from_args(args)

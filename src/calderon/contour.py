@@ -320,7 +320,7 @@ class SpectralSplit:
     gap: float
 
 
-def spectral_split(C, validate=False, gap_tol=None):
+def spectral_split(C, validate=False):
     """Split a matrix into stable and unstable invariant subspaces.
 
     Frames come from ordered Schur decompositions, so they survive
@@ -330,15 +330,15 @@ def spectral_split(C, validate=False, gap_tol=None):
     imported on the first call, so only runs that reach this oracle
     pay for loading it.
 
-    Raises DefectMode when an eigenvalue sits on the imaginary axis
-    (no splitting exists).
+    Raises DefectMode when an eigenvalue sits within
+    ``1e-10 (1 + max |lambda|)`` of the imaginary axis (no splitting
+    exists).
     """
     C = np.asarray(C, dtype=complex)
     d = C.shape[0]
     eigs = np.linalg.eigvals(C)
     scale = 1.0 + float(np.abs(eigs).max()) if d else 1.0
-    if gap_tol is None:
-        gap_tol = 1e-10 * scale
+    gap_tol = 1e-10 * scale
     gap = float(np.abs(eigs.real).min()) if d else np.inf
     if gap <= gap_tol:
         raise DefectMode(f"eigenvalue within {gap_tol:.2e} of the imaginary axis")

@@ -67,10 +67,6 @@ class ThresholdAmbiguous(CalderonError):
     kernel threshold, so kernel dimensions cannot be trusted."""
 
 
-class TailUnsafe(CalderonError):
-    """The outermost mode shell does not certify index convergence."""
-
-
 class NoChiralStructure(CalderonError):
     """The operator carries no usable L/R block marking."""
 

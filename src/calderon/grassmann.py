@@ -22,9 +22,8 @@ from .errors import (
     SignIterationStalled,
     SpecError,
     ThresholdAmbiguous,
-    TailUnsafe,
 )
-from .projector import CauchyFrame, mode_weights
+from .projector import CauchyFrame, _padded_sines, mode_weights
 from .symbols import agree_up_to_order, build_gallery, defect_screen, mode_key, mode_lattice
 
 DEFAULT_ALPHA = 0.5
@@ -175,11 +174,14 @@ class CompareReport:
     holds the cross-Gram singular values in its leading
     ``min(dims_a[i], dims_b[i])`` entries.  Both are zero past the mask.
     ``angles`` and ``cos_svals`` are the per-mode lists of those row
-    prefixes, made as views on first read.  The report also keeps the
-    operator norm of the projector difference per mode and the singular
-    values of the one-sided restriction ``(I - P_B)|_A``.  The global
-    list ``svals`` repeats the sine of every angle twice, the fixed
-    counting convention for projector differences used throughout.
+    prefixes, made as views on first read.  ``diff_norms`` holds the
+    operator norm of the projector difference per mode, which is the
+    sine of its largest angle (0 where both frames are empty), and
+    ``q_svals`` the singular values of the one-sided restriction
+    ``(I - P_B)|_A``.  The angles follow the convention of
+    ``projector.principal_angles``: A is the side complemented.  The
+    global list ``svals`` repeats the sine of every angle twice, the
+    fixed counting convention for projector differences used throughout.
     """
 
     modes: np.ndarray
@@ -248,22 +250,13 @@ def compare_points(a, b):
     skipped = sorted(set(a.excluded) | set(b.excluded), key=lambda x: (np.atleast_1d(x).tolist()))
     QA, QB = a.ortho[ia], b.ortho[ib]
     da, db = a.dims[ia], b.dims[ib]
-    d = a.ambient_dim
 
     cross = np.einsum("nij,nik->njk", QA.conj(), QB)
     comp_a = QA - QB @ np.conj(np.swapaxes(cross, 1, 2))
     sines_a = _kernels.svdvals_sweep(comp_a)
-    diff = QA @ np.conj(np.swapaxes(QA, 1, 2)) - QB @ np.conj(np.swapaxes(QB, 1, 2))
-    diff_sv = _kernels.svdvals_sweep(diff)
     cos_sv = _kernels.svdvals_sweep(cross)
-
-    # each row: (db - da)+ right-angle sines, then A's da complement
-    # sines, then -1 padding, which sorts last and clips to angle 0
-    j = np.arange(d)
-    lead = np.maximum(db - da, 0)[:, None]
-    shifted = np.take_along_axis(sines_a, np.clip(j - lead, 0, d - 1), axis=1)
-    sines = np.where(j < lead, 1.0, np.where(j < lead + da[:, None], shifted, -1.0))
-    sines = np.sort(sines, axis=1)[:, ::-1]
+    sines = _padded_sines(sines_a, da, db)
+    j = np.arange(a.ambient_dim)
     live = j < np.maximum(da, db)[:, None]
     same_shape = (a.spec.n, a.spec.r, a.spec.k) == (b.spec.n, b.spec.r, b.spec.k)
     return CompareReport(
@@ -272,7 +265,7 @@ def compare_points(a, b):
         dims_b=db,
         angle_rows=np.arcsin(np.clip(sines, 0.0, 1.0)),
         cos_rows=np.where(j < np.minimum(da, db)[:, None], cos_sv, 0.0),
-        diff_norms=np.where((da > 0) | (db > 0), diff_sv[:, 0], 0.0),
+        diff_norms=np.clip(sines[:, 0], 0.0, 1.0),
         svals=np.sort(np.repeat(sines[live], 2))[::-1],
         q_svals=np.sort(sines_a[j < da[:, None]])[::-1],
         agreement=agree_up_to_order(a.spec, b.spec) if same_shape else None,
@@ -315,7 +308,7 @@ class SchattenReport:
     sums_converging: dict
 
 
-def schatten_fit(rep, n, q, p_list=(1.0, 2.0), window=None):
+def schatten_fit(rep, n, q, p_list=(1.0, 2.0)):
     """Fit the decay exponent of the sorted singular values.
 
     The log-log fit runs over the middle decade of the sorted spectrum
@@ -364,15 +357,9 @@ def schatten_fit(rep, n, q, p_list=(1.0, 2.0), window=None):
             sums_converging=conv,
         )
 
-    if window is None:
-        mid = np.sqrt(J)
-        lo = max(5, int(round(mid / np.sqrt(10.0))))
-        hi = min(J, int(round(mid * np.sqrt(10.0))))
-    else:
-        lo, hi = window
-        lo, hi = max(1, int(lo)), min(J, int(hi))
-    if hi - lo < 10:
-        raise InsufficientData(f"fit window [{lo}, {hi}] is too narrow")
+    mid = np.sqrt(J)
+    lo = max(5, int(round(mid / np.sqrt(10.0))))
+    hi = min(J, int(round(mid * np.sqrt(10.0))))
 
     j = np.arange(1, J + 1, dtype=float)
     sel = slice(lo - 1, hi)
@@ -433,15 +420,15 @@ class IndexReport:
         return self.tail_safe
 
 
-def fredholm_index(a, b, tol=1e-6, strict_tail=False, rep=None):
+def fredholm_index(a, b, tol=1e-6, rep=None):
     """Index of the restriction of b's projector to a's subspace.
 
     Per mode, kernel dimensions count cross-Gram singular values below
     ``tol``; any value inside the forbidden decade ``[tol, 10 tol)``
     raises ThresholdAmbiguous.  Tail safety requires every outermost
     -shell mode to keep its largest principal angle at least 0.5 rad
-    away from a right angle; with ``strict_tail`` an unsafe tail raises
-    TailUnsafe instead of being reported.
+    away from a right angle; an unsafe tail is reported in ``tail_safe``,
+    not raised.
     """
     if rep is None:
         rep = compare_points(a, b)
@@ -463,8 +450,6 @@ def fredholm_index(a, b, tol=1e-6, strict_tail=False, rep=None):
     gaps = np.pi / 2 - rep.angle_rows[shell, 0]
     min_gap = float(gaps.min()) if gaps.size else np.pi / 2
     tail_safe = min_gap > 0.5
-    if strict_tail and not tail_safe:
-        raise TailUnsafe(f"outermost shell angle gap {min_gap:.3f} rad is below 0.5")
     return IndexReport(
         modes=rep.modes,
         kernel_dims=ker,

@@ -50,6 +50,8 @@ __all__ = [
     "range_basis",
 ]
 
+_AGREEMENT_TOL = 1e-8  # residue route against contour quadrature, relative
+
 
 @dataclass
 class CauchyFrame:
@@ -220,7 +222,7 @@ def _powers_of_inverse(sym, n_powers):
     return f
 
 
-def layer_potential_blocks(sym, quad_tol=1e-10, agreement_tol=1e-8, cross_check=True):
+def layer_potential_blocks(sym, quad_tol=1e-10, cross_check=True):
     """Boundary blocks of the decaying solution operator.
 
     Block ``(q, p)`` is ``i^{p+q+1}`` times the counter-clockwise
@@ -231,8 +233,8 @@ def layer_potential_blocks(sym, quad_tol=1e-10, agreement_tol=1e-8, cross_check=
       over at multiple roots),
     * global contour quadrature around the whole upper root group,
 
-    and with ``cross_check`` both must agree to ``agreement_tol``
-    relative to the block scale.
+    and with ``cross_check`` both must agree to 1e-8 relative to the
+    block scale.
     """
     k, r = sym.k, sym.r
     n_powers = 2 * k - 1
@@ -280,7 +282,7 @@ def layer_potential_blocks(sym, quad_tol=1e-10, agreement_tol=1e-8, cross_check=
         Jq, _ = contour_quadrature(_powers_of_inverse(sym, n_powers), circle, tol=quad_tol)
         Bq = assemble(Jq)
         err = np.abs(B - Bq).max()
-        if err > agreement_tol * (1.0 + np.abs(B).max()):
+        if err > _AGREEMENT_TOL * (1.0 + np.abs(B).max()):
             raise CalderonError(
                 f"layer-potential routes disagree at mode {sym.m}: {err:.3e}"
             )
@@ -321,13 +323,7 @@ def orthogonal_projector(frame_or_proj, weight):
         side = frame_or_proj.side
         m = frame_or_proj.m
     elif isinstance(frame_or_proj, BlockProjector):
-        M = frame_or_proj.matrix
-        rank = int(round(float(np.trace(M).real)))
-        if rank:
-            u, s, _ = np.linalg.svd(M)
-            F = u[:, :rank]
-        else:
-            F = np.zeros((M.shape[0], 0), dtype=complex)
+        F = range_basis(frame_or_proj.matrix)
         side = frame_or_proj.side
         m = frame_or_proj.m
     else:
@@ -361,31 +357,41 @@ def range_basis(proj_matrix):
     return orthonormal_range_sweep(M[None], [rank])[0][:, :rank]
 
 
+def _padded_sines(sines_a, da, db):
+    """Principal-angle sines of a stack of subspace pairs, largest first.
+
+    ``sines_a`` is ``(N, d)``: row ``i`` holds the singular values of the
+    complement of frame A against frame B, of which the leading
+    ``da[i]`` count.  Each row becomes ``(db - da)+`` right-angle sines,
+    then A's sines, then -1 padding, which sorts last and clips to angle
+    0; ``d`` must be at least ``max(da, db)``.
+    """
+    d = sines_a.shape[1]
+    j = np.arange(d)
+    lead = np.maximum(db - da, 0)[:, None]
+    shifted = np.take_along_axis(sines_a, np.clip(j - lead, 0, d - 1), axis=1)
+    sines = np.where(j < lead, 1.0, np.where(j < lead + da[:, None], shifted, -1.0))
+    return np.sort(sines, axis=1)[:, ::-1]
+
+
 def principal_angles(F, G):
     """Principal angles between two column spaces, largest first.
 
     Angles near zero are resolved through complement sines rather than
     arccos of Gram singular values, so subspace agreement down to 1e-14
-    is measurable.  A dimension mismatch contributes right angles; the
-    returned list has length max(dim F, dim G).  The smaller side is the
-    one complemented, where ``compare_points`` always complements its
-    first point; the two differ near right angles by about 1e-8, so each
-    keeps its own convention.
+    is measurable.  The first space is the one complemented, and a
+    dimension mismatch contributes right angles, as in ``compare_points``;
+    the returned list has length max(dim F, dim G).
     """
     F = np.asarray(F, dtype=complex)
     G = np.asarray(G, dtype=complex)
     qf = np.linalg.qr(F)[0] if F.shape[1] else F
     qg = np.linalg.qr(G)[0] if G.shape[1] else G
     df, dg = qf.shape[1], qg.shape[1]
-    if df == 0 and dg == 0:
-        return np.zeros(0)
-    if df == 0 or dg == 0:
-        return np.full(max(df, dg), np.pi / 2)
-    small, big = (qf, qg) if df <= dg else (qg, qf)
-    comp = small - big @ (big.conj().T @ small)
-    sines = np.linalg.svd(comp, compute_uv=False)
-    sines = np.concatenate([np.ones(abs(df - dg)), sines])
-    return np.arcsin(np.clip(np.sort(sines)[::-1], 0.0, 1.0))
+    sines = np.zeros((1, max(df, dg)))
+    sines[0, :df] = np.linalg.svd(qf - qg @ (qg.conj().T @ qf), compute_uv=False)
+    padded = _padded_sines(sines, np.array([df]), np.array([dg]))[0]
+    return np.arcsin(np.clip(padded, 0.0, 1.0))
 
 
 def entry_growth_fit(spec, side, modes):

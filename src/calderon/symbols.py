@@ -364,12 +364,9 @@ def homogeneous_component(spec, j, m, xi_n):
 
 
 def principal_symbol(spec, xi_prime, xi_n):
-    """Principal symbol at a real covector ``(xi', xi_n)``."""
-    out = np.zeros((spec.r, spec.r), dtype=complex)
-    for (q, beta), c in spec.terms.items():
-        if q + sum(beta) == spec.k:
-            out += _phase(xi_prime, beta) * (1j * complex(xi_n)) ** q * c
-    return out
+    """Principal symbol at a real covector ``(xi', xi_n)``: the degree
+    ``k`` homogeneous component."""
+    return homogeneous_component(spec, 0, xi_prime, xi_n)
 
 
 def agree_up_to_order(a, b):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from calderon.cli import main
+from calderon.cli import ExperimentConfig, _build_parser, _config_from_args, main
 
 GOLDEN_PROJECTOR = {
     "alpha": 0.5,
@@ -220,3 +220,33 @@ def test_jsonable_array_fast_path_matches_the_generic_walk(shape):
         assert fast == generic
         dump = lambda obj: json.dumps(obj, sort_keys=True, indent=2).encode()
         assert dump(fast) == dump(generic)
+
+
+def _parsed_config(argv):
+    return _config_from_args(_build_parser().parse_args(argv))
+
+
+def test_config_defaults_are_the_only_defaults():
+    pair = {"spec_a": "a.spec", "spec_b": "b.spec"}
+    pair_argv = ["--spec-a", "a.spec", "--spec-b", "b.spec"]
+    minimal = [
+        (["ellipticity", "--spec", "a.spec"], {"spec": "a.spec"}),
+        (["projector", "--spec", "a.spec"], {"spec": "a.spec"}),
+        (["compare", *pair_argv], pair),
+        (["schatten", *pair_argv], pair),
+        (["index", *pair_argv], pair),
+        (["acceptance"], {}),
+    ]
+    for argv, required in minimal:
+        assert _parsed_config(argv) == ExperimentConfig(subcommand=argv[0], **required), argv
+    # every option lands in the config field of its name
+    argv = ["index", *pair_argv, "--cutoff", "8", "--alpha", "0.7", "--tol", "1e-3",
+            "--p", "1,3", "--out", "r.csv", "--format", "csv", "--timing"]
+    assert _parsed_config(argv) == ExperimentConfig(
+        subcommand="index", cutoff=8, alpha=0.7, tol=1e-3, p_list=(1.0, 3.0), out="r.csv",
+        fmt="csv", include_timing=True, **pair,
+    )
+
+
+def test_bench_subcommand_is_gone(capsys):
+    assert main(["bench"]) == 2

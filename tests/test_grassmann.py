@@ -131,15 +131,6 @@ def test_comparison_requires_matching_conventions():
         )
 
 
-def test_diff_norms_equal_largest_angle_sines():
-    pa = assemble_point(build_gallery("laplace_mass", mu=1), 32)
-    pb = assemble_point(build_gallery("laplace_mass", mu=2), 32)
-    rep = compare_points(pa, pb)
-    for i in range(len(rep.modes)):
-        expected = np.sin(rep.angles[i][0]) if len(rep.angles[i]) else 0.0
-        assert abs(rep.diff_norms[i] - expected) < 1e-9
-
-
 def test_global_svals_merge_per_mode_sines():
     pa = assemble_point(build_gallery("dirac2", mu=1, v=0), 32)
     pb = assemble_point(build_gallery("dirac2", mu=1, v=0.3), 32)
@@ -358,8 +349,6 @@ def _compare_by_loop(a, b):
     da, db = a.dims[ia], b.dims[ib]
     cross = np.einsum("nij,nik->njk", QA.conj(), QB)
     sines_a = svdvals_sweep(QA - QB @ np.conj(np.swapaxes(cross, 1, 2)))
-    diff = QA @ np.conj(np.swapaxes(QA, 1, 2)) - QB @ np.conj(np.swapaxes(QB, 1, 2))
-    diff_sv = svdvals_sweep(diff)
     cos_sv = svdvals_sweep(cross)
     angles, cosines, q_parts, global_parts = [], [], [], []
     diff_norms = np.zeros(len(ia))
@@ -373,7 +362,7 @@ def _compare_by_loop(a, b):
         cosines.append(cos_sv[i][: min(na, nb)])
         q_parts.append(sines_a[i][:na])
         global_parts.append(np.repeat(sines, 2))
-        diff_norms[i] = diff_sv[i][0] if (na or nb) else 0.0
+        diff_norms[i] = np.clip(sines[0], 0.0, 1.0) if (na or nb) else 0.0
     return SimpleNamespace(
         modes=rows,
         dims_a=da,
@@ -482,6 +471,18 @@ def test_padded_compare_and_index_match_the_loops(padded_pairs, name):
         "disjoint": len(rep.modes) == 0 and gap == np.pi / 2,
     }
     assert covers[name.split("-")[0].rstrip("123")]
+
+
+def test_diff_norms_equal_largest_angle_sines(padded_pairs):
+    # oracle: top singular value of the projector difference QA QA^H - QB QB^H
+    for a, b in padded_pairs.values():
+        rep = compare_points(a, b)
+        ia, ib, _ = _common_indices(a, b)
+        QA, QB = a.ortho[ia], b.ortho[ib]
+        diff = QA @ np.conj(np.swapaxes(QA, 1, 2)) - QB @ np.conj(np.swapaxes(QB, 1, 2))
+        oracle = svdvals_sweep(diff)[:, 0]
+        assert rep.diff_norms.shape == oracle.shape
+        assert np.abs(rep.diff_norms - oracle).max(initial=0.0) <= 1e-14
 
 
 def _ambiguous_message(fn):

@@ -67,18 +67,3 @@ def test_sign_iteration_rejects_imaginary_spectrum():
         _kernels.stable_projector_sweep(bad)
     assert info.value.index == 1
 
-
-def test_bench_reports_one_time_per_row():
-    from calderon.bench import run_bench
-
-    rows = run_bench(n_modes=64, dim=3, repeat=1, echo=None)
-    assert [r["kernel"] for r in rows] == [
-        "eigvals_sweep",
-        "stable_projector_sweep",
-        "svdvals_sweep",
-        "orthonormal_range_sweep",
-        "assemble dirac3 cutoff 48",
-    ]
-    for row in rows:
-        assert set(row) == {"kernel", "seconds"}
-        assert np.isfinite(row["seconds"]) and row["seconds"] > 0

@@ -283,6 +283,46 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _principal_angles_smaller_side(F, G):
+    # reference: principal_angles before it complemented its first frame,
+    # as compare_points does; it complemented the smaller-dimensional one
+    F = np.asarray(F, dtype=complex)
+    G = np.asarray(G, dtype=complex)
+    qf = np.linalg.qr(F)[0] if F.shape[1] else F
+    qg = np.linalg.qr(G)[0] if G.shape[1] else G
+    df, dg = qf.shape[1], qg.shape[1]
+    if df == 0 and dg == 0:
+        return np.zeros(0)
+    if df == 0 or dg == 0:
+        return np.full(max(df, dg), np.pi / 2)
+    small, big = (qf, qg) if df <= dg else (qg, qf)
+    comp = small - big @ (big.conj().T @ small)
+    sines = np.linalg.svd(comp, compute_uv=False)
+    sines = np.concatenate([np.ones(abs(df - dg)), sines])
+    return np.arcsin(np.clip(np.sort(sines)[::-1], 0.0, 1.0))
+
+
+def test_principal_angles_complement_the_first_frame():
+    rng = np.random.default_rng(17)
+    counts = {"equal": 0, "unequal": 0}
+    for _ in range(300):
+        rk = int(rng.integers(1, 7))
+        df, dg = (int(x) for x in rng.integers(0, rk + 1, size=2))
+        F = rng.normal(size=(rk, df)) + 1j * rng.normal(size=(rk, df))
+        G = rng.normal(size=(rk, dg)) + 1j * rng.normal(size=(rk, dg))
+        got, ref = principal_angles(F, G), _principal_angles_smaller_side(F, G)
+        assert got.shape == (max(df, dg),)
+        if df == dg:
+            counts["equal"] += 1
+            assert np.array_equal(got, ref)
+        else:
+            counts["unequal"] += 1
+            low = ref < 1.5
+            assert np.abs(got - ref)[low].max(initial=0.0) <= 1e-12
+            assert np.abs(got - ref)[~low].max(initial=0.0) <= 1e-7
+    assert min(counts.values()) >= 50
+
+
 def test_both_sides_of_one_symbol_share_one_route(monkeypatch):
     routes = _counting(monkeypatch, "layer_potential_blocks")
     sym = mode_symbol(build_gallery("dirac3", mu=1, v=0.3), (2, -1))
