@@ -30,6 +30,7 @@ from .projector import (
     CauchyFrame,
     SobolevWeight,
     calderon_projector,
+    calderon_projector_stack,
     cauchy_frame_oracle,
     entry_growth_fit,
     invert_jump_operator,

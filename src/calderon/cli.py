@@ -137,10 +137,13 @@ def _jsonable(obj):
 
 
 def _mode_tuple(text, n):
-    parts = [int(x) for x in str(text).split(",")]
+    try:
+        parts = tuple(int(x) for x in str(text).split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != n - 1:
         raise SpecError(f"mode needs {n - 1} integer component(s), got {text!r}")
-    return tuple(parts)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +459,13 @@ def main(argv=None):
         if args.subcommand == "write-spec":
             params = {}
             for item in args.param:
-                key, _, val = item.partition("=")
-                if not _:
-                    raise SpecError(f"parameter {item!r} is not KEY=VALUE")
-                params[key] = float(val)
+                key, sep, val = item.partition("=")
+                try:
+                    params[key] = float(val)
+                except ValueError:
+                    sep = ""
+                if not sep:
+                    raise SpecError(f"parameter {item!r} is not KEY=NUMBER")
             text = dump_spec(build_gallery(args.name, **params))
             if args.out:
                 with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

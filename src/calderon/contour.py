@@ -5,6 +5,7 @@ which converges exponentially for integrands analytic in a neighborhood
 of the contour; node doubling supplies the error estimate.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
 from .symbols import companion_matrix, on_real_axis
 
 MAX_NODES = 2**16
+_HALVES = ("lower", "real", "upper")  # characteristic_roots' names of half = -1, 0, 1
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,9 @@ class Contour:
     """Closed circular or elliptic contour, counter-clockwise.
 
     ``radii`` is ``(a, b)``; the contour is a circle when ``a == b``.
-    ``nodes`` is the starting node count for the doubling loop.
+    ``nodes`` is the starting node count for the doubling loop.  A stack
+    of circles holds one center and radius per circle in arrays and one
+    shared start (see :meth:`circle`).
     """
 
     center: complex
@@ -36,6 +40,8 @@ class Contour:
 
     def __post_init__(self):
         a, b = self.radii
+        if np.ndim(a):  # a stack of circles
+            a, b = a.min(), b.min()
         if a <= 0 or b <= 0:
             raise SpecError("contour radii must be positive")
         if self.nodes < 8:
@@ -43,28 +49,21 @@ class Contour:
 
     @classmethod
     def circle(cls, center, radius, nodes=16):
-        return cls(complex(center), (float(radius), float(radius)), nodes)
+        """One circle, or a stack of circles when ``center`` and
+        ``radius`` are arrays."""
+        if np.ndim(center):
+            radius = np.asarray(radius, dtype=float)
+            return cls(np.asarray(center, dtype=complex), (radius, radius), int(nodes))
+        radius = float(radius)
+        return cls(complex(center), (radius, radius), nodes)
 
     @classmethod
     def ellipse(cls, center, a, b, nodes=16):
         return cls(complex(center), (float(a), float(b)), nodes)
 
-    @property
-    def shape(self):
-        a, b = self.radii
-        return "circle" if a == b else "ellipse"
-
     def boundary(self, n):
         """Nodes z_j and derivatives dz/dtheta at n equispaced angles."""
-        return self._at(2 * np.pi * np.arange(n) / n)
-
-    def _at(self, t):
-        """Nodes and derivatives dz/dtheta at the angles ``t``."""
-        a, b = self.radii
-        cos, sin = np.cos(t), np.sin(t)
-        z = self.center + a * cos + 1j * b * sin
-        dz = -a * sin + 1j * b * cos
-        return z, dz
+        return _on_curve(self.center, *self.radii, np.exp(2j * np.pi * np.arange(n) / n))
 
     def distance(self, points):
         """Distance from each point to the contour curve."""
@@ -76,82 +75,162 @@ class Contour:
         return np.abs(pts[:, None] - zb[None, :]).min(axis=1)
 
 
+def _on_curve(center, a, b, w):
+    """Nodes and derivatives dz/dtheta of the curve
+    ``center + a cos t + i b sin t`` at the unit points ``w = e^{it}``; the
+    arguments broadcast, and ``a is b`` marks a circle (or a stack of them)."""
+    if a is b:
+        aw = a * w
+        return center + aw, 1j * aw
+    return center + a * w.real + 1j * (b * w.imag), 1j * (b * w.real) - a * w.imag
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(n, first):
+    """Unit points ``e^{it}`` the doubling loop evaluates at: the first
+    call's 2n-node grid, or else the n midpoints that level 2n adds."""
+    t = np.pi * np.arange(2 * n) / n if first else 2 * np.pi * (np.arange(n) + 0.5) / n
+    w = np.cos(t) + 1j * np.sin(t)
+    w.setflags(write=False)  # shared by every call at this level
+    return w
+
+
 def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
     """Approximate ``(1 / 2 pi i) * integral of f over the contour``.
 
     Parameters
     ----------
     f : callable
-        Vectorized integrand: ``f(z)`` for an array of nodes ``z`` must
-        return an array whose leading axis runs over the nodes.
+        Vectorized integrand.  On one contour, ``f(z)`` for an array of
+        nodes ``z`` must return an array whose leading axis runs over the
+        nodes.  On a stack of circles, ``f(z, rows)`` gets the nodes
+        ``z``, shape ``(len(rows), n)``, of the circles ``rows`` and must
+        return an array whose two leading axes are those of ``z``.
     contour : Contour
-        Its ``nodes`` is the start of the doubling loop.
+        One contour, or a stack of circles on one shared angle grid.  Its
+        ``nodes`` is the start of the doubling loop.
     tol : float
-        Relative agreement required between successive node doublings.
+        Relative agreement required between successive node doublings,
+        per circle.
 
     Returns
     -------
     (value, n) : the converged integral and the node count that achieved
-    it.  The first call of ``f`` takes the start grid and its midpoints,
-    so the first doubling is compared without a second call; each later
-    doubling evaluates only the new midpoints.  ``f`` is evaluated at
-    ``n`` nodes in all.
+    it; for a stack, the integrals along a leading axis and each
+    circle's node count.  The first call of ``f`` takes the start grid
+    and its midpoints, so the first doubling is compared without a
+    second call; each later doubling evaluates only the new midpoints,
+    on the circles that have not converged.  ``f`` is evaluated at ``n``
+    nodes per circle in all.
 
     Raises
     ------
     ContourNotConverged
-        When doubling passes ``max_nodes`` without agreement.
+        When doubling passes ``max_nodes`` without agreement; its
+        ``index`` is the first circle of the stack that did not converge.
     """
+    stacked = np.ndim(contour.center) > 0
+    if not stacked:
+        single = f
 
-    def sums(t, parts):
-        # sums of f(z) dz/dtheta over the nodes at the angles t, one per
-        # interleaved subgrid; the matrix products need no weighted copy
-        # of f's values
-        z, dz = contour._at(t)
-        vals = np.asarray(f(z), dtype=complex)
-        if vals.shape[0] != t.size:
+        def f(z, rows):
+            return np.asarray(single(z[0]))[None]
+
+    circle = contour.radii[0] is contour.radii[1]
+    center, a, b = (np.atleast_1d(x)[:, None] for x in (contour.center, *contour.radii))
+    b = a if circle else b
+    rows = np.arange(len(center))
+
+    def sums(w, parts):
+        # sums of f(z) dz/dtheta over the nodes at the unit points w, per
+        # circle and interleaved subgrid (node j of subgrid i is node
+        # j parts + i), as one product that needs no weighted copy of f's values
+        z, dz = _on_curve(center, a, b, w)
+        vals = np.asarray(f(z, rows), dtype=complex)
+        if vals.shape[:2] != z.shape:
             raise ValueError("integrand must be vectorized over the node axis")
-        flat = vals.reshape(t.size, -1)
-        return [dz[i::parts] @ flat[i::parts] for i in range(parts)], vals.shape[1:]
+        R, m = len(z), w.size // parts
+        grid = dz.reshape(R, m, parts).transpose(0, 2, 1)[:, :, None, :]
+        out = grid @ vals.reshape(R, m, parts, -1).transpose(0, 2, 1, 3)
+        return out[:, :, 0], vals.shape[2:]
 
     n = max(8, contour.nodes)
     if 2 * n > max_nodes:
         raise ContourNotConverged(f"no convergence with up to {max_nodes} nodes")
     # the first call takes the 2n-node grid, whose even nodes are the
     # n-node grid, so it yields both estimates of the first comparison
-    (total, odd), shape = sums(np.pi * np.arange(2 * n) / n, 2)
-    prev = total / (1j * n)
-    total = total + odd
+    both, shape = sums(_grid(n, True), 2)
+    prev = both[:, 0] / (1j * n)
+    total = both[:, 0] + both[:, 1]
     n *= 2
+    early = []  # (rows, values, n) of circles that converged before the rest
     while True:
         value = total / (1j * n)
-        err = np.abs(value - prev).max()
-        if err <= tol * max(1.0, float(np.abs(value).max())):
-            return value.reshape(shape)[()], n  # [()]: a scalar for scalar f
+        err = np.abs(value - prev).max(axis=1)
+        going = err > tol * np.maximum(1.0, np.abs(value).max(axis=1))
+        if not going.any():
+            break
         if 2 * n > max_nodes:
-            raise ContourNotConverged(f"no convergence with up to {max_nodes} nodes")
-        prev = value
+            raise ContourNotConverged(
+                f"no convergence with up to {max_nodes} nodes", index=int(rows[going.argmax()])
+            )
+        if not going.all():
+            early.append((rows[~going], value[~going], n))
+        rows, center, a = rows[going], center[going], a[going]
+        b = a if circle else b[going]
+        prev, total = value[going], total[going]
         # the 2n-node grid is the n-node grid plus its midpoints, so each
         # later call evaluates f only at the nodes the previous ones lacked
-        (new,), _ = sums(2 * np.pi * (np.arange(n) + 0.5) / n, 1)
-        total = total + new
+        new, _ = sums(_grid(n, False), 1)
+        total = total + new[:, 0]
         n *= 2
+    if not stacked:
+        return value[0].reshape(shape)[()], n  # [()]: a scalar for scalar f
+    values = np.empty((len(rows) + sum(len(e[0]) for e in early),) + value.shape[1:], complex)
+    counts = np.empty(len(values), dtype=int)
+    for r, v, m in early + [(rows, value, n)]:
+        values[r], counts[r] = v, m
+    return values.reshape(values.shape[:1] + shape), counts
 
 
-def _sized_nodes(spread, radius, gap=np.inf):
-    """Start node count for a circle of ``radius`` around singularities
-    within ``spread`` of its center and clear of those within ``gap``.
+def _sized_nodes(rho):
+    """Start node count for a circle on which the trapezoidal rule
+    converges like ``rho^n``.
 
-    The trapezoidal rule converges like ``rho^n`` with
-    ``rho = max(spread / radius, radius / gap)``; the start is the
+    For a circle of radius ``radius`` around singularities within
+    ``spread`` of its center and clear of those within ``gap``,
+    ``rho = max(spread / radius, radius / gap)``.  The start is the
     smallest power of two >= 16, capped at 256, with ``rho^n <= 1e-10``,
     so the first doubling comparison usually converges.
     """
-    rho = max(spread / radius, radius / gap)
-    n = 16
-    while n < 256 and rho**n > 1e-10:
-        n *= 2
-    return n
+    return next((n for n in (16, 32, 64, 128) if rho**n <= 1e-10), 256)
+
+
+def _enclosing_circles(points, inside, outside):
+    """The :func:`enclosing_circle` rule for a stack of groups: row ``i``
+    encloses ``points[i][inside[i]]`` clear of ``points[i][outside[i]]``.
+
+    Returns the centers, the radii and each circle's ``rho`` (see
+    :func:`_sized_nodes`).  Raises EigenvalueOnContour, with the
+    ``index`` of the first row, when a group cannot be separated from
+    its excluded points.
+    """
+    center = points.sum(axis=1, where=inside) / inside.sum(axis=1)
+    dist = np.abs(points - center[:, None])
+    spread = dist.max(axis=1, where=inside, initial=0.0)
+    gap = dist.min(axis=1, where=outside, initial=np.inf)
+    stuck = gap <= spread * (1 + 1e-12) + 1e-300
+    if stuck.any():
+        raise EigenvalueOnContour(
+            "cannot separate the enclosed group from excluded eigenvalues",
+            index=int(stuck.argmax()),
+        )
+    radius = spread + 0.5 * (gap - spread)
+    free = np.isinf(gap)  # nothing to exclude: a margin set by the group
+    if free.any():
+        margin = np.maximum(1.0, 0.5 * np.maximum(np.abs(center), spread))
+        radius = np.where(free, spread + margin, radius)
+    return center, radius, np.maximum(spread / radius, radius / gap)
 
 
 def enclosing_circle(group, excluded=(), nodes=None):
@@ -168,22 +247,60 @@ def enclosing_circle(group, excluded=(), nodes=None):
     group = np.atleast_1d(np.asarray(group, dtype=complex))
     if group.size == 0:
         raise CalderonError("cannot build a contour around an empty group")
-    center = complex(group.mean())
-    spread = float(np.abs(group - center).max()) if group.size > 1 else 0.0
-    excluded = np.atleast_1d(np.asarray(excluded, dtype=complex)) if len(excluded) else None
-    gap = np.inf
-    if excluded is not None and excluded.size:
-        gap = float(np.abs(excluded - center).min())
-        if gap <= spread * (1 + 1e-12) + 1e-300:
-            raise EigenvalueOnContour(
-                "cannot separate the enclosed group from excluded eigenvalues"
+    points = np.concatenate([group, np.asarray(excluded, dtype=complex).ravel()])[None]
+    inside = np.arange(points.shape[1])[None] < group.size
+    center, radius, rho = _enclosing_circles(points, inside, ~inside)
+    return Contour.circle(center[0], radius[0], _sized_nodes(rho[0]) if nodes is None else nodes)
+
+
+def _mode_at(modes, i):
+    """Row ``i`` of a mode stack as a tuple, for error reports."""
+    return tuple(np.atleast_1d(modes[i]).tolist())
+
+
+def root_table(lam, modes, allow_real=False):
+    """Characteristic roots of a mode stack, grouped by multiplicity.
+
+    ``lam`` holds the companion eigenvalues ``lambda = i xi_n``, one row
+    per mode of ``modes``.  Returns ``(roots, mult, half)``, each of
+    ``lam``'s shape, with the roots of a row in ascending (real, imag)
+    order.  A root within relative 1e-7 of an earlier one joins that
+    one's cluster: ``mult`` is the cluster size at its first root, which
+    holds the cluster mean, and 0 at its other members.  ``half`` is 1
+    above the real axis, -1 below and 0 on it (:func:`on_real_axis`).
+
+    Raises DefectMode, naming the first mode with a real-axis root,
+    unless ``allow_real``.
+    """
+    tol = 1e-7 * (1.0 + np.abs(lam).max(axis=1))[:, None, None]
+    xi = -1j * lam
+    rows = np.arange(len(xi))[:, None]
+    xi = xi[rows, np.lexsort((xi.imag, xi.real))]
+    close = np.abs(xi[:, :, None] - xi[:, None, :]) <= tol
+    roots, mult = xi, np.ones(xi.shape, dtype=int)
+    if close.sum() > close.shape[0] * close.shape[1]:  # some roots lie within tol
+        # each root points at the first root within tol of it; following
+        # the pointers, which only go back, ends at its cluster's first root
+        label = close.argmax(axis=2)
+        for _ in range(max(xi.shape[1] - 2, 0).bit_length()):
+            label = label[rows, label]
+        member = label[:, :, None] == np.arange(xi.shape[1])
+        mult = member.sum(axis=1)
+        roots = (member * xi[:, :, None]).sum(axis=1) / np.maximum(mult, 1)
+    real = on_real_axis(np.abs(roots.imag), np.asarray(modes, dtype=float)[:, None])
+    half = np.copysign(~real, roots.imag)
+    if not allow_real and real.any():
+        bad = real & (mult > 0)  # clusters are judged by their means
+        if bad.any():
+            i = int(bad.any(axis=1).argmax())
+            mode = _mode_at(modes, i)
+            roots_bad = list(roots[i][bad[i]])
+            raise DefectMode(
+                f"mode {mode} has characteristic roots on the real axis: {roots_bad}",
+                mode=mode,
+                roots=roots_bad,
             )
-        radius = spread + 0.5 * (gap - spread)
-    else:
-        radius = spread + max(1.0, 0.5 * abs(center), 0.5 * spread)
-    if nodes is None:
-        nodes = _sized_nodes(spread, radius, gap)
-    return Contour.circle(center, radius, nodes)
+    return roots, mult, half
 
 
 def characteristic_roots(sym, allow_real=False):
@@ -191,52 +308,17 @@ def characteristic_roots(sym, allow_real=False):
 
     Roots come from the eigenvalues ``lambda = i xi_n`` of the block
     companion matrix of the mode ODE; clusters within relative 1e-7 are
-    merged into one root with a multiplicity.  Each entry is
-    ``(root, multiplicity, halfplane)`` with halfplane one of
-    ``upper``, ``lower``, ``real``.
+    merged into one root with a multiplicity (:func:`root_table`, whose
+    N=1 view this is).  Each entry is ``(root, multiplicity, halfplane)``
+    with halfplane one of ``upper``, ``lower``, ``real``.
 
     Raises DefectMode on a real-axis root unless ``allow_real``.
     """
-    return group_roots(sym, np.linalg.eigvals(companion_matrix(sym)), allow_real)
-
-
-def group_roots(sym, lam, allow_real=False):
-    """Characteristic roots of ``sym`` from its companion eigenvalues
-    ``lam``, grouped as in :func:`characteristic_roots`."""
-    xi = -1j * lam
-    scale = 1.0 + float(np.abs(xi).max()) if xi.size else 1.0
-    group_tol = 1e-7 * scale
-    order = np.lexsort((xi.imag, xi.real))
-    clusters = []
-    for idx in order:
-        z = xi[idx]
-        for c in clusters:
-            if abs(z - c[0] / c[1]) <= group_tol:
-                c[0] += z
-                c[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-
-    roots = [total / mult for total, mult in clusters]
-    real = on_real_axis(np.abs(np.imag(roots)), sym.m)
-    out = []
-    for root, (_, mult), on_axis in zip(roots, clusters, real):
-        if on_axis:
-            half = "real"
-        elif root.imag > 0:
-            half = "upper"
-        else:
-            half = "lower"
-        out.append((root, mult, half))
-    if not allow_real and any(h == "real" for _, _, h in out):
-        bad = [r for r, _, h in out if h == "real"]
-        raise DefectMode(
-            f"mode {sym.m} has characteristic roots on the real axis: {bad}",
-            mode=sym.m,
-            roots=bad,
-        )
-    return out
+    lam = np.linalg.eigvals(companion_matrix(sym))[None]
+    roots, mult, half = root_table(lam, [sym.m], allow_real)
+    return [
+        (root, int(m), _HALVES[int(h) + 1]) for root, m, h in zip(roots[0], mult[0], half[0]) if m
+    ]
 
 
 def riesz_projector(M, contour, tol=1e-10):
@@ -288,7 +370,7 @@ def matrix_power(a, t, cut_angle=np.pi, tol=1e-10):
     # the start is sized from the poles alone: the branch point is a
     # weaker singularity, and a start sized from it overshoots the count
     # the doubling loop needs on most spectra
-    contour = Contour.circle(center, radius, _sized_nodes(spread, radius))
+    contour = Contour.circle(center, radius, _sized_nodes(spread / radius))
 
     eye = np.eye(d, dtype=complex)
 

@@ -33,11 +33,19 @@ class SignIterationStalled(DefectMode):
         self.index = index
 
 
-class ContourNotConverged(CalderonError):
+class _StackError(CalderonError):
+    """A failure at one entry of a stack; ``index`` is its position."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
+
+
+class ContourNotConverged(_StackError):
     """Node doubling exceeded the node budget without convergence."""
 
 
-class EigenvalueOnContour(CalderonError):
+class EigenvalueOnContour(_StackError):
     """An eigenvalue lies on (or too close to) the integration contour."""
 
 

@@ -14,23 +14,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import orthonormal_range_sweep
+from ._kernels import inverse_sweep, orthonormal_range_sweep
 from .contour import (
     Contour,
+    _enclosing_circles,
+    _mode_at,
     _sized_nodes,
     contour_quadrature,
-    enclosing_circle,
-    group_roots,
+    root_table,
     spectral_split,
 )
-from .errors import CalderonError, IllConditionedFrame, SingularBlock, SpecError
+from .errors import (
+    CalderonError,
+    ContourNotConverged,
+    EigenvalueOnContour,
+    IllConditionedFrame,
+    SingularBlock,
+    SpecError,
+)
 from .symbols import (  # the stack builders and the defect scan are re-exported
+    _companion,
     companion_matrix,
     companion_stack,
     mode_lattice,
     mode_matrix_stack,
-    mode_symbol,
     scan_defect_modes,
+    symbol_values,
 )
 
 __all__ = [
@@ -43,6 +52,7 @@ __all__ = [
     "invert_jump_operator",
     "layer_potential_blocks",
     "calderon_projector",
+    "calderon_projector_stack",
     "sobolev_weights",
     "orthogonal_projector",
     "entry_growth_fit",
@@ -51,6 +61,7 @@ __all__ = [
 ]
 
 _AGREEMENT_TOL = 1e-8  # residue route against contour quadrature, relative
+_QUAD_TOL = 1e-10  # node-doubling agreement of the layer route's circles
 
 
 @dataclass
@@ -70,6 +81,8 @@ class CauchyFrame:
             raise SpecError(f"side must be plus or minus, got {self.side!r}")
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape[1]:
+            if not np.abs(self.matrix).max(axis=0).all():
+                raise IllConditionedFrame(f"frame at mode {self.m} has a zero column")
             svals = np.linalg.svd(self.matrix / np.abs(self.matrix).max(), compute_uv=False)
             if svals[-1] <= 1e-10:
                 raise IllConditionedFrame(f"frame columns at mode {self.m} are dependent")
@@ -148,11 +161,16 @@ def jump_operator(sym):
     """Block anti-Hankel matrix pairing Cauchy data with delta-layer
     densities: block ``(q, p)`` equals ``A_{q+p+1}(m)`` when the index
     stays within the order, zero below the anti-diagonal."""
-    k, r = sym.k, sym.r
-    out = np.zeros((r * k, r * k), dtype=complex)
+    return _jump(sym.A)
+
+
+def _jump(A):
+    """Jump operators from an ``A`` stack ``(k+1, ..., r, r)``."""
+    k, r = A.shape[0] - 1, A.shape[-1]
+    out = np.zeros(A.shape[1:-2] + (r * k, r * k), dtype=complex)
     for q in range(k):
         for p in range(k - q):
-            out[q * r : (q + 1) * r, p * r : (p + 1) * r] = sym.A[q + p + 1]
+            out[..., q * r : (q + 1) * r, p * r : (p + 1) * r] = A[q + p + 1]
     return out
 
 
@@ -211,18 +229,98 @@ def _adjugate(M):
     return np.swapaxes(sign * np.linalg.det(M[..., rows, cols]), -1, -2)
 
 
-def _powers_of_inverse(sym, n_powers):
-    powers = np.arange(n_powers)
-
-    def f(z):
-        inv = np.linalg.inv(sym(z))
-        zp = z[:, None] ** powers[None, :]
-        return zp[:, :, None, None] * inv[:, None, :, :]
-
-    return f
+@functools.lru_cache(maxsize=8)
+def _block_tables(k):
+    """Block ``(q, p)`` of the layer blocks is ``i^{p+q+1}`` times the
+    integral of power ``p + q``: the power index and phase tables."""
+    phase = np.array([[(1j) ** (p + q + 1) for p in range(k)] for q in range(k)])
+    return np.add.outer(np.arange(k), np.arange(k)), phase[:, :, None, None]
 
 
-def layer_potential_blocks(sym, quad_tol=1e-10, cross_check=True):
+def _blocks(J, k):
+    """Layer blocks ``(N, rk, rk)`` from integrals ``J`` of shape
+    ``(N, 2k-1, r, r)``, one per power of ``xi``."""
+    index, phase = _block_tables(k)
+    N, r = J.shape[0], J.shape[-1]
+    return (phase * J[:, index]).transpose(0, 1, 3, 2, 4).reshape(N, k * r, k * r)
+
+
+def _layer_blocks(A, modes, cross_check):
+    """Layer blocks of a mode stack: ``A`` is ``(k+1, N, r, r)`` and
+    ``modes`` holds one mode per row; see :func:`layer_potential_blocks`.
+
+    Every failure names its mode: DefectMode, EigenvalueOnContour,
+    ContourNotConverged and the residue/quadrature disagreement.
+    """
+    k, N, r = A.shape[0] - 1, A.shape[1], A.shape[-1]
+    powers = np.arange(2 * k - 1)
+    lam = np.linalg.eigvals(_companion(A))
+    roots, mult, half = root_table(lam, modes)
+    upper = mult * (half > 0)  # multiplicity of each upper root, 0 elsewhere
+    J = np.zeros((N, powers.size, r, r), dtype=complex)
+
+    # simple roots: residue adj a(xi_l) / (d/dxi det a)(xi_l), where
+    # det a(xi) = det A_k * prod_j (i xi - lam_j)
+    rows, cols = np.nonzero(upper == 1)
+    if rows.size:
+        simple = roots[rows, cols]
+        diff = 1j * simple[:, None] - lam[rows]
+        diff[np.arange(simple.size), np.abs(diff).argmin(axis=1)] = 1.0
+        denom = np.linalg.det(A[k][rows]) * 1j * diff.prod(axis=1)
+        res = _adjugate(symbol_values(A[:, rows], simple)) / denom[:, None, None]
+        np.add.at(J, rows, (simple[:, None] ** powers)[:, :, None, None] * res[:, None])
+
+    # circles, integrated on one shared grid: a local one around each
+    # multiple upper root, clear of the other roots, and with cross_check
+    # one per mode around all its upper roots, clear of the rest
+    local, cols = np.nonzero(upper > 1)
+    parts = []  # (owner mode, center, radius, rho) of each circle
+    if local.size:
+        centers = roots[local, cols]
+        dist = np.abs(roots[local] - centers[:, None])
+        gap = np.where((mult[local] > 0) & (dist > 0), dist, np.inf).min(axis=1)
+        radii = np.where(np.isinf(gap), np.maximum(0.5, 0.5 * np.abs(centers)), 0.45 * gap)
+        parts.append((local, centers, radii, radii / gap))
+    checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
+    rows = checked if checked.size < N else slice(None)  # a view when all are checked
+    try:
+        if checked.size:
+            inside, outside = upper[rows] > 0, mult[rows] > upper[rows]
+            parts.append((checked, *_enclosing_circles(roots[rows], inside, outside)))
+        if parts:
+            owner, centers, radii, rho = (
+                parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
+            )
+            Ao = A[:, rows if owner is checked else owner, None]  # the circles' symbols
+
+            def integrand(z, idx):
+                inv = inverse_sweep(symbol_values(Ao[:, idx], z))
+                return (z[..., None] ** powers)[..., None, None] * inv[..., None, :, :]
+
+            # one start for the stack, sized from its slowest circle
+            stack = Contour.circle(centers, radii, _sized_nodes(rho.max()))
+            values, _ = contour_quadrature(integrand, stack, tol=_QUAD_TOL)
+    except (EigenvalueOnContour, ContourNotConverged) as exc:
+        i = (checked if isinstance(exc, EigenvalueOnContour) else owner)[exc.index]
+        raise type(exc)(f"{exc} at mode {_mode_at(modes, i)}", index=int(i)) from exc
+    if local.size:
+        np.add.at(J, local, values[: local.size])
+
+    # the blocks scale J by powers of i, exactly, so comparing J compares them
+    if checked.size:
+        Jc = J[rows]
+        err = np.abs(Jc - values[local.size :]).max(axis=(1, 2, 3))
+        bad = err > _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3)))
+        if bad.any():
+            i = int(bad.argmax())
+            raise CalderonError(
+                f"layer-potential routes disagree at mode {_mode_at(modes, checked[i])}: "
+                f"{err[i]:.3e}"
+            )
+    return _blocks(J, k)
+
+
+def layer_potential_blocks(sym, cross_check=True):
     """Boundary blocks of the decaying solution operator.
 
     Block ``(q, p)`` is ``i^{p+q+1}`` times the counter-clockwise
@@ -234,80 +332,52 @@ def layer_potential_blocks(sym, quad_tol=1e-10, cross_check=True):
     * global contour quadrature around the whole upper root group,
 
     and with ``cross_check`` both must agree to 1e-8 relative to the
-    block scale.
+    block scale.  This is the N=1 call of the stacked route behind
+    :func:`calderon_projector_stack`.
     """
-    k, r = sym.k, sym.r
-    n_powers = 2 * k - 1
-    lam = np.linalg.eigvals(companion_matrix(sym))
-    roots = group_roots(sym, lam)
-    upper = [c for c in roots if c[2] == "upper"]
-    J = np.zeros((n_powers, r, r), dtype=complex)
-    powers = np.arange(n_powers)
-
-    # simple roots: residue adj a(xi_l) / (d/dxi det a)(xi_l), where
-    # det a(xi) = det A_k * prod_j (i xi - lam_j)
-    simple = np.array([root for root, mult, _ in upper if mult == 1], dtype=complex)
-    if simple.size:
-        diff = 1j * simple[:, None] - lam[None, :]
-        diff[np.arange(simple.size), np.abs(diff).argmin(axis=1)] = 1.0
-        denom = np.linalg.det(sym.A[k]) * 1j * diff.prod(axis=1)
-        res = _adjugate(sym(simple)) / denom[:, None, None]
-        J += np.tensordot(simple[:, None] ** powers, res, axes=(0, 0))
-    for root, mult, _ in upper:
-        if mult > 1:
-            others = [c[0] for c in roots if abs(c[0] - root) > 0]
-            if others:
-                gap = min(abs(root - o) for o in others)
-                radius = 0.45 * gap
-            else:
-                radius = max(0.5, 0.5 * abs(root))
-                gap = np.inf
-            circle = Contour.circle(root, radius, _sized_nodes(0.0, radius, gap))
-            val, _ = contour_quadrature(_powers_of_inverse(sym, n_powers), circle, tol=quad_tol)
-            J += val
-
-    def assemble(j_w):
-        out = np.zeros((r * k, r * k), dtype=complex)
-        for q in range(k):
-            for p in range(k):
-                out[q * r : (q + 1) * r, p * r : (p + 1) * r] = (1j) ** (p + q + 1) * j_w[p + q]
-        return out
-
-    B = assemble(J)
-
-    if cross_check and upper:
-        centers = np.array([c[0] for c in upper])
-        excluded = np.array([c[0] for c in roots if c[2] != "upper"])
-        circle = enclosing_circle(centers, excluded=excluded)
-        Jq, _ = contour_quadrature(_powers_of_inverse(sym, n_powers), circle, tol=quad_tol)
-        Bq = assemble(Jq)
-        err = np.abs(B - Bq).max()
-        if err > _AGREEMENT_TOL * (1.0 + np.abs(B).max()):
-            raise CalderonError(
-                f"layer-potential routes disagree at mode {sym.m}: {err:.3e}"
-            )
-    return B
+    return _layer_blocks(sym.A[:, None], [sym.m], cross_check)[0]
 
 
-def calderon_projector(sym, side="plus", quad_tol=1e-10, cross_check=True):
+def calderon_projector(sym, side="plus", cross_check=True):
     """Projector onto one side's Cauchy-data space along the other.
 
     The plus projector is the layer-potential block matrix times the
     jump operator; the minus one is its complement, exactly.  The plus
-    matrix is kept on ``sym`` per ``(quad_tol, cross_check)``, so asking
-    for both sides of one symbol runs the layer route, and its
-    cross-check, once.  The returned matrix is the caller's own copy.
+    matrix is kept on ``sym`` per ``cross_check``, so asking for both
+    sides of one symbol runs the layer route, and its cross-check, once.
+    The returned matrix is the caller's own copy.
     """
     if side not in ("plus", "minus"):
         raise SpecError(f"side must be plus or minus, got {side!r}")
-    key = (quad_tol, bool(cross_check))
+    key = bool(cross_check)
     R = sym._routes.get(key)
     if R is None:
-        B = layer_potential_blocks(sym, quad_tol=quad_tol, cross_check=cross_check)
-        R = sym._routes[key] = B @ jump_operator(sym)
+        R = sym._routes[key] = layer_potential_blocks(sym, cross_check=key) @ jump_operator(sym)
     if side == "minus":
         return BlockProjector(m=sym.m, matrix=np.eye(R.shape[0], dtype=complex) - R, kind="Rminus")
     return BlockProjector(m=sym.m, matrix=R.copy(), kind="Rplus")
+
+
+def calderon_projector_stack(spec, modes, side="plus"):
+    """The :func:`calderon_projector` matrices of a stack of modes, one
+    mode per row of ``modes``: shape ``(N, rk, rk)``.
+
+    One run of the layer route serves the whole stack, with its
+    residue/quadrature cross-check on every mode.  Row ``i`` equals the
+    single-mode matrix of ``modes[i]``: bit for bit when that mode's
+    upper roots are simple, to rounding at a multiple root, whose local
+    circle the stack sums on its own node levels.
+    """
+    if side not in ("plus", "minus"):
+        raise SpecError(f"side must be plus or minus, got {side!r}")
+    modes = np.asarray(modes)
+    if modes.ndim != 2 or modes.shape[1] != spec.n - 1:
+        raise SpecError(f"modes must have shape (N, {spec.n - 1}), got {modes.shape}")
+    A = mode_matrix_stack(spec, modes)
+    R = _layer_blocks(A, modes, True) @ _jump(A)
+    if side == "minus":
+        return np.eye(R.shape[-1], dtype=complex) - R
+    return R
 
 
 def orthogonal_projector(frame_or_proj, weight):
@@ -402,18 +472,14 @@ def entry_growth_fit(spec, side, modes):
     identically zero across the range yields NaN (degenerate fit, not a
     number).  The mode range must span at least a decade.
     """
-    mode_list = [np.atleast_1d(m) for m in modes]
-    radii = np.array([np.linalg.norm(m) for m in mode_list])
+    modes = np.array([np.atleast_1d(m) for m in modes])
+    radii = np.linalg.norm(modes, axis=1)
     if radii.min() <= 0 or radii.max() / radii.min() < 10.0:
         raise SpecError("mode range must span at least one decade away from zero")
     k, r = spec.k, spec.r
-    norms = np.zeros((k, k, len(mode_list)))
-    for idx, m in enumerate(mode_list):
-        R = calderon_projector(mode_symbol(spec, m), side).matrix
-        for q in range(k):
-            for j in range(k):
-                block = R[q * r : (q + 1) * r, j * r : (j + 1) * r]
-                norms[q, j, idx] = np.linalg.norm(block, 2)
+    R = calderon_projector_stack(spec, modes, side)
+    blocks = R.reshape(-1, k, r, k, r).transpose(1, 3, 0, 2, 4)
+    norms = np.linalg.norm(blocks, 2, axis=(-2, -1))  # (k, k, N)
     slopes = np.full((k, k), np.nan)
     scale = norms.max()
     logx = np.log(radii)

@@ -94,7 +94,7 @@ class ModeSymbol:
     spec: OperatorSpec
     m: tuple
     A: np.ndarray  # (k+1, r, r)
-    # plus-side projector matrices by (quad_tol, cross_check), filled by
+    # plus-side projector matrices by cross_check, filled by
     # projector.calderon_projector
     _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -117,11 +117,17 @@ class ModeSymbol:
         Accepts a scalar or an array of xi_n values; in the array case
         the result has shape (len(xi_n), r, r).
         """
-        xi = np.asarray(xi_n, dtype=complex)
-        out = np.zeros(xi.shape + (self.r, self.r), dtype=complex)
-        for q in range(self.k + 1):
-            out += ((1j * xi) ** q)[..., None, None] * self.A[q]
-        return out
+        return symbol_values(self.A, np.asarray(xi_n, dtype=complex))
+
+
+def symbol_values(A, xi):
+    """``sum_q A_q (i xi)^q`` for an ``A`` stack of shape
+    ``(k+1, ..., r, r)``; its middle axes broadcast against ``xi``'s."""
+    iz = 1j * xi
+    out = 0 + A[0]  # equals the q = 0 term (i xi)^0 A_0 added to zero
+    for q in range(1, A.shape[0]):
+        out = out + (iz**q)[..., None, None] * A[q]
+    return out
 
 
 def _companion(A):

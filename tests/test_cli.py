@@ -166,6 +166,22 @@ def test_parse_error_gives_machine_readable_record(tmp_path, capsys):
     assert record["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["projector", "--spec", "SPEC", "--mode", "1.5"],
+        ["projector", "--spec", "SPEC", "--mode", "x"],
+        ["write-spec", "dbar", "-p", "mu=abc"],
+        ["write-spec", "dbar", "-p", "mu"],
+    ],
+)
+def test_malformed_numbers_give_a_spec_error_record(specs, capsys, argv):
+    argv = [specs["laplace1"] if a == "SPEC" else a for a in argv]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "SpecError"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["ellipticity", "--spec", "does-not-exist.spec"]) == 2
     record = json.loads(capsys.readouterr().out)

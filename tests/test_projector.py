@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from calderon import projector
-from calderon.errors import DefectMode, IllConditionedFrame, SingularBlock, SpecError
+from calderon._kernels import stable_projector_sweep
+from calderon.acceptance import _acceptance_specs
+from calderon.errors import (
+    ContourNotConverged,
+    DefectMode,
+    IllConditionedFrame,
+    SingularBlock,
+    SpecError,
+)
 from calderon.projector import (
     _adjugate,
     calderon_projector,
+    calderon_projector_stack,
     cauchy_frame_oracle,
     companion_matrix,
     companion_stack,
@@ -22,9 +31,9 @@ from calderon.projector import (
     scan_defect_modes,
     sobolev_weights,
 )
-from calderon.contour import characteristic_roots, spectral_split
+from calderon.contour import characteristic_roots, root_table, spectral_split
 from calderon.grassmann import assemble_point
-from calderon.symbols import build_gallery, mode_key, mode_symbol, selfadjoint_double
+from calderon.symbols import build_gallery, defect_screen, mode_key, mode_symbol, selfadjoint_double
 
 from test_symbols import GALLERY, sample_modes
 
@@ -357,9 +366,105 @@ def test_checked_request_never_reuses_an_unchecked_route(monkeypatch):
     assert len(quadratures) == 1
     calderon_projector(sym, "minus", cross_check=True)
     assert len(quadratures) == 1
-    calderon_projector(sym, "minus", quad_tol=1e-12)
-    assert len(quadratures) == 2
     assert np.array_equal(checked, unchecked)
+
+
+def _criterion_one_stacks():
+    for spec, cutoff in _acceptance_specs():
+        lattice = mode_lattice(spec.n, cutoff)
+        yield spec, lattice[~defect_screen(spec, lattice)[2]]
+
+
+def test_stacked_projector_is_the_sign_projector_and_each_single_mode_row():
+    # third route: the batched sign-iteration projector of the companion stack
+    for spec, modes in _criterion_one_stacks():
+        R = calderon_projector_stack(spec, modes, "plus")
+        P = stable_projector_sweep(companion_stack(spec, modes))
+        gap = np.abs(R - P).max(axis=(1, 2)) / (1.0 + np.abs(P).max(axis=(1, 2)))
+        assert gap.max() <= 1e-10, spec.name
+        minus = calderon_projector_stack(spec, modes, "minus")
+        assert np.array_equal(minus, np.eye(R.shape[-1]) - R)
+        for m, row in zip(modes, R):
+            assert np.array_equal(calderon_projector(mode_symbol(spec, m)).matrix, row)
+
+
+def _double_root_family():
+    # (d_n + 1)^2 - d_tau^2: roots i + m and i - m, one double root at m = 0
+    terms = {(2, (0,)): [[1.0]], (1, (0,)): [[2.0]], (0, (0,)): [[1.0]], (0, (2,)): [[-1.0]]}
+    return build_gallery("custom", n=2, r=1, k=2, terms=terms)
+
+
+def test_stack_takes_the_local_circle_at_a_double_root(monkeypatch):
+    spec = _double_root_family()
+    modes = np.arange(-3, 4)[:, None]
+    _, mult, _ = root_table(np.linalg.eigvals(companion_stack(spec, modes)), modes)
+    assert mult.max(axis=1).tolist() == [1, 1, 1, 2, 1, 1, 1]
+    R = calderon_projector_stack(spec, modes)
+    assert np.abs(R - np.eye(2)).max() < 1e-8  # every solution decays
+    # a stack sums the local circle on its own node levels, so the double
+    # root's row agrees with the single-mode call to rounding, not bitwise
+    for m, row in zip(modes, R):
+        single = calderon_projector(mode_symbol(spec, m)).matrix
+        assert np.abs(single - row).max() <= 1e-13
+        assert np.array_equal(single, row) or m[0] == 0
+    # the double root's local circle and every mode's cross-check circle
+    # are one stack in one quadrature call
+    calls = _counting(monkeypatch, "contour_quadrature")
+    calderon_projector_stack(spec, modes)
+    assert len(calls) == 1
+
+
+def test_stack_names_its_defect_mode():
+    spec = build_gallery("dbar", mu=0.0)  # real root at m = 0 only
+    with pytest.raises(DefectMode) as info:
+        calderon_projector_stack(spec, np.array([[3], [-2], [0], [1]]))
+    assert info.value.mode == (0,)
+    with pytest.raises(SpecError):
+        calderon_projector_stack(spec, np.array([3, 1]))
+
+
+def test_stack_names_the_mode_whose_circle_did_not_converge(monkeypatch):
+    # dbar's root i (mu - m) is upper for m < mu only, so m = 3 has no
+    # circle and the stack's only circle is that of m = -2, its second row
+    monkeypatch.setattr(projector, "_QUAD_TOL", 1e-30)
+    with pytest.raises(ContourNotConverged, match=r"at mode \(-2,\)") as info:
+        calderon_projector_stack(build_gallery("dbar", mu=0.5), np.array([[3], [-2]]))
+    assert info.value.index == 1
+
+
+def _greedy_clusters(xi):
+    # reference: the grouping loop the root table replaced, which merges
+    # each root, in (real, imag) order, into the first cluster whose mean
+    # lies within 1e-7 (1 + max |xi|)
+    tol = 1e-7 * (1.0 + np.abs(xi).max())
+    clusters = []
+    for z in xi[np.lexsort((xi.imag, xi.real))]:
+        for c in clusters:
+            if abs(z - c[0] / c[1]) <= tol:
+                c[0] += z
+                c[1] += 1
+                break
+        else:
+            clusters.append([z, 1])
+    return [(total / mult, mult) for total, mult in clusters]
+
+
+def test_root_clusters_keep_the_greedy_grouping_at_its_edges():
+    rng = np.random.default_rng(12)
+    rows = []
+    for offset in (1e-9, 1e-6, 3e-8, 3e-7):
+        base = rng.normal(size=4) + 1j * rng.normal(size=4) + 0.5j
+        scale = 1.0 + np.abs(base).max()
+        rows.append(np.concatenate([base[:3], [base[0] + offset * scale]]))
+    rows.append(np.array([1j, 1j + 4e-8, 1j - 4e-8 * 1j, 2 + 1j]))  # a triple root
+    xi = np.array(rows)
+    roots, mult, half = root_table(1j * xi, np.zeros((len(xi), 1)))
+    for r, m, x in zip(roots, mult, xi):
+        ref = _greedy_clusters(x)
+        assert m[m > 0].tolist() == [c[1] for c in ref]
+        assert np.abs(r[m > 0] - [c[0] for c in ref]).max() <= 1e-15 * (1 + np.abs(x).max())
+    assert mult[0].max() == 2 and mult[1].max() == 1  # 1e-9 merges, 1e-6 does not
+    assert mult[4].max() == 3 and (half[mult > 0] != 0).all()
 
 
 def _cofactor_adjugate(M):
@@ -521,6 +626,9 @@ def test_ill_conditioned_frame_rejected():
 
     with pytest.raises(IllConditionedFrame):
         CauchyFrame(m=(0,), matrix=frame_matrix, side="plus")
+    for zero_column in (np.zeros((2, 1)), np.array([[1.0, 0.0], [2.0, 0.0]])):
+        with pytest.raises(IllConditionedFrame):
+            CauchyFrame(m=(0,), matrix=zero_column, side="plus")
 
 
 def test_principal_symbol_dependence_decay():
