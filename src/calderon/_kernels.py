@@ -13,7 +13,6 @@ from .errors import SignIterationStalled
 
 _SIGN_TOL = 1e-13
 _SIGN_MAXIT = 100
-_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _as_stack(mats):
@@ -58,25 +57,6 @@ def _sign(mats):
 def eigvals_sweep(mats):
     """Eigenvalues of every matrix in a ``(n, d, d)`` stack."""
     return np.linalg.eigvals(_as_stack(mats))
-
-
-def inverse_sweep(mats):
-    """Inverses of every matrix in a ``(..., d, d)`` stack.
-
-    Up to 2 x 2 they come in closed form, a few elementwise operations
-    over the whole stack: at these sizes one LAPACK call per matrix costs
-    several times the arithmetic.  Larger matrices go through
-    ``np.linalg.inv``.  The matrices must be nonsingular.
-    """
-    d = mats.shape[-1]
-    if d > 2:
-        return np.linalg.inv(mats)
-    if d == 1:
-        return 1.0 / mats
-    # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: both axes reversed, transposed, signed
-    adj = np.swapaxes(mats[..., ::-1, ::-1], -1, -2) * _COFACTOR_SIGNS
-    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    return adj / det[..., None, None]
 
 
 def svdvals_sweep(mats):

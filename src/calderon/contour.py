@@ -5,7 +5,6 @@ which converges exponentially for integrands analytic in a neighborhood
 of the contour; node doubling supplies the error estimate.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,7 @@ class Contour:
         if np.ndim(center):
             radius = np.asarray(radius, dtype=float)
             return cls(np.asarray(center, dtype=complex), (radius, radius), int(nodes))
-        radius = float(radius)
-        return cls(complex(center), (radius, radius), nodes)
+        return cls(complex(center), (float(radius), float(radius)), nodes)
 
     @classmethod
     def ellipse(cls, center, a, b, nodes=16):
@@ -63,7 +61,7 @@ class Contour:
 
     def boundary(self, n):
         """Nodes z_j and derivatives dz/dtheta at n equispaced angles."""
-        return _on_curve(self.center, *self.radii, np.exp(2j * np.pi * np.arange(n) / n))
+        return _on_curve(self.center, *self.radii, 2 * np.pi * np.arange(n) / n)
 
     def distance(self, points):
         """Distance from each point to the contour curve."""
@@ -75,24 +73,12 @@ class Contour:
         return np.abs(pts[:, None] - zb[None, :]).min(axis=1)
 
 
-def _on_curve(center, a, b, w):
+def _on_curve(center, a, b, t):
     """Nodes and derivatives dz/dtheta of the curve
-    ``center + a cos t + i b sin t`` at the unit points ``w = e^{it}``; the
-    arguments broadcast, and ``a is b`` marks a circle (or a stack of them)."""
-    if a is b:
-        aw = a * w
-        return center + aw, 1j * aw
-    return center + a * w.real + 1j * (b * w.imag), 1j * (b * w.real) - a * w.imag
-
-
-@functools.lru_cache(maxsize=32)
-def _grid(n, first):
-    """Unit points ``e^{it}`` the doubling loop evaluates at: the first
-    call's 2n-node grid, or else the n midpoints that level 2n adds."""
-    t = np.pi * np.arange(2 * n) / n if first else 2 * np.pi * (np.arange(n) + 0.5) / n
-    w = np.cos(t) + 1j * np.sin(t)
-    w.setflags(write=False)  # shared by every call at this level
-    return w
+    ``center + a cos t + i b sin t`` at the angles ``t``; the arguments
+    broadcast, so one angle grid serves a stack of curves."""
+    cos, sin = np.cos(t), np.sin(t)
+    return center + a * cos + 1j * b * sin, -a * sin + 1j * b * cos
 
 
 def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
@@ -115,19 +101,20 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
 
     Returns
     -------
-    (value, n) : the converged integral and the node count that achieved
-    it; for a stack, the integrals along a leading axis and each
-    circle's node count.  The first call of ``f`` takes the start grid
-    and its midpoints, so the first doubling is compared without a
-    second call; each later doubling evaluates only the new midpoints,
-    on the circles that have not converged.  ``f`` is evaluated at ``n``
-    nodes per circle in all.
+    (values, counts) : for a stack, the converged integrals along a
+    leading axis and the node count that achieved each; for one contour,
+    the N=1 view ``(value, n)``.  The first call of ``f`` takes the
+    start grid and its midpoints, so the first doubling is compared
+    without a second call; each later doubling evaluates only the new
+    midpoints, on the circles that have not converged.  ``f`` is
+    evaluated at ``n`` nodes per circle in all.
 
     Raises
     ------
     ContourNotConverged
-        When doubling passes ``max_nodes`` without agreement; its
-        ``index`` is the first circle of the stack that did not converge.
+        When doubling passes ``max_nodes`` without agreement (a NaN
+        integral never agrees); its ``index`` is the first circle of the
+        stack that did not converge.
     """
     stacked = np.ndim(contour.center) > 0
     if not stacked:
@@ -136,20 +123,18 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
         def f(z, rows):
             return np.asarray(single(z[0]))[None]
 
-    circle = contour.radii[0] is contour.radii[1]
     center, a, b = (np.atleast_1d(x)[:, None] for x in (contour.center, *contour.radii))
-    b = a if circle else b
-    rows = np.arange(len(center))
+    rows = np.arange(len(center))  # the circles still doubling
 
-    def sums(w, parts):
-        # sums of f(z) dz/dtheta over the nodes at the unit points w, per
+    def sums(t, parts):
+        # sums of f(z) dz/dtheta over the nodes at the angles t, per
         # circle and interleaved subgrid (node j of subgrid i is node
         # j parts + i), as one product that needs no weighted copy of f's values
-        z, dz = _on_curve(center, a, b, w)
+        z, dz = _on_curve(center, a, b, t)
         vals = np.asarray(f(z, rows), dtype=complex)
         if vals.shape[:2] != z.shape:
             raise ValueError("integrand must be vectorized over the node axis")
-        R, m = len(z), w.size // parts
+        R, m = len(z), t.size // parts
         grid = dz.reshape(R, m, parts).transpose(0, 2, 1)[:, :, None, :]
         out = grid @ vals.reshape(R, m, parts, -1).transpose(0, 2, 1, 3)
         return out[:, :, 0], vals.shape[2:]
@@ -159,38 +144,33 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
         raise ContourNotConverged(f"no convergence with up to {max_nodes} nodes")
     # the first call takes the 2n-node grid, whose even nodes are the
     # n-node grid, so it yields both estimates of the first comparison
-    both, shape = sums(_grid(n, True), 2)
+    both, shape = sums(np.pi * np.arange(2 * n) / n, 2)
     prev = both[:, 0] / (1j * n)
     total = both[:, 0] + both[:, 1]
     n *= 2
-    early = []  # (rows, values, n) of circles that converged before the rest
+    values, counts = np.empty_like(total), np.empty(len(rows), dtype=int)
     while True:
-        value = total / (1j * n)
+        values[rows] = value = total / (1j * n)
+        counts[rows] = n
         err = np.abs(value - prev).max(axis=1)
-        going = err > tol * np.maximum(1.0, np.abs(value).max(axis=1))
+        going = ~(err <= tol * np.maximum(1.0, np.abs(value).max(axis=1)))  # NaN keeps going
         if not going.any():
             break
         if 2 * n > max_nodes:
             raise ContourNotConverged(
                 f"no convergence with up to {max_nodes} nodes", index=int(rows[going.argmax()])
             )
-        if not going.all():
-            early.append((rows[~going], value[~going], n))
-        rows, center, a = rows[going], center[going], a[going]
-        b = a if circle else b[going]
+        rows, center, a, b = rows[going], center[going], a[going], b[going]
         prev, total = value[going], total[going]
         # the 2n-node grid is the n-node grid plus its midpoints, so each
         # later call evaluates f only at the nodes the previous ones lacked
-        new, _ = sums(_grid(n, False), 1)
+        new, _ = sums(2 * np.pi * (np.arange(n) + 0.5) / n, 1)
         total = total + new[:, 0]
         n *= 2
-    if not stacked:
-        return value[0].reshape(shape)[()], n  # [()]: a scalar for scalar f
-    values = np.empty((len(rows) + sum(len(e[0]) for e in early),) + value.shape[1:], complex)
-    counts = np.empty(len(values), dtype=int)
-    for r, v, m in early + [(rows, value, n)]:
-        values[r], counts[r] = v, m
-    return values.reshape(values.shape[:1] + shape), counts
+    values = values.reshape(values.shape[:1] + shape)
+    if stacked:
+        return values, counts
+    return values[0][()], int(counts[0])  # [()]: a scalar for scalar f
 
 
 def _sized_nodes(rho):
@@ -273,14 +253,13 @@ def root_table(lam, modes, allow_real=False):
     unless ``allow_real``.
     """
     tol = 1e-7 * (1.0 + np.abs(lam).max(axis=1))[:, None, None]
-    xi = -1j * lam
-    rows = np.arange(len(xi))[:, None]
-    xi = xi[rows, np.lexsort((xi.imag, xi.real))]
+    xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
     close = np.abs(xi[:, :, None] - xi[:, None, :]) <= tol
     roots, mult = xi, np.ones(xi.shape, dtype=int)
     if close.sum() > close.shape[0] * close.shape[1]:  # some roots lie within tol
         # each root points at the first root within tol of it; following
         # the pointers, which only go back, ends at its cluster's first root
+        rows = np.arange(len(xi))[:, None]
         label = close.argmax(axis=2)
         for _ in range(max(xi.shape[1] - 2, 0).bit_length()):
             label = label[rows, label]

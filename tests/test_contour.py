@@ -70,6 +70,37 @@ def test_quadrature_gives_up_on_nonanalytic_data():
     assert sum(evaluated) == 256  # every level reuses the nodes before it
 
 
+def test_stack_of_circles_matches_each_circle_alone():
+    # poles ever closer to the contour: the circles leave the doubling
+    # loop at different levels, and each keeps its own value and count
+    poles = np.array([0.1, 0.7, 0.9, -0.95j])
+    centers, radii = np.array([0, 0, 0.5, 0]), np.array([1.0, 1.0, 0.5, 1.0])
+
+    def f(z, rows):
+        return 1 / (z - poles[rows, None])
+
+    values, counts = contour_quadrature(f, Contour.circle(centers, radii))
+    assert len(set(counts.tolist())) == 3
+    for i, (c, rad) in enumerate(zip(centers, radii)):
+        value, n = contour_quadrature(lambda z: 1 / (z - poles[i]), Contour.circle(c, rad))
+        assert counts[i] == n
+        assert abs(values[i] - value) <= 1e-15
+        assert abs(value - 1.0) <= 1e-10
+
+
+def test_nan_integral_never_converges():
+    with pytest.raises(ContourNotConverged):
+        contour_quadrature(lambda z: np.full(z.shape, np.nan), Contour.circle(0, 1.0))
+
+    def f(z, rows):  # the stack's second circle integrates NaN
+        return np.where(rows[:, None] == 1, np.nan, 1 / z)
+
+    stack = Contour.circle(np.zeros(3), np.ones(3))
+    with pytest.raises(ContourNotConverged) as info:
+        contour_quadrature(f, stack)
+    assert info.value.index == 1
+
+
 def _full_grid_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
     """Reference doubling loop that evaluates every node of every level."""
     n = max(8, contour.nodes)

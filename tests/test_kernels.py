@@ -67,11 +67,3 @@ def test_sign_iteration_rejects_imaginary_spectrum():
         _kernels.stable_projector_sweep(bad)
     assert info.value.index == 1
 
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_inverse_sweep_matches_lapack(d):
-    mats = stack(n=200, d=d, seed=10 + d).reshape(4, 50, d, d)
-    got = _kernels.inverse_sweep(mats)
-    assert got.shape == mats.shape
-    assert np.abs(got - np.linalg.inv(mats)).max() <= 1e-12 * np.abs(got).max()

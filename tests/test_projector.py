@@ -7,6 +7,7 @@ from calderon import projector
 from calderon._kernels import stable_projector_sweep
 from calderon.acceptance import _acceptance_specs
 from calderon.errors import (
+    CalderonError,
     ContourNotConverged,
     DefectMode,
     IllConditionedFrame,
@@ -421,6 +422,13 @@ def test_stack_names_its_defect_mode():
     assert info.value.mode == (0,)
     with pytest.raises(SpecError):
         calderon_projector_stack(spec, np.array([3, 1]))
+
+
+def test_nan_residues_fail_the_cross_check(monkeypatch):
+    monkeypatch.setattr(projector, "_adjugate", lambda M: np.full(M.shape, np.nan, dtype=complex))
+    sym = mode_symbol(build_gallery("laplace_mass", mu=1), 3)  # simple roots only
+    with pytest.raises(CalderonError, match=r"disagree at mode \(3,\)"):
+        calderon_projector(sym)
 
 
 def test_stack_names_the_mode_whose_circle_did_not_converge(monkeypatch):
