@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import eigvals_sweep
 from .errors import (
     CalderonError,
     ContourNotConverged,
@@ -293,7 +294,7 @@ def characteristic_roots(sym, allow_real=False):
 
     Raises DefectMode on a real-axis root unless ``allow_real``.
     """
-    lam = np.linalg.eigvals(companion_matrix(sym))[None]
+    lam = eigvals_sweep(companion_matrix(sym)[None])
     roots, mult, half = root_table(lam, [sym.m], allow_real)
     return [
         (root, int(m), _HALVES[int(h) + 1]) for root, m, h in zip(roots[0], mult[0], half[0]) if m
