@@ -39,10 +39,7 @@ class Contour:
     nodes: int = 16
 
     def __post_init__(self):
-        a, b = self.radii
-        if np.ndim(a):  # a stack of circles
-            a, b = a.min(), b.min()
-        if a <= 0 or b <= 0:
+        if np.min(self.radii) <= 0:
             raise SpecError("contour radii must be positive")
         if self.nodes < 8:
             raise SpecError("contour needs at least 8 nodes")
@@ -61,25 +58,30 @@ class Contour:
         return cls(complex(center), (float(a), float(b)), nodes)
 
     def boundary(self, n):
-        """Nodes z_j and derivatives dz/dtheta at n equispaced angles."""
-        return _on_curve(self.center, *self.radii, 2 * np.pi * np.arange(n) / n)
+        """Nodes z_j and derivatives dz/dtheta at n equispaced angles,
+        shape ``(n,)``, or ``(N, n)`` for a stack of N circles."""
+        center, a, b = (np.asarray(x)[..., None] for x in (self.center, *self.radii))
+        return _on_curve(center, a, b, np.exp(2j * np.pi / n * np.arange(n)))
 
     def distance(self, points):
-        """Distance from each point to the contour curve."""
+        """Distance from each point to the contour curve, shape ``(P,)``,
+        or ``(N, P)`` for a stack of N circles."""
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        a, b = self.radii
-        if a == b:
-            return np.abs(np.abs(pts - self.center) - a)
+        center, a, b = (np.asarray(x)[..., None] for x in (self.center, *self.radii))
+        if np.array_equal(a, b):
+            return np.abs(np.abs(pts - center) - a)
         zb, _ = self.boundary(4096)
-        return np.abs(pts[:, None] - zb[None, :]).min(axis=1)
+        return np.abs(pts[:, None] - zb[..., None, :]).min(axis=-1)
 
 
-def _on_curve(center, a, b, t):
+def _on_curve(center, a, b, e):
     """Nodes and derivatives dz/dtheta of the curve
-    ``center + a cos t + i b sin t`` at the angles ``t``; the arguments
-    broadcast, so one angle grid serves a stack of curves."""
-    cos, sin = np.cos(t), np.sin(t)
-    return center + a * cos + 1j * b * sin, -a * sin + 1j * b * cos
+    ``center + a cos t + i b sin t`` at the unit points ``e = exp(i t)``;
+    the arguments broadcast, so one angle grid serves a stack of curves."""
+    ae, s = a * e, b - a  # s = 0 on a circle
+    if s.any():  # an ellipse: the circle of radius a stretched by i s sin t
+        return center + ae + 1j * s * e.imag, 1j * ae + 1j * s * e.real
+    return center + ae, 1j * ae
 
 
 def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
@@ -127,15 +129,15 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
     center, a, b = (np.atleast_1d(x)[:, None] for x in (contour.center, *contour.radii))
     rows = np.arange(len(center))  # the circles still doubling
 
-    def sums(t, parts):
-        # sums of f(z) dz/dtheta over the nodes at the angles t, per
+    def sums(e, parts):
+        # sums of f(z) dz/dtheta over the nodes at the unit points e, per
         # circle and interleaved subgrid (node j of subgrid i is node
         # j parts + i), as one product that needs no weighted copy of f's values
-        z, dz = _on_curve(center, a, b, t)
+        z, dz = _on_curve(center, a, b, e)
         vals = np.asarray(f(z, rows), dtype=complex)
         if vals.shape[:2] != z.shape:
             raise ValueError("integrand must be vectorized over the node axis")
-        R, m = len(z), t.size // parts
+        R, m = len(z), e.size // parts
         grid = dz.reshape(R, m, parts).transpose(0, 2, 1)[:, :, None, :]
         out = grid @ vals.reshape(R, m, parts, -1).transpose(0, 2, 1, 3)
         return out[:, :, 0], vals.shape[2:]
@@ -145,17 +147,16 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
         raise ContourNotConverged(f"no convergence with up to {max_nodes} nodes")
     # the first call takes the 2n-node grid, whose even nodes are the
     # n-node grid, so it yields both estimates of the first comparison
-    both, shape = sums(np.pi * np.arange(2 * n) / n, 2)
+    both, shape = sums(np.exp(1j * np.pi / n * np.arange(2 * n)), 2)
     prev = both[:, 0] / (1j * n)
     total = both[:, 0] + both[:, 1]
     n *= 2
-    values, counts = np.empty_like(total), np.empty(len(rows), dtype=int)
+    values = value = total / (1j * n)
+    counts = np.full(len(rows), n)
     while True:
-        values[rows] = value = total / (1j * n)
-        counts[rows] = n
         err = np.abs(value - prev).max(axis=1)
         going = ~(err <= tol * np.maximum(1.0, np.abs(value).max(axis=1)))  # NaN keeps going
-        if not going.any():
+        if not np.count_nonzero(going):
             break
         if 2 * n > max_nodes:
             raise ContourNotConverged(
@@ -165,9 +166,11 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
         prev, total = value[going], total[going]
         # the 2n-node grid is the n-node grid plus its midpoints, so each
         # later call evaluates f only at the nodes the previous ones lacked
-        new, _ = sums(2 * np.pi * (np.arange(n) + 0.5) / n, 1)
+        new, _ = sums(np.exp(1j * np.pi / n * np.arange(1, 2 * n, 2)), 1)
         total = total + new[:, 0]
         n *= 2
+        values[rows] = value = total / (1j * n)
+        counts[rows] = n
     values = values.reshape(values.shape[:1] + shape)
     if stacked:
         return values, counts
@@ -201,14 +204,17 @@ def _enclosing_circles(points, inside, outside):
     spread = dist.max(axis=1, where=inside, initial=0.0)
     gap = dist.min(axis=1, where=outside, initial=np.inf)
     stuck = gap <= spread * (1 + 1e-12) + 1e-300
-    if stuck.any():
+    if np.count_nonzero(stuck):
         raise EigenvalueOnContour(
             "cannot separate the enclosed group from excluded eigenvalues",
             index=int(stuck.argmax()),
         )
-    radius = spread + 0.5 * (gap - spread)
+    # rho = max(spread / r, r / gap) is least at the geometric mean; the
+    # floor gap / 8 keeps a lone point or a tight group at rho <= 1/8
     free = np.isinf(gap)  # nothing to exclude: a margin set by the group
-    if free.any():
+    g = np.where(free, 1.0, gap)  # a finite stand-in, so no 0 * inf
+    radius = np.maximum(np.sqrt(spread * g), 0.125 * g)
+    if np.count_nonzero(free):
         margin = np.maximum(1.0, 0.5 * np.maximum(np.abs(center), spread))
         radius = np.where(free, spread + margin, radius)
     return center, radius, np.maximum(spread / radius, radius / gap)
@@ -217,13 +223,13 @@ def _enclosing_circles(points, inside, outside):
 def enclosing_circle(group, excluded=(), nodes=None):
     """Circle around an eigenvalue group, clear of excluded points.
 
-    Centered at the group mean; the radius sits halfway between the
-    group spread and the nearest excluded point, which keeps comparable
-    margins on both sides of the contour.  ``nodes`` defaults to the
-    start sized from that separation (a power of two in [16, 256], see
-    :func:`_sized_nodes`): the smallest count at which the trapezoidal
-    error bound reaches 1e-10, so :func:`contour_quadrature` usually
-    converges in one integrand call.
+    Centered at the group mean; the radius is the geometric mean of the
+    group spread and the distance to the nearest excluded point, where
+    the trapezoidal rate ``max(spread / r, r / gap)`` is least, but at
+    least ``gap / 8``.  ``nodes`` defaults to the start sized from that
+    rate (a power of two in [16, 256], see :func:`_sized_nodes`): the
+    smallest count at which the trapezoidal error bound reaches 1e-10,
+    so :func:`contour_quadrature` usually converges in one integrand call.
     """
     group = np.atleast_1d(np.asarray(group, dtype=complex))
     if group.size == 0:
@@ -257,7 +263,7 @@ def root_table(lam, modes, allow_real=False):
     xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
     close = np.abs(xi[:, :, None] - xi[:, None, :]) <= tol
     roots, mult = xi, np.ones(xi.shape, dtype=int)
-    if close.sum() > close.shape[0] * close.shape[1]:  # some roots lie within tol
+    if np.count_nonzero(close) > close.shape[0] * close.shape[1]:  # some roots lie within tol
         # each root points at the first root within tol of it; following
         # the pointers, which only go back, ends at its cluster's first root
         rows = np.arange(len(xi))[:, None]
@@ -269,7 +275,7 @@ def root_table(lam, modes, allow_real=False):
         roots = (member * xi[:, :, None]).sum(axis=1) / np.maximum(mult, 1)
     real = on_real_axis(np.abs(roots.imag), np.asarray(modes, dtype=float)[:, None])
     half = np.copysign(~real, roots.imag)
-    if not allow_real and real.any():
+    if not allow_real and np.count_nonzero(real):
         bad = real & (mult > 0)  # clusters are judged by their means
         if bad.any():
             i = int(bad.any(axis=1).argmax())

@@ -197,16 +197,11 @@ def invert_jump_operator(a_op, block_size):
     eye = np.eye(r, dtype=complex)
     for p in range(k):
         for j in range(k):
-            rhs = eye if j == k - 1 - p else np.zeros((r, r), dtype=complex)
-            acc = rhs.astype(complex)
+            acc = eye * (j == k - 1 - p)
             for pp in range(p):
                 acc = acc - blocks[k - p + pp] @ X[pp, j]
             X[p, j] = top_inv @ acc
-    out = np.zeros((d, d), dtype=complex)
-    for p in range(k):
-        for j in range(k):
-            out[p * r : (p + 1) * r, j * r : (j + 1) * r] = X[p, j]
-    return out
+    return X.transpose(0, 2, 1, 3).reshape(d, d)
 
 
 @functools.lru_cache(maxsize=8)
@@ -248,29 +243,29 @@ def _layer_blocks(A, modes, cross_check):
     Every failure names its mode: DefectMode, EigenvalueOnContour,
     ContourNotConverged and the residue/quadrature disagreement.
     """
-    k, N, r = A.shape[0] - 1, A.shape[1], A.shape[-1]
+    k = A.shape[0] - 1
     powers = np.arange(2 * k - 1)
     lam = eigvals_sweep(_companion(A))
     roots, mult, half = root_table(lam, modes)
     upper = mult * (half > 0)  # multiplicity of each upper root, 0 elsewhere
-    J = np.zeros((N, powers.size, r, r), dtype=complex)
 
     # simple roots: residue adj a(xi_l) / (d/dxi det a)(xi_l), where
-    # det a(xi) = det A_k * prod_j (i xi - lam_j)
-    rows, cols = np.nonzero(upper == 1)
-    if rows.size:
-        simple = roots[rows, cols]
-        diff = 1j * simple[:, None] - lam[rows]
-        diff[np.arange(simple.size), np.abs(diff).argmin(axis=1)] = 1.0
-        denom = np.linalg.det(A[k][rows]) * 1j * diff.prod(axis=1)
-        res = _adjugate(symbol_values(A[:, rows], simple)) / denom[:, None, None]
-        np.add.at(J, rows, (simple[:, None] ** powers)[:, :, None, None] * res[:, None])
+    # det a(xi) = det A_k * prod_j (i xi - lam_j), in a table over every
+    # root whose sum over the root axis takes the simple upper ones
+    simple = upper == 1
+    diff = 1j * roots[:, :, None] - lam[:, None, :]
+    own = np.abs(diff).argmin(axis=2)[:, :, None] == np.arange(lam.shape[1])
+    denom = np.linalg.det(A[k])[:, None] * 1j * np.where(own, 1.0, diff).prod(axis=2)
+    denom = np.where(simple, denom, 1.0)[..., None, None]  # 1 where the sum drops the term
+    res = _adjugate(symbol_values(A[:, :, None], roots)) / denom
+    terms = (roots[:, :, None] ** powers)[..., None, None] * res[:, :, None]
+    J = terms.sum(axis=1, where=simple[:, :, None, None, None])
 
     # circles, integrated on one shared grid: a local one around each
     # multiple upper root, clear of the other roots, and with cross_check
     # one per mode around all its upper roots, clear of the rest
-    local, cols = np.nonzero(upper > 1)
-    checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
+    local, cols = (upper > 1).nonzero()
+    checked = upper.any(axis=1).nonzero()[0] if cross_check else local[:0]
     parts = []  # (center, radius, rho) of each circle; local circles first
     if local.size:
         centers = roots[local, cols]
@@ -281,14 +276,14 @@ def _layer_blocks(A, modes, cross_check):
     owner = np.concatenate([local, checked])  # the mode of each circle
     try:
         if checked.size:
-            u = upper[checked]
-            parts.append(_enclosing_circles(roots[checked], u > 0, mult[checked] > u))
+            u, roots_c, mult_c = (x.take(checked, axis=0) for x in (upper, roots, mult))
+            parts.append(_enclosing_circles(roots_c, u > 0, mult_c > u))
         if parts:
             centers, radii, rho = (np.concatenate(p) for p in zip(*parts))
-            Ao = A[:, owner, None]  # the circles' symbols
+            Ao = A.take(owner, axis=1)[:, :, None]  # the circles' symbols
 
             def integrand(z, idx):
-                inv = np.linalg.inv(symbol_values(Ao[:, idx], z))
+                inv = np.linalg.inv(symbol_values(Ao.take(idx, axis=1), z))
                 return (z[..., None] ** powers)[..., None, None] * inv[..., None, :, :]
 
             # one start for the stack, sized from its slowest circle
@@ -302,11 +297,11 @@ def _layer_blocks(A, modes, cross_check):
 
     # the blocks scale J by powers of i, exactly, so comparing J compares them
     if checked.size:
-        Jc = J[checked]
+        Jc = J.take(checked, axis=0)
         err = np.abs(Jc - values[local.size :]).max(axis=(1, 2, 3))
-        bad = ~(err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3))))  # NaN fails
-        if bad.any():
-            i = int(bad.argmax())
+        ok = err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3)))  # NaN fails
+        if np.count_nonzero(ok) < ok.size:
+            i = int(ok.argmin())
             raise CalderonError(
                 f"layer-potential routes disagree at mode {_mode_at(modes, checked[i])}: "
                 f"{err[i]:.3e}"
@@ -382,16 +377,11 @@ def orthogonal_projector(frame_or_proj, weight):
     A zero-dimensional range returns the zero matrix; a Gram condition
     number above 1e12 raises IllConditionedFrame.
     """
-    if isinstance(frame_or_proj, CauchyFrame):
-        F = frame_or_proj.matrix
-        side = frame_or_proj.side
-        m = frame_or_proj.m
-    elif isinstance(frame_or_proj, BlockProjector):
-        F = range_basis(frame_or_proj.matrix)
-        side = frame_or_proj.side
-        m = frame_or_proj.m
-    else:
+    if not isinstance(frame_or_proj, (CauchyFrame, BlockProjector)):
         raise SpecError("expected a CauchyFrame or a BlockProjector")
+    F, side, m = frame_or_proj.matrix, frame_or_proj.side, frame_or_proj.m
+    if isinstance(frame_or_proj, BlockProjector):
+        F = range_basis(F)
 
     d = F.shape[0]
     kind = "Pplus" if side == "plus" else "Pminus"

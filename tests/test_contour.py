@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from calderon.contour import (
     MAX_NODES,
     Contour,
+    _enclosing_circles,
     characteristic_roots,
     contour_quadrature,
     enclosing_circle,
@@ -265,6 +268,52 @@ def test_contour_validation():
         Contour.circle(0, 1.0, nodes=4)
     with pytest.raises(SpecError):
         Contour.circle(0, -1.0)
+
+
+def test_stack_of_circles_has_one_boundary_and_distance_row_per_circle():
+    stack = Contour.circle(np.array([0j, 3j]), np.array([1.0, 0.5]))
+    z, dz = stack.boundary(8)
+    assert z.shape == dz.shape == (2, 8)
+    for row, (c, r) in enumerate([(0j, 1.0), (3j, 0.5)]):
+        zc, dzc = Contour.circle(c, r).boundary(8)
+        assert np.array_equal(z[row], zc) and np.array_equal(dz[row], dzc)
+    dist = stack.distance([0.5, 2j])
+    assert dist.shape == (2, 2)
+    assert np.allclose(dist, [[0.5, 1.0], [abs(0.5 - 3j) - 0.5, 0.5]], rtol=0, atol=1e-15)
+    # one contour keeps its flat shapes
+    assert Contour.circle(0, 1.0).boundary(8)[0].shape == (8,)
+    assert Contour.circle(0, 1.0).distance([0.5]).shape == (1,)
+    assert abs(Contour.ellipse(0, 2.0, 1.0).distance([0])[0] - 1.0) < 1e-12
+
+
+_POINTS = st.lists(
+    st.complex_numbers(
+        max_magnitude=4, allow_nan=False, allow_infinity=False, allow_subnormal=False
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=_POINTS, excluded=_POINTS)
+def test_enclosing_circle_radius_is_rate_optimal(group, excluded):
+    points = np.array([group + excluded], dtype=complex)
+    inside = np.arange(points.shape[1])[None] < len(group)
+    center = points[inside].mean()
+    gap = np.abs(points[~inside] - center).min()
+    assume(gap > 1e-6 and gap > (1 + 1e-6) * np.abs(points[inside] - center).max())
+    center, radius, rho = _enclosing_circles(points, inside, ~inside)
+    spread = np.abs(points[inside] - center[0]).max()
+    gap = np.abs(points[~inside] - center[0]).min()
+    r, rho = radius[0], rho[0]
+    assert spread < r < gap
+    assert rho == pytest.approx(max(spread / r, r / gap), rel=1e-12)
+    # no worse than the radius halfway between spread and gap, and within
+    # the geometric-mean rate, floored at 1/8 for a lone point or a tight group
+    half = 0.5 * (spread + gap)
+    assert rho <= max(spread / half, half / gap) * (1 + 1e-12)
+    assert rho <= max(np.sqrt(spread / gap), 0.125) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

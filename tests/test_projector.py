@@ -370,6 +370,52 @@ def test_checked_request_never_reuses_an_unchecked_route(monkeypatch):
     assert np.array_equal(checked, unchecked)
 
 
+def _simple_upper_modes(name, cutoff):
+    """Symbols of the lattice modes of a gallery spec whose upper roots
+    are all simple (no defect, no multiple upper root)."""
+    spec = build_gallery(name, **GALLERY[name])
+    for m in mode_lattice(spec.n, cutoff):
+        sym = mode_symbol(spec, m)
+        roots = characteristic_roots(sym, allow_real=True)
+        if all(half != "real" for _, _, half in roots) and all(
+            mult == 1 for _, mult, half in roots if half == "upper"
+        ):
+            yield sym
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_cross_check_leaves_simple_root_blocks_bitwise_alone(name):
+    # at simple roots the blocks are residues only; the cross-check circle
+    # is compared against them and never feeds them
+    for sym in _simple_upper_modes(name, 8):
+        checked = layer_potential_blocks(sym, cross_check=True)
+        assert np.array_equal(checked, layer_potential_blocks(sym, cross_check=False)), sym.m
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_cross_check_evaluates_at_most_32_nodes(name, monkeypatch):
+    # the rate-optimal circle around a mode's upper roots converges fast
+    # enough for a 16-node start, compared with its 16 midpoints
+    evaluated = []
+    real = projector.contour_quadrature
+
+    def counted(f, contour, **kw):
+        def g(z, rows):
+            evaluated.append(z.size)
+            return f(z, rows)
+
+        return real(g, contour, **kw)
+
+    monkeypatch.setattr(projector, "contour_quadrature", counted)
+    checked = 0
+    for sym in _simple_upper_modes(name, 16):
+        evaluated.clear()
+        layer_potential_blocks(sym)
+        assert sum(evaluated) <= 32, (sym.m, evaluated)
+        checked += bool(evaluated)
+    assert checked >= 16
+
+
 def _criterion_one_stacks():
     for spec, cutoff in _acceptance_specs():
         lattice = mode_lattice(spec.n, cutoff)
