@@ -39,7 +39,10 @@ class Contour:
     nodes: int = 16
 
     def __post_init__(self):
-        if np.min(self.radii) <= 0:
+        a, b = self.radii
+        if np.ndim(a):  # a stack of circles
+            a, b = a.min(), b.min()
+        if a <= 0 or b <= 0:
             raise SpecError("contour radii must be positive")
         if self.nodes < 8:
             raise SpecError("contour needs at least 8 nodes")
@@ -78,10 +81,8 @@ def _on_curve(center, a, b, e):
     """Nodes and derivatives dz/dtheta of the curve
     ``center + a cos t + i b sin t`` at the unit points ``e = exp(i t)``;
     the arguments broadcast, so one angle grid serves a stack of curves."""
-    ae, s = a * e, b - a  # s = 0 on a circle
-    if s.any():  # an ellipse: the circle of radius a stretched by i s sin t
-        return center + ae + 1j * s * e.imag, 1j * ae + 1j * s * e.real
-    return center + ae, 1j * ae
+    ae, s = a * e, b - a  # the circle of radius a, stretched by i s sin t
+    return center + ae + 1j * s * e.imag, 1j * ae + 1j * s * e.real
 
 
 def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
@@ -156,7 +157,7 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
     while True:
         err = np.abs(value - prev).max(axis=1)
         going = ~(err <= tol * np.maximum(1.0, np.abs(value).max(axis=1)))  # NaN keeps going
-        if not np.count_nonzero(going):
+        if not going.any():
             break
         if 2 * n > max_nodes:
             raise ContourNotConverged(
@@ -204,7 +205,7 @@ def _enclosing_circles(points, inside, outside):
     spread = dist.max(axis=1, where=inside, initial=0.0)
     gap = dist.min(axis=1, where=outside, initial=np.inf)
     stuck = gap <= spread * (1 + 1e-12) + 1e-300
-    if np.count_nonzero(stuck):
+    if stuck.any():
         raise EigenvalueOnContour(
             "cannot separate the enclosed group from excluded eigenvalues",
             index=int(stuck.argmax()),
@@ -214,7 +215,7 @@ def _enclosing_circles(points, inside, outside):
     free = np.isinf(gap)  # nothing to exclude: a margin set by the group
     g = np.where(free, 1.0, gap)  # a finite stand-in, so no 0 * inf
     radius = np.maximum(np.sqrt(spread * g), 0.125 * g)
-    if np.count_nonzero(free):
+    if free.any():
         margin = np.maximum(1.0, 0.5 * np.maximum(np.abs(center), spread))
         radius = np.where(free, spread + margin, radius)
     return center, radius, np.maximum(spread / radius, radius / gap)
@@ -263,7 +264,7 @@ def root_table(lam, modes, allow_real=False):
     xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
     close = np.abs(xi[:, :, None] - xi[:, None, :]) <= tol
     roots, mult = xi, np.ones(xi.shape, dtype=int)
-    if np.count_nonzero(close) > close.shape[0] * close.shape[1]:  # some roots lie within tol
+    if close.sum() > close.shape[0] * close.shape[1]:  # some roots lie within tol
         # each root points at the first root within tol of it; following
         # the pointers, which only go back, ends at its cluster's first root
         rows = np.arange(len(xi))[:, None]
@@ -275,7 +276,7 @@ def root_table(lam, modes, allow_real=False):
         roots = (member * xi[:, :, None]).sum(axis=1) / np.maximum(mult, 1)
     real = on_real_axis(np.abs(roots.imag), np.asarray(modes, dtype=float)[:, None])
     half = np.copysign(~real, roots.imag)
-    if not allow_real and np.count_nonzero(real):
+    if not allow_real and real.any():
         bad = real & (mult > 0)  # clusters are judged by their means
         if bad.any():
             i = int(bad.any(axis=1).argmax())

@@ -197,11 +197,16 @@ def invert_jump_operator(a_op, block_size):
     eye = np.eye(r, dtype=complex)
     for p in range(k):
         for j in range(k):
-            acc = eye * (j == k - 1 - p)
+            rhs = eye if j == k - 1 - p else np.zeros((r, r), dtype=complex)
+            acc = rhs.astype(complex)
             for pp in range(p):
                 acc = acc - blocks[k - p + pp] @ X[pp, j]
             X[p, j] = top_inv @ acc
-    return X.transpose(0, 2, 1, 3).reshape(d, d)
+    out = np.zeros((d, d), dtype=complex)
+    for p in range(k):
+        for j in range(k):
+            out[p * r : (p + 1) * r, j * r : (j + 1) * r] = X[p, j]
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -264,8 +269,8 @@ def _layer_blocks(A, modes, cross_check):
     # circles, integrated on one shared grid: a local one around each
     # multiple upper root, clear of the other roots, and with cross_check
     # one per mode around all its upper roots, clear of the rest
-    local, cols = (upper > 1).nonzero()
-    checked = upper.any(axis=1).nonzero()[0] if cross_check else local[:0]
+    local, cols = np.nonzero(upper > 1)
+    checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
     parts = []  # (center, radius, rho) of each circle; local circles first
     if local.size:
         centers = roots[local, cols]
@@ -276,18 +281,20 @@ def _layer_blocks(A, modes, cross_check):
     owner = np.concatenate([local, checked])  # the mode of each circle
     try:
         if checked.size:
-            u, roots_c, mult_c = (x.take(checked, axis=0) for x in (upper, roots, mult))
-            parts.append(_enclosing_circles(roots_c, u > 0, mult_c > u))
+            u = upper[checked]
+            parts.append(_enclosing_circles(roots[checked], u > 0, mult[checked] > u))
         if parts:
             centers, radii, rho = (np.concatenate(p) for p in zip(*parts))
-            Ao = A.take(owner, axis=1)[:, :, None]  # the circles' symbols
+            Ao = A[:, owner, None]  # the circles' symbols
 
             def integrand(z, idx):
-                inv = np.linalg.inv(symbol_values(Ao.take(idx, axis=1), z))
+                inv = np.linalg.inv(symbol_values(Ao[:, idx], z))
                 return (z[..., None] ** powers)[..., None, None] * inv[..., None, :, :]
 
-            # one start for the stack, sized from its slowest circle
-            stack = Contour.circle(centers, radii, _sized_nodes(rho.max()))
+            # one start for the stack, sized from its slowest local circle
+            # if it has any, so the cross-check never moves the blocks
+            slowest = rho[: local.size].max() if local.size else rho.max()
+            stack = Contour.circle(centers, radii, _sized_nodes(slowest))
             values, _ = contour_quadrature(integrand, stack, tol=_QUAD_TOL)
     except (EigenvalueOnContour, ContourNotConverged) as exc:
         i = (checked if isinstance(exc, EigenvalueOnContour) else owner)[exc.index]
@@ -297,11 +304,11 @@ def _layer_blocks(A, modes, cross_check):
 
     # the blocks scale J by powers of i, exactly, so comparing J compares them
     if checked.size:
-        Jc = J.take(checked, axis=0)
+        Jc = J[checked]
         err = np.abs(Jc - values[local.size :]).max(axis=(1, 2, 3))
-        ok = err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3)))  # NaN fails
-        if np.count_nonzero(ok) < ok.size:
-            i = int(ok.argmin())
+        bad = ~(err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3))))  # NaN fails
+        if bad.any():
+            i = int(bad.argmax())
             raise CalderonError(
                 f"layer-potential routes disagree at mode {_mode_at(modes, checked[i])}: "
                 f"{err[i]:.3e}"
@@ -377,11 +384,16 @@ def orthogonal_projector(frame_or_proj, weight):
     A zero-dimensional range returns the zero matrix; a Gram condition
     number above 1e12 raises IllConditionedFrame.
     """
-    if not isinstance(frame_or_proj, (CauchyFrame, BlockProjector)):
+    if isinstance(frame_or_proj, CauchyFrame):
+        F = frame_or_proj.matrix
+        side = frame_or_proj.side
+        m = frame_or_proj.m
+    elif isinstance(frame_or_proj, BlockProjector):
+        F = range_basis(frame_or_proj.matrix)
+        side = frame_or_proj.side
+        m = frame_or_proj.m
+    else:
         raise SpecError("expected a CauchyFrame or a BlockProjector")
-    F, side, m = frame_or_proj.matrix, frame_or_proj.side, frame_or_proj.m
-    if isinstance(frame_or_proj, BlockProjector):
-        F = range_basis(F)
 
     d = F.shape[0]
     kind = "Pplus" if side == "plus" else "Pminus"

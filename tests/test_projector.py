@@ -392,6 +392,26 @@ def test_cross_check_leaves_simple_root_blocks_bitwise_alone(name):
         assert np.array_equal(checked, layer_potential_blocks(sym, cross_check=False)), sym.m
 
 
+@pytest.mark.parametrize(
+    "zeros",
+    [
+        [-1.0, -1.0, 1.0],  # double root i, excluded root -i
+        [-1.0, -1.0, -5.0, 0.5],  # the cross-check circle needs more nodes than the local one
+    ],
+)
+def test_cross_check_leaves_multiple_root_blocks_bitwise_alone(zeros):
+    # prod (d_n - c) over the zeros c has the roots xi = -i c; the local
+    # circle at the double root i feeds the blocks, and the cross-check
+    # circle must not move its node levels
+    coeffs = np.poly(zeros)  # highest order first
+    k = len(zeros)
+    terms = {(k - j, (0,)): [[float(c)]] for j, c in enumerate(coeffs)}
+    sym = mode_symbol(build_gallery("custom", n=2, r=1, k=k, terms=terms), 0)
+    assert (2, "upper") in [(mult, half) for _, mult, half in characteristic_roots(sym)]
+    checked = layer_potential_blocks(sym, cross_check=True)
+    assert np.array_equal(checked, layer_potential_blocks(sym, cross_check=False))
+
+
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_cross_check_evaluates_at_most_32_nodes(name, monkeypatch):
     # the rate-optimal circle around a mode's upper roots converges fast
