@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -108,32 +109,57 @@ class ReportBundle:
     ok: bool
 
 
-def _jsonable(obj):
+_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number_texts(a):
+    """JSON texts of the elements of a 1-D numeric array, in one pass."""
+    if a.dtype.kind == "b":
+        return np.where(a, "true", "false").tolist()
+    if a.dtype.kind in "iu":
+        return list(map(int.__repr__, a.tolist()))
+    texts = list(map(float.__repr__, a.astype(np.float64).tolist()))
+    return texts if np.isfinite(a).all() else [_NONFINITE.get(t, t) for t in texts]
+
+
+def _block(items, pad, brackets="[]"):
+    """JSON container of items already written at indent ``pad + "  "``."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _json_text(obj, pad="\n"):
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a report payload,
+    with NaN as null and numpy arrays and scalars as their ``tolist()``.
+    A 1-D or 2-D numeric array, or a list of 1-D arrays of one numeric
+    dtype, has its elements formatted in one pass."""
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return _block([f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in items], pad, "{}")
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf" and obj.ndim in (1, 2):
+        return _block(_number_texts(obj), pad) if obj.ndim == 1 else _json_text(list(obj), pad)
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "biu":
-            return obj.tolist()
-        if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
-            # one tolist instead of a per-element walk; NaN becomes None
-            nan = np.isnan(obj)
-            if nan.any():
-                obj = obj.astype(object)
-                obj[nan] = None
-            return obj.tolist()
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if np.isnan(f) else f
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
+        return _json_text(obj.tolist(), pad)
+    if isinstance(obj, (list, tuple)):
+        dtypes = {v.dtype if isinstance(v, np.ndarray) and v.ndim == 1 else None for v in obj}
+        if len(dtypes) == 1 and None not in dtypes and next(iter(dtypes)).kind in "biuf":
+            texts = _number_texts(np.concatenate(obj))
+            ends = np.cumsum([len(v) for v in obj]).tolist()
+            return _block([_block(texts[a:b], inner) for a, b in zip([0] + ends, ends)], pad)
+        return _block([_json_text(v, inner) for v in obj], pad)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        text = float.__repr__(float(obj))
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _mode_tuple(text, n):
@@ -256,7 +282,7 @@ def _run_index(cfg, reports, timings):
     rep = fredholm_index(pa, pb, tol=cfg.tol)
     timings["index"] = time.time() - t0
     nonzero = [
-        {"m": _jsonable(m[0] if sa.n == 2 else list(m)), "ker": int(k), "coker": int(c)}
+        {"m": m[0] if sa.n == 2 else list(m), "ker": int(k), "coker": int(c)}
         for m, k, c in zip(rep.modes, rep.kernel_dims, rep.cokernel_dims)
         if k or c
     ]
@@ -322,7 +348,7 @@ def bundle_json(bundle, include_timing=False):
     }
     if include_timing:
         payload["timings"] = bundle.timings
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return _json_text(payload) + "\n"
 
 
 def emit_csv(bundle, fh):

@@ -79,7 +79,7 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False):
     """Build the truncated decaying-side point of an operator.
 
     Frames are the stable invariant subspaces of the per-mode companion
-    matrices, rescaled by ``W^{1/2}`` and re-orthonormalized.  Defect
+    matrices, rescaled by ``W^{1/2}`` and re-orthonormalized by QR.  Defect
     modes (real-axis characteristic roots) are excluded and listed,
     unless ``strict`` is set, in which case they raise.  A retained mode
     whose sign iteration stalls raises DefectMode naming that mode.
@@ -109,7 +109,7 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False):
         ) from exc
     raw = _kernels.orthonormal_range_sweep(proj, dims)
     weighted = np.sqrt(w)[:, :, None] * raw
-    ortho = _kernels.orthonormal_range_sweep(weighted, dims)
+    ortho = _kernels.qr_range_sweep(weighted, dims)
     return GrassmannPoint(
         spec=spec,
         cutoff=int(cutoff),

@@ -58,6 +58,8 @@ class OperatorSpec:
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (self.r, self.r):
                 raise SpecError(f"coefficient for ({q}, {beta}) is not {self.r}x{self.r}")
+            if not np.isfinite(mat).all():
+                raise SpecError(f"coefficient for ({q}, {beta}) is not finite")
             clean[(int(q), beta)] = mat
         self.terms = clean
         top = clean.get((self.k, (0,) * (self.n - 1)))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,25 +218,109 @@ def test_timing_flag_controls_payload(specs, tmp_path):
     assert "timings" in json.loads(out.read_text())
 
 
+def _plain(obj):
+    """Reference walk to plain Python for ``json.dumps``: numpy arrays
+    and scalars by ``tolist()`` or their Python type, NaN as None."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        return None if np.isnan(obj) else float(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    return obj
+
+
+def _reference_json(payload):
+    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("shape", [(0,), (5,), (3, 4)])
-def test_jsonable_array_fast_path_matches_the_generic_walk(shape):
-    from calderon.cli import _jsonable
+def test_writer_array_fast_path_matches_json_dumps(shape):
+    from calderon.cli import _json_text
 
     size = int(np.prod(shape))
-    pool = np.array([np.nan, np.inf, -np.inf, -0.0, 1.5, 7.0, -2.0, np.nan])
+    pool = np.array([np.nan, np.inf, -np.inf, -0.0, 1.5, 7.0, -2.0, np.nan, 0.1])
     arrays = [
         np.resize(pool, size).reshape(shape),
         np.resize(pool, size).reshape(shape).astype(np.float32),
+        np.resize(pool, size).reshape(shape).astype(np.longdouble),
         np.arange(-3, size - 3).reshape(shape),
         np.arange(size, dtype=np.uint8).reshape(shape),
         (np.arange(size) % 3 == 0).reshape(shape),
     ]
     for arr in arrays:
-        fast = _jsonable({"a": arr, "list": [arr]})
-        generic = _jsonable({"a": arr.tolist(), "list": [arr.tolist()]})
-        assert fast == generic
-        dump = lambda obj: json.dumps(obj, sort_keys=True, indent=2).encode()
-        assert dump(fast) == dump(generic)
+        flat = arr.ravel()
+        rows = [flat[:k] for k in range(min(size, 4) + 1)]  # ragged, one dtype
+        got = _json_text({"a": arr, "list": [arr], "rows": rows}) + "\n"
+        plain = {"a": arr.tolist(), "list": [arr.tolist()], "rows": [r.tolist() for r in rows]}
+        assert got == json.dumps(_plain(plain), sort_keys=True, indent=2) + "\n"
+
+
+def _bundles(specs):
+    """One bundle of every subcommand and kind, with arrays as run() returns them."""
+    from calderon.cli import run
+
+    pair = dict(spec_a=specs["dbar"], spec_b=specs["twist3"], cutoff=16)
+    laplace = dict(spec_a=specs["laplace1"], spec_b=specs["laplace2"], cutoff=32)
+    configs = [
+        ExperimentConfig("compare", **pair),
+        ExperimentConfig("compare", **laplace),
+        ExperimentConfig("schatten", **laplace),
+        ExperimentConfig("schatten", **pair),
+        ExperimentConfig("index", **pair),
+        ExperimentConfig("ellipticity", spec=specs["laplace1"]),
+        ExperimentConfig("projector", spec=specs["laplace2"], mode=(2,), kind="R"),
+        ExperimentConfig("projector", spec=specs["laplace2"], mode=(2,), kind="P", side="minus"),
+        ExperimentConfig("acceptance"),
+    ]
+    return [run(cfg) for cfg in configs]
+
+
+def test_writer_matches_json_dumps_on_every_subcommand(specs):
+    from calderon.cli import bundle_json
+
+    bundles = _bundles(specs)
+    # a degenerate block has a NaN growth slope; the gallery fit has none today
+    slopes = np.array(bundles[-1].reports["growth_fit"]["slopes"], dtype=float)
+    slopes[0, 1] = np.nan
+    bundles[-1].reports["growth_fit"]["slopes"] = slopes
+    bundles[0].config["spec_a"] = "caf\u00e9/\u2202\u03a9 \"quoted\"\tspec"
+    for bundle in bundles:
+        for timing in (False, True):
+            payload = {"config": bundle.config, "reports": bundle.reports,
+                       "version": bundle.version, "ok": bundle.ok}
+            if timing:
+                payload["timings"] = bundle.timings
+            assert bundle_json(bundle, include_timing=timing) == _reference_json(payload)
+
+
+@pytest.mark.parametrize("sub", ["compare", "index"])
+def test_reports_match_the_golden_files(tmp_path, monkeypatch, sub):
+    golden = Path(__file__).parent / "golden" / f"{sub}_dbar_twist3_c16.json"
+    monkeypatch.chdir(tmp_path)
+    assert main(["write-spec", "dbar", "-p", "mu=0.5", "--out", "dbar.spec"]) == 0
+    assert main(["write-spec", "twisted_dbar", "-p", "mu=0.5", "-p", "d=3",
+                 "--out", "twist3.spec"]) == 0
+    assert main([sub, "--spec-a", "dbar.spec", "--spec-b", "twist3.spec", "--cutoff", "16",
+                 "--out", "report.json"]) == 0
+    assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+
+
+def test_non_finite_spec_coefficient_gives_a_spec_error_record(specs, tmp_path, capsys):
+    doc = json.loads(Path(specs["dbar"]).read_text())
+    doc["terms"][0]["re"][0][0] = float("nan")
+    bad = tmp_path / "nan.spec"
+    bad.write_text(json.dumps(doc))
+    assert main(["compare", "--spec-a", str(bad), "--spec-b", specs["dbar"]]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "SpecError"
+    assert "not finite" in record["error"]["message"]
 
 
 def _parsed_config(argv):

@@ -11,7 +11,7 @@ from calderon.errors import (
     SpecError,
     ThresholdAmbiguous,
 )
-from calderon._kernels import svdvals_sweep
+from calderon._kernels import orthonormal_range_sweep, stable_projector_sweep, svdvals_sweep
 from calderon.grassmann import (
     _common_indices,
     assemble_point,
@@ -23,7 +23,8 @@ from calderon.grassmann import (
     schatten_fit,
 )
 from calderon.projector import sobolev_weights
-from calderon.symbols import build_gallery, mode_key, selfadjoint_double
+from calderon.symbols import build_gallery, companion_stack, mode_key, selfadjoint_double
+from test_symbols import GALLERY
 
 
 def dbar():
@@ -69,6 +70,17 @@ def test_frames_are_weight_orthonormal():
         w = sobolev_weights((m,), 2, 0.8).full(1)
         gram = fr.matrix.conj().T @ (w[:, None] * fr.matrix)
         assert np.abs(gram - np.eye(fr.dim)).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_weighted_frames_span_the_svd_route_subspaces(name):
+    spec = build_gallery(name, **GALLERY[name])
+    point = assemble_point(spec, 16)
+    comp = companion_stack(spec, point.modes)
+    raw = orthonormal_range_sweep(stable_projector_sweep(comp), point.dims)
+    svd = orthonormal_range_sweep(np.sqrt(point.weights)[:, :, None] * raw, point.dims)
+    span = lambda q: q @ np.conj(np.swapaxes(q, 1, 2))
+    assert np.abs(span(point.ortho) - span(svd)).max() <= 1e-14
 
 
 def test_defect_modes_excluded_and_listed():

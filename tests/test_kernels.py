@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calderon import _kernels
 from calderon.errors import SignIterationStalled
@@ -67,3 +69,35 @@ def test_sign_iteration_rejects_imaginary_spectrum():
         _kernels.stable_projector_sweep(bad)
     assert info.value.index == 1
 
+
+def _range_projectors(frames):
+    return frames @ np.conj(np.swapaxes(frames, 1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    log_ratio=st.floats(0.0, 6.0),
+    data=st.data(),
+)
+def test_qr_sweep_spans_the_weighted_frame_as_the_svd_sweep_does(seed, d, log_ratio, data):
+    n = 8
+    dims = np.array(data.draw(st.lists(st.integers(0, d), min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    unitary = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+    raw = unitary * (np.arange(d) < dims[:, None])[:, None, :]
+    ratio = 10.0**log_ratio
+    w = ratio ** rng.uniform(size=(n, d))
+    w[:, 0], w[:, -1] = 1.0, ratio
+    weighted = np.sqrt(w)[:, :, None] * raw
+
+    q = _kernels.qr_range_sweep(weighted, dims)
+    assert q.shape == (n, d, d)
+    for i, k in enumerate(dims):
+        lead = q[i][:, :k]
+        assert np.abs(lead.conj().T @ lead - np.eye(k)).max(initial=0.0) <= 1e-14
+        assert np.all(q[i][:, k:] == 0)
+    svd = _kernels.orthonormal_range_sweep(weighted, dims)
+    gap = np.abs(_range_projectors(q) - _range_projectors(svd)).max()
+    assert gap <= 1e-15 * d * np.sqrt(ratio)

@@ -77,6 +77,14 @@ def test_singular_top_coefficient_rejected():
         build_gallery("custom", n=2, r=1, k=1, terms={(1, (0,)): [[0.0]]})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_coefficient_rejected(bad):
+    terms = {(1, (0,)): [[1.0]], (0, (1,)): [[1j]], (0, (0,)): [[0.5]]}
+    for key in terms:
+        with pytest.raises(SpecError, match="not finite"):
+            build_gallery("custom", n=2, r=1, k=1, terms={**terms, key: [[bad]]})
+
+
 def test_term_order_validation():
     with pytest.raises(SpecError):
         build_gallery(
