@@ -19,7 +19,6 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from . import __version__
-from .acceptance import run_acceptance
 from .errors import CalderonError, ParseError, SpecError
 from .grassmann import assemble_point, compare_points, fredholm_index, schatten_fit
 from .projector import calderon_projector, cauchy_frame_oracle, orthogonal_projector, sobolev_weights
@@ -299,6 +298,7 @@ def _run_index(cfg, reports, timings):
 
 
 def _run_acceptance(cfg, reports, timings):
+    from .acceptance import run_acceptance  # deferred: only this subcommand runs it
     t0 = time.time()
     results = run_acceptance(echo=print)
     timings["acceptance"] = time.time() - t0

@@ -308,69 +308,94 @@ def characteristic_roots(sym, allow_real=False):
     ]
 
 
+def _cluster_circles(eigs, enclosed, far, ray=None):
+    """A stack of circles, one per cluster of the eigenvalues
+    ``eigs[enclosed]``, each clear of the other eigenvalues and, given the
+    unit vector ``ray``, of the cut along it, which enters
+    :func:`_enclosing_circles` as its nearest point to the cluster mean.
+    Clusters link at a quarter of ``far``, the distance from the enclosed
+    eigenvalues to the excluded ones and the cut, so a split Jordan block
+    shares one circle (Hale, Higham & Trefethen, SIAM J. Numer. Anal. 46,
+    2008).  Raises EigenvalueOnContour when a cluster cannot be isolated.
+    """
+    ins = eigs[enclosed]
+    reach = np.abs(ins[:, None] - ins) <= 0.25 * far
+    for _ in range(max(len(ins) - 2, 0).bit_length()):  # transitive closure
+        reach = reach @ reach
+    member = reach[reach.argmax(axis=1) == np.arange(len(ins))]  # a row per cluster
+    inside = np.zeros((len(member), len(eigs)), dtype=bool)
+    inside[:, enclosed] = member
+    points = np.broadcast_to(eigs, inside.shape)
+    if ray is not None:
+        mean = member @ ins / member.sum(axis=1)
+        points = np.column_stack([points, np.maximum((mean / ray).real, 0.0) * ray])
+        inside = np.column_stack([inside, np.zeros(len(member), dtype=bool)])
+    center, radius, rho = _enclosing_circles(points, inside, ~inside)
+    return Contour.circle(center, radius, _sized_nodes(rho.max()))
+
+
 def riesz_projector(M, contour, tol=1e-10):
     """Spectral projector onto the eigen-group enclosed by the contour.
 
-    Quadrature of the resolvent ``(lambda - M)^{-1}``; the contour must
-    clear the spectrum by a relative margin of 1e-8.
+    The contour, which must clear the spectrum by a relative margin of
+    1e-8, picks the enclosed eigenvalues.  The resolvent is integrated on
+    one small circle per cluster of them, in one stacked quadrature
+    (:func:`_cluster_circles`), or on the contour if none isolates one.
     """
     M = np.asarray(M, dtype=complex)
     eigs = np.linalg.eigvals(M)
     scale = 1.0 + float(np.abs(eigs).max())
     if contour.distance(eigs).min() < 1e-8 * scale:
         raise EigenvalueOnContour("an eigenvalue lies on the integration contour")
+    w, (a, b) = eigs - contour.center, contour.radii
+    enclosed = (w.real / a) ** 2 + (w.imag / b) ** 2 < 1
+    if not enclosed.any():
+        return np.zeros_like(M)
+    far = np.abs(eigs[enclosed][:, None] - eigs[~enclosed]).min(initial=np.inf)
+    try:
+        contour = _cluster_circles(eigs, enclosed, far)
+    except EigenvalueOnContour:
+        pass  # the caller's contour clears the spectrum
     eye = np.eye(M.shape[0], dtype=complex)
 
-    def resolvent(z):
-        return np.linalg.inv(z[:, None, None] * eye - M)
+    def resolvent(z, rows=None):
+        return np.linalg.inv(z[..., None, None] * eye - M)
 
-    value, _ = contour_quadrature(resolvent, contour, tol=tol)
-    return value
+    values, _ = contour_quadrature(resolvent, contour, tol=tol)
+    return values.reshape(-1, *M.shape).sum(axis=0)
 
 
 def matrix_power(a, t, cut_angle=np.pi, tol=1e-10):
     """Fractional power ``a^t`` with the branch of ``z^t`` cut along
     the ray ``r e^{i cut_angle}``.
 
-    The spectrum must stay off the cut (and off the origin); the
-    integration circle is auto-sized between the eigenvalue cloud and
-    the cut.  Eigenvalues of the result are the t-th powers, same
-    branch, of the eigenvalues of ``a``.
+    The spectrum must stay off the cut (and off the origin).  The
+    Cauchy integral of ``z^t (z - a)^{-1}`` runs on one small circle per
+    eigenvalue cluster, clear of the cut (:func:`_cluster_circles`).
+    Eigenvalues of the result are the t-th powers, same branch, of the
+    eigenvalues of ``a``.
     """
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
     eigs = np.linalg.eigvals(a)
     scale = 1.0 + float(np.abs(eigs).max())
-
-    rotated = eigs * np.exp(-1j * cut_angle)
+    ray = np.exp(1j * cut_angle)
+    rotated = eigs / ray
     dist_ray = np.where(rotated.real > 0, np.abs(rotated.imag), np.abs(rotated))
     if dist_ray.min() < 1e-8 * scale or np.abs(eigs).min() < 1e-12 * scale:
         raise EigenvalueOnCut("an eigenvalue lies on the branch cut or at 0")
+    contour = _cluster_circles(eigs, np.ones(eigs.shape, dtype=bool), dist_ray.min(), ray)
+    eye = np.eye(a.shape[0], dtype=complex)
 
-    center = complex(eigs.mean())
-    spread = float(np.abs(eigs - center).max())
-    c_rot = center * np.exp(-1j * cut_angle)
-    center_ray = abs(c_rot.imag) if c_rot.real > 0 else abs(center)
-    if center_ray <= spread * (1 + 1e-12):
-        raise EigenvalueOnCut("cannot separate the spectrum from the cut by a circle")
-    radius = spread + 0.5 * (center_ray - spread)
-    # the start is sized from the poles alone: the branch point is a
-    # weaker singularity, and a start sized from it overshoots the count
-    # the doubling loop needs on most spectra
-    contour = Contour.circle(center, radius, _sized_nodes(spread / radius))
-
-    eye = np.eye(d, dtype=complex)
-
-    def integrand(z):
+    def integrand(z, rows):
         # branch: arg(z) in (cut_angle - 2 pi, cut_angle)
-        psi = np.angle(z * np.exp(-1j * cut_angle))
+        psi = np.angle(z / ray)
         delta = np.where(psi > 0, psi - 2 * np.pi, psi)
         logz = np.log(np.abs(z)) + 1j * (cut_angle + delta)
         powz = np.exp(t * logz)
-        return powz[:, None, None] * np.linalg.inv(z[:, None, None] * eye - a)
+        return powz[..., None, None] * np.linalg.inv(z[..., None, None] * eye - a)
 
-    value, _ = contour_quadrature(integrand, contour, tol=tol)
-    return value
+    values, _ = contour_quadrature(integrand, contour, tol=tol)
+    return values.sum(axis=0)
 
 
 @dataclass
@@ -393,33 +418,37 @@ def spectral_split(C, validate=False):
     """Split a matrix into stable and unstable invariant subspaces.
 
     Frames come from ordered Schur decompositions, so they survive
-    Jordan structure.  With ``validate=True`` the stable projector is
-    recomputed independently through :func:`riesz_projector` on a circle
-    in the left half plane and both must agree to 1e-8.  scipy is
-    imported on the first call, so only runs that reach this oracle
-    pay for loading it.
+    Jordan structure: one unsorted LAPACK ``zgees``, whose eigenvalues
+    also give the gap, reordered by ``ztrsen`` for ``Re lambda < 0`` and
+    for ``Re lambda >= 0`` as ``zgees`` sorts (LAPACK Users' Guide, 3rd
+    ed., 2.4.8).  With ``validate=True``
+    the stable projector is recomputed independently through
+    :func:`riesz_projector` on a circle in the left half plane and both
+    must agree to 1e-8.  scipy is imported on the first call, so only
+    runs that reach this oracle pay for loading it.
 
-    Raises DefectMode when an eigenvalue sits within
-    ``1e-10 (1 + max |lambda|)`` of the imaginary axis (no splitting
-    exists).
+    Raises LinAlgError on non-finite input, and DefectMode when an
+    eigenvalue sits within ``1e-10 (1 + max |lambda|)`` of the imaginary
+    axis (no splitting exists).
     """
+    from scipy.linalg import lapack  # deferred: the only scipy use in calderon
+
     C = np.asarray(C, dtype=complex)
     d = C.shape[0]
-    eigs = np.linalg.eigvals(C)
-    scale = 1.0 + float(np.abs(eigs).max()) if d else 1.0
-    gap_tol = 1e-10 * scale
-    gap = float(np.abs(eigs.real).min()) if d else np.inf
+    if not np.isfinite(C).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    t, _, eigs, q, _, info = lapack.zgees(lambda z: 0, C)  # unsorted: no selection
+    if info:
+        raise np.linalg.LinAlgError("Schur form not found")
+    gap_tol = 1e-10 * (1.0 + float(np.abs(eigs).max()))
+    gap = float(np.abs(eigs.real).min())
     if gap <= gap_tol:
         raise DefectMode(f"eigenvalue within {gap_tol:.2e} of the imaginary axis")
 
-    import scipy.linalg  # deferred: the only scipy use in calderon
-
-    _, zs, ds = scipy.linalg.schur(C, output="complex", sort="lhp")
-    _, zu, du = scipy.linalg.schur(C, output="complex", sort="rhp")
-    if ds + du != d:
-        raise DefectMode("stable and unstable dimensions do not fill the space")
-    stable = zs[:, :ds]
-    unstable = zu[:, :du]
+    left = eigs.real < 0
+    ds = int(left.sum())
+    stable = lapack.ztrsen(left, t, q, job="N")[1][:, :ds]
+    unstable = lapack.ztrsen(~left, t, q, job="N")[1][:, : d - ds]
     if ds == 0:
         proj = np.zeros((d, d), dtype=complex)
     elif ds == d:

@@ -251,11 +251,15 @@ def test_quadrature_peak_memory_stays_near_one_level():
     inside = np.array([0.0, 0.3, -0.5j, 0.6 + 0.2j, 0.99])
     M = np.diag(np.concatenate([inside, [1.3, -1.4, 2j]])).astype(complex)
     contour = Contour.circle(0, 1.0)
-    _, n = contour_quadrature(lambda z: np.linalg.inv(z[:, None, None] * np.eye(d) - M), contour)
+
+    def resolvent(z):
+        return np.linalg.inv(z[:, None, None] * np.eye(d) - M)
+
+    _, n = contour_quadrature(resolvent, contour)
     assert n >= 4096
     tracemalloc.start()
     try:
-        P = riesz_projector(M, contour)
+        P, _ = contour_quadrature(resolvent, contour)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -420,6 +424,60 @@ def test_riesz_idempotency_commutation_partition():
         assert np.abs(total - np.eye(6)).max() < 1e-9
 
 
+def _similar(eigs, seed, blocks=()):
+    """``V D V^{-1}`` for a seeded complex ``V``, where ``D`` is
+    ``diag(eigs)`` plus ones on the superdiagonal positions ``blocks``,
+    so that those positions chain eigenvalues into Jordan blocks."""
+    rng = np.random.default_rng(seed)
+    d = len(eigs)
+    V = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    D = np.diag(np.asarray(eigs, dtype=complex))
+    for i in blocks:
+        D[i, i + 1] = 1.0
+    return V @ D @ np.linalg.inv(V), V
+
+
+def test_riesz_projector_keeps_a_split_jordan_block_on_one_circle():
+    lam = 2.0 + 1.0j
+    M, V = _similar([lam, lam, lam, -1.0, 0.5 - 2j], seed=21, blocks=(0, 1))
+    eigs = np.linalg.eigvals(M)
+    block = eigs[np.abs(eigs - lam) < 0.1]
+    # rounding splits the block far beyond root_table's relative 1e-7
+    assert np.abs(block[:, None] - block).max() > 1e-7 * (1 + abs(lam))
+    P = riesz_projector(M, Contour.circle(lam, 1.0))
+    want = V @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0]) @ np.linalg.inv(V)
+    assert np.abs(P - want).max() < 1e-9 * (1 + np.abs(want).max())
+
+
+def test_riesz_projector_integrates_an_inseparable_cluster_on_the_callers_contour():
+    # a chain of enclosed eigenvalues links into one cluster whose mean
+    # lies nearer the excluded eigenvalue than its ends do, so no circle
+    # around the mean isolates it; the caller's ellipse does
+    chain = np.linspace(0.0, 1.0, 11)
+    M = np.diag(np.concatenate([chain, [0.5 + 0.45j]])).astype(complex)
+    P = riesz_projector(M, Contour.ellipse(0.5, 0.7, 0.3))
+    assert np.abs(P - np.diag([1.0] * 11 + [0.0])).max() < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    center=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+    a=st.floats(0.1, 3.0),
+    aspect=st.floats(0.3, 1.0),
+)
+def test_riesz_projector_is_the_integral_on_the_callers_contour(seed, center, a, aspect):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    contour = Contour.ellipse(center, a, a * aspect) if aspect < 0.9 else Contour.circle(center, a)
+    try:
+        want, _ = contour_quadrature(lambda z: np.linalg.inv(z[:, None, None] * np.eye(5) - M), contour)
+    except ContourNotConverged:
+        assume(False)
+    got = riesz_projector(M, contour)
+    assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
+
+
 # ---------------------------------------------------------------------------
 # fractional powers
 
@@ -454,6 +512,50 @@ def test_power_respects_branch_cut_choice():
     assert np.abs(val - np.diag([-2.0j, -3.0j])).max() < 1e-10
 
 
+def test_power_of_a_wide_spectrum_far_from_the_cut():
+    # a spectrum whose spread exceeds its mean's distance to the cut,
+    # which no single circle around the mean separates from the cut
+    eigs = np.array([0.147 + 2.136j, 7.387 - 1.244j, 3.181 + 0.714j, 6.545 + 1.243j])
+    B, V = _similar(eigs, seed=5208)
+    S = matrix_power(B, 0.5)
+    assert np.abs(S @ S - B).max() <= 1e-12 * (1 + np.abs(B).max())
+    want = V @ np.diag(np.sqrt(eigs)) @ np.linalg.inv(V)
+    assert np.abs(S - want).max() <= 1e-10 * (1 + np.abs(want).max())
+
+
+def test_power_of_a_split_jordan_block():
+    lam, t = 2.0 + 1.0j, 0.5
+    B, V = _similar([lam, lam, lam], seed=22, blocks=(0, 1))
+    eigs = np.linalg.eigvals(B)
+    assert np.abs(eigs[:, None] - eigs).max() > 1e-7 * (1 + abs(lam))
+    # f(J) = f(lam) I + f'(lam) N + f''(lam) / 2 N^2 for f(z) = z^t
+    N = np.diag([1.0, 1.0], 1)
+    fJ = lam**t * np.eye(3) + t * lam ** (t - 1) * N + t * (t - 1) / 2 * lam ** (t - 2) * N @ N
+    want = V @ fJ @ np.linalg.inv(V)
+    assert np.abs(matrix_power(B, t) - want).max() <= 1e-9 * (1 + np.abs(want).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eigs=st.lists(
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        min_size=4,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(-1.0, 2.0),
+)
+def test_power_matches_schur_pade_off_the_cut(eigs, seed, t):
+    from scipy.linalg import fractional_matrix_power
+
+    eigs = np.array(eigs)
+    to_cut = np.where(eigs.real < 0, np.abs(eigs.imag), np.abs(eigs))  # the cut is (-inf, 0]
+    assume(to_cut.min() >= 1e-3)
+    B, _ = _similar(eigs, seed)
+    want = fractional_matrix_power(B, t)
+    assert np.abs(matrix_power(B, t) - want).max() <= 1e-9 * (1 + np.abs(want).max())
+
+
 def test_power_rejects_spectrum_at_origin():
     with pytest.raises(EigenvalueOnCut):
         matrix_power(np.diag([0.0, 2.0]).astype(complex), 0.5)
@@ -486,6 +588,68 @@ def test_split_all_stable():
 def test_split_rejects_imaginary_axis():
     with pytest.raises(DefectMode):
         spectral_split(np.diag([1j, -1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_split_rejects_non_finite_input(bad):
+    C = np.diag([-1.0, 1.0]).astype(complex)
+    C[0, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_split(C)
+
+
+def _sorted_schur_split(C):
+    """The split from ``scipy.linalg.schur``'s sorted decompositions and
+    ``np.linalg.eigvals``, which spectral_split must reproduce."""
+    import scipy.linalg
+
+    eigs = np.linalg.eigvals(C)
+    gap = float(np.abs(eigs.real).min())
+    if gap <= 1e-10 * (1.0 + np.abs(eigs).max()):
+        raise DefectMode("eigenvalue on the imaginary axis")
+    _, zs, ds = scipy.linalg.schur(C, output="complex", sort="lhp")
+    _, zu, du = scipy.linalg.schur(C, output="complex", sort="rhp")
+    d = len(C)
+    if ds in (0, d):
+        proj = np.eye(d, dtype=complex) * (ds == d)
+    else:
+        basis = np.hstack([zs[:, :ds], zu[:, :du]])
+        proj = basis[:, :ds] @ np.linalg.inv(basis)[:ds, :]
+    return zs[:, :ds], zu[:, :du], proj, gap
+
+
+def _split_cases():
+    for name in sorted(GALLERY):
+        spec = build_gallery(name, **GALLERY[name])
+        for m in mode_lattice(spec.n, 16):
+            yield companion_matrix(mode_symbol(spec, m))
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        yield rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    # real parts at half and twice the defect threshold, and on the axis
+    for re in (0.5e-10, 2e-10, 0.0):
+        yield _similar([re * 3.0 + 2j, -1.0, 1.0], seed=3)[0]
+
+
+def test_split_is_that_of_sorted_schur():
+    splits = defects = 0
+    for C in _split_cases():
+        try:
+            stable, unstable, proj, gap = _sorted_schur_split(C)
+        except DefectMode:
+            with pytest.raises(DefectMode):
+                spectral_split(C)
+            defects += 1
+            continue
+        sp = spectral_split(C)
+        assert np.array_equal(sp.stable, stable)
+        assert np.array_equal(sp.unstable, unstable)
+        assert np.array_equal(sp.projector, proj)
+        # the eigenvalues come from another LAPACK route, so the gap moves
+        # by rounding: a few ulps of the matrix, not of a small gap
+        assert abs(sp.gap - gap) <= 1e-15 * np.abs(C).max()
+        splits += 1
+    assert splits > 1000 and defects >= 2
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))

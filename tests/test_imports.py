@@ -13,21 +13,24 @@ from calderon.cli import main
 
 PACKAGE = Path(calderon.__file__).resolve().parent
 
-# runs cli.main on each argv list, then reports the exit codes and the
-# scipy and calderon modules the process has loaded
+# imports the modules named after the argv lists, runs cli.main on each
+# argv list, then reports the exit codes and the scipy and calderon
+# modules the process has loaded
 SCRIPT = """\
-import json, sys
+import importlib, json, sys
 import calderon, calderon.cli
+for name in sys.argv[2:]:
+    importlib.import_module(name)
 codes = [calderon.cli.main(argv) for argv in json.loads(sys.argv[1])]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "calderon"))
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def _fresh(runs, cwd):
+def _fresh(runs, cwd, imports=()):
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(runs)],
+        [sys.executable, "-c", SCRIPT, json.dumps(runs), *imports],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -72,10 +75,15 @@ def test_pipelines_never_load_scipy(specs, tmp_path):
     assert got["codes"] == [0] * len(runs)
     for argv in runs:
         assert (tmp_path / argv[-1]).stat().st_size > 0
-    # every calderon module was imported, and none of them pulled in scipy
+    # every calderon module was imported, and none of them pulled in
+    # scipy; the acceptance suite loads only with its subcommand, so a
+    # process of its own imports it
+    alone = _fresh([], tmp_path, imports=["calderon.acceptance"])
     modules = {f"calderon.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
-    assert modules <= set(got["loaded"])
-    assert [m for m in got["loaded"] if m.startswith("scipy")] == []
+    for loaded in (got["loaded"], alone["loaded"]):
+        assert [m for m in loaded if m.startswith("scipy")] == []
+    assert modules <= set(got["loaded"]) | set(alone["loaded"])
+    assert "calderon.acceptance" not in got["loaded"]
 
 
 def test_schur_oracle_loads_scipy_and_matches_in_process(specs, tmp_path):
