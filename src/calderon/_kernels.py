@@ -9,7 +9,7 @@ Python overhead is paid once per sweep, not once per mode.
 
 import numpy as np
 
-from .errors import SignIterationStalled
+from .errors import IllConditionedFrame, SignIterationStalled
 
 _SIGN_TOL = 1e-13
 _SIGN_MAXIT = 100
@@ -109,7 +109,16 @@ def orthonormal_range_sweep(mats, dims):
 def qr_range_sweep(mats, dims):
     """``orthonormal_range_sweep`` by Householder QR, for stacks whose
     leading ``dims[i]`` columns are linearly independent: as stable and
-    several times cheaper, but it cannot reveal a rank."""
-    q = np.linalg.qr(_as_stack(mats))[0]
-    mask = np.arange(q.shape[2])[None, :] < np.asarray(dims)[:, None]
+    several times cheaper, but it cannot reveal a rank.  It holds the one
+    Gram gate: the first row whose leading ``dims[i] >= 2`` columns have
+    ``cond^2 > 1e12``, read from ``R``, raises IllConditionedFrame with its
+    ``index``.  A single column has condition 1 and is never checked."""
+    q, r = np.linalg.qr(_as_stack(mats))
+    dims = np.asarray(dims)
+    ok = np.ones(dims.shape, dtype=bool)
+    for k in set(dims[dims > 1].tolist()):  # np.unique would load numpy.ma, ~10 ms
+        ok[dims == k] = np.linalg.cond(r[dims == k, :k, :k]) <= 1e12**0.5  # NaN fails
+    if not ok.all():
+        raise IllConditionedFrame("weighted Gram matrix is singular", index=int(ok.argmin()))
+    mask = np.arange(q.shape[2])[None, :] < dims[:, None]
     return q * mask[:, None, :]

@@ -11,31 +11,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import stable_projector_sweep
-from .contour import enclosing_circle, matrix_power, riesz_projector
+from ._kernels import orthonormal_range_sweep, stable_projector_sweep
+from .contour import enclosing_circle, matrix_power, riesz_projector, spectral_split
 from .grassmann import (
+    _complement_sines,
     assemble_point,
     compare_points,
     fredholm_index,
     krichever_reference,
     schatten_fit,
 )
-from .projector import (
-    calderon_projector_stack,
-    cauchy_frame_oracle,
-    entry_growth_fit,
-    orthogonal_projector,
-    principal_angles,
-    range_basis,
-    sobolev_weights,
-)
-from .symbols import (
-    build_gallery,
-    defect_screen,
-    mode_lattice,
-    mode_symbol,
-    selfadjoint_double,
-)
+from .projector import calderon_projector_stack, entry_growth_fit
+from .symbols import build_gallery, defect_screen, mode_lattice, selfadjoint_double
 
 
 @dataclass
@@ -75,18 +62,20 @@ def criterion_1():
     for spec, cutoff in _acceptance_specs():
         lattice = mode_lattice(spec.n, cutoff)
         comp, _, defect = defect_screen(spec, lattice)
-        modes = lattice[~defect]
+        modes, comp = lattice[~defect], comp[~defect]
         rps = calderon_projector_stack(spec, modes, "plus")
         worst_idem = max(worst_idem, float(np.abs(rps @ rps - rps).max()))
         # full matrices, so the complement (kernel) is checked as well as the range
-        sign = stable_projector_sweep(comp[~defect])
+        sign = stable_projector_sweep(comp)
         gap = np.abs(rps - sign).max(axis=(1, 2)) / (1.0 + np.abs(sign).max(axis=(1, 2)))
         worst_gap = max(worst_gap, float(gap.max()))
-        for mv, rp in zip(modes, rps):
-            oracle = cauchy_frame_oracle(mode_symbol(spec, mv), "plus")
-            angles = principal_angles(range_basis(rp), oracle.matrix)
-            if len(angles):
-                worst_angle = max(worst_angle, float(angles[0]))
+        # layer ranges (rank from the trace) against the zero-padded Schur frames
+        dims = np.rint(np.trace(rps, axis1=1, axis2=2).real).astype(np.int64)
+        stable = [spectral_split(c).stable for c in comp]
+        schur_dims = np.array([f.shape[1] for f in stable])
+        schur = np.array([np.pad(f, ((0, 0), (0, f.shape[0] - f.shape[1]))) for f in stable])
+        sines = _complement_sines(orthonormal_range_sweep(rps, dims), schur, dims, schur_dims)[2]
+        worst_angle = max(worst_angle, float(np.arcsin(np.clip(sines[:, 0], 0.0, 1.0)).max()))
         checked += len(modes)
     elapsed = time.time() - t0
     ok = worst_idem <= 1e-8 and worst_gap <= 1e-10 and worst_angle < 1e-7
@@ -282,13 +271,8 @@ def criterion_10():
     sa = build_gallery("dirac2", mu=1, v=0)
     sb = build_gallery("dirac2", mu=1, v=0.3)
     ms = np.unique(np.geomspace(16, 256, 25).astype(int))
-    norms = []
-    for m in ms:
-        w = sobolev_weights((int(m),), 1, 0.5)
-        pa = orthogonal_projector(cauchy_frame_oracle(mode_symbol(sa, int(m)), "plus"), w).matrix
-        pb = orthogonal_projector(cauchy_frame_oracle(mode_symbol(sb, int(m)), "plus"), w).matrix
-        sw = np.sqrt(w.full(2))
-        norms.append(float(np.linalg.norm((pa - pb) * (sw[:, None] / sw[None, :]), 2)))
+    rep = compare_points(assemble_point(sa, 256), assemble_point(sb, 256))
+    norms = rep.diff_norms[np.isin(rep.modes[:, 0], ms)]
     slope = float(np.polyfit(np.log(ms), np.log(norms), 1)[0])
     bound_c = max(m * v for m, v in zip(ms, norms))
     elapsed = time.time() - t0

@@ -62,7 +62,7 @@ class SingularBlock(CalderonError):
     """The top-order coefficient block is singular."""
 
 
-class IllConditionedFrame(CalderonError):
+class IllConditionedFrame(_StackError):
     """The weighted Gram matrix of a frame is numerically singular."""
 
 

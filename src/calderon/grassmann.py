@@ -17,6 +17,7 @@ from . import _kernels
 from .errors import (
     CutoffMismatch,
     DefectMode,
+    IllConditionedFrame,
     InsufficientData,
     NoChiralStructure,
     SignIterationStalled,
@@ -79,10 +80,10 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False):
     """Build the truncated decaying-side point of an operator.
 
     Frames are the stable invariant subspaces of the per-mode companion
-    matrices, rescaled by ``W^{1/2}`` and re-orthonormalized by QR.  Defect
-    modes (real-axis characteristic roots) are excluded and listed,
-    unless ``strict`` is set, in which case they raise.  A retained mode
-    whose sign iteration stalls raises DefectMode naming that mode.
+    matrices, rescaled by ``W^{1/2}`` and re-orthonormalized by QR, whose
+    Gram gate raises IllConditionedFrame.  Defect modes (real-axis roots)
+    are excluded and listed, or raise if ``strict`` is set.  A stalled
+    sign iteration raises DefectMode.  Every error names its mode.
     """
     if cutoff < 1:
         raise SpecError("cutoff must be at least 1")
@@ -100,6 +101,8 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False):
 
     try:
         proj = _kernels.stable_projector_sweep(comp)
+        raw = _kernels.orthonormal_range_sweep(proj, dims)
+        ortho = _kernels.qr_range_sweep(np.sqrt(w)[:, :, None] * raw, dims)
     except SignIterationStalled as exc:
         key = mode_key(modes[exc.index])
         raise DefectMode(
@@ -107,9 +110,9 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False):
             "spectrum is too close to the imaginary axis",
             mode=key,
         ) from exc
-    raw = _kernels.orthonormal_range_sweep(proj, dims)
-    weighted = np.sqrt(w)[:, :, None] * raw
-    ortho = _kernels.qr_range_sweep(weighted, dims)
+    except IllConditionedFrame as exc:
+        msg = f"weighted Gram matrix at mode {mode_key(modes[exc.index])} is numerically singular"
+        raise IllConditionedFrame(msg, index=exc.index) from exc
     return GrassmannPoint(
         spec=spec,
         cutoff=int(cutoff),
@@ -178,10 +181,10 @@ class CompareReport:
     operator norm of the projector difference per mode, which is the
     sine of its largest angle (0 where both frames are empty), and
     ``q_svals`` the singular values of the one-sided restriction
-    ``(I - P_B)|_A``.  The angles follow the convention of
-    ``projector.principal_angles``: A is the side complemented.  The
-    global list ``svals`` repeats the sine of every angle twice, the
-    fixed counting convention for projector differences used throughout.
+    ``(I - P_B)|_A``, all from :func:`_complement_sines` (A is the side
+    complemented, as in ``projector.principal_angles``).  The global list
+    ``svals`` repeats the sine of every angle twice, the fixed counting
+    convention for projector differences used throughout.
     """
 
     modes: np.ndarray
@@ -233,6 +236,16 @@ def _common_indices(a, b):
     return hits[ib], ib, mb[ib]
 
 
+def _complement_sines(QA, QB, da, db):
+    """Principal-angle sines through the complement of A against B (Bjorck
+    & Golub, Math. Comp. 27, 1973) for frames with ``da``/``db`` leading
+    orthonormal columns: ``cross = QA* QB``, the singular values of
+    ``QA - QB cross*`` and those rows padded by ``_padded_sines``."""
+    cross = np.einsum("nij,nik->njk", QA.conj(), QB)
+    sines_a = _kernels.svdvals_sweep(QA - QB @ np.conj(np.swapaxes(cross, 1, 2)))
+    return cross, sines_a, _padded_sines(sines_a, da, db)
+
+
 def compare_points(a, b):
     """Principal-angle comparison of two Grassmannian points.
 
@@ -251,11 +264,8 @@ def compare_points(a, b):
     QA, QB = a.ortho[ia], b.ortho[ib]
     da, db = a.dims[ia], b.dims[ib]
 
-    cross = np.einsum("nij,nik->njk", QA.conj(), QB)
-    comp_a = QA - QB @ np.conj(np.swapaxes(cross, 1, 2))
-    sines_a = _kernels.svdvals_sweep(comp_a)
+    cross, sines_a, sines = _complement_sines(QA, QB, da, db)
     cos_sv = _kernels.svdvals_sweep(cross)
-    sines = _padded_sines(sines_a, da, db)
     j = np.arange(a.ambient_dim)
     live = j < np.maximum(da, db)[:, None]
     same_shape = (a.spec.n, a.spec.r, a.spec.k) == (b.spec.n, b.spec.r, b.spec.k)

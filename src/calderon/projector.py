@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import eigvals_sweep, orthonormal_range_sweep
+from ._kernels import eigvals_sweep, orthonormal_range_sweep, qr_range_sweep
 from .contour import (
     Contour,
     _enclosing_circles,
@@ -379,37 +379,34 @@ def calderon_projector_stack(spec, modes, side="plus"):
 def orthogonal_projector(frame_or_proj, weight):
     """Weighted-orthogonal projector with the same range as the input.
 
-    Computes ``F (F* W F)^{-1} F* W`` for a frame F of the range, with
-    all factorizations done on ``W^{1/2}``-scaled columns for stability.
-    A zero-dimensional range returns the zero matrix; a Gram condition
-    number above 1e12 raises IllConditionedFrame.
+    Computes ``F (F* W F)^{-1} F* W`` for a frame F of the range as
+    ``W^{-1/2} Q Q* W^{1/2}``, Q from ``assemble_point``'s weighted-frame
+    step (``_kernels.qr_range_sweep``) at N=1, whose Gram gate raises
+    IllConditionedFrame naming the mode.  A weight of another mode or
+    size raises SpecError.
     """
     if isinstance(frame_or_proj, CauchyFrame):
         F = frame_or_proj.matrix
-        side = frame_or_proj.side
-        m = frame_or_proj.m
     elif isinstance(frame_or_proj, BlockProjector):
         F = range_basis(frame_or_proj.matrix)
-        side = frame_or_proj.side
-        m = frame_or_proj.m
     else:
         raise SpecError("expected a CauchyFrame or a BlockProjector")
+    side, m = frame_or_proj.side, frame_or_proj.m
 
     d = F.shape[0]
     kind = "Pplus" if side == "plus" else "Pminus"
     if (weight.values <= 0).any():
         raise SpecError("weights must be positive")
-    if F.shape[1] == 0:
-        return BlockProjector(m=m, matrix=np.zeros((d, d), dtype=complex), kind=kind, weight=weight)
     w = weight.full(d // weight.k)
+    if tuple(weight.m) != tuple(m) or w.size != d:
+        raise SpecError(f"the weight does not fit the {d}-dimensional frame at mode {m}")
     sqw = np.sqrt(w)
-    G = sqw[:, None] * F
-    u, s, _ = np.linalg.svd(G, full_matrices=False)
-    if (s[0] / s[-1]) ** 2 > 1e12:
-        raise IllConditionedFrame(f"weighted Gram matrix at mode {m} is numerically singular")
-    Q = u[:, : F.shape[1]]
-    P_hat = Q @ Q.conj().T
-    P = P_hat * (sqw[None, :] / sqw[:, None])
+    try:
+        Q = qr_range_sweep((sqw[:, None] * F)[None], [F.shape[1]])[0]
+    except IllConditionedFrame as exc:
+        msg = f"weighted Gram matrix at mode {m} is numerically singular"
+        raise IllConditionedFrame(msg) from exc
+    P = (Q @ Q.conj().T) * (sqw[None, :] / sqw[:, None])
     return BlockProjector(m=m, matrix=P, kind=kind, weight=weight)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calderon import _kernels
-from calderon.errors import SignIterationStalled
+from calderon.errors import IllConditionedFrame, SignIterationStalled
 
 
 def stack(n=300, d=4, seed=0, shift=3.0):
@@ -101,3 +101,28 @@ def test_qr_sweep_spans_the_weighted_frame_as_the_svd_sweep_does(seed, d, log_ra
     svd = _kernels.orthonormal_range_sweep(weighted, dims)
     gap = np.abs(_range_projectors(q) - _range_projectors(svd)).max()
     assert gap <= 1e-15 * d * np.sqrt(ratio)
+
+
+def test_qr_sweep_gate_names_the_first_ill_conditioned_row():
+    rng = np.random.default_rng(5)
+    frames = np.linalg.qr(rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4)))[0]
+    dims = np.array([2, 1, 3, 2, 0, 2])
+    _kernels.qr_range_sweep(frames, dims)
+    bad = frames.copy()
+    for i in (3, 5):  # two nearly parallel leading columns: cond^2 about 4e14
+        bad[i, :, 1] = bad[i, :, 0] + 1e-7 * bad[i, :, 1]
+    with pytest.raises(IllConditionedFrame) as info:
+        _kernels.qr_range_sweep(bad, dims)
+    assert info.value.index == 3
+
+
+def test_qr_sweep_gate_never_checks_a_single_column():
+    rng = np.random.default_rng(6)
+    frames = np.linalg.qr(rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4)))[0]
+    w = np.array([1.0, 1e5, 1e10, 1e20])  # weight ratio 1e20
+    weighted = np.sqrt(w)[None, :, None] * frames
+    q = _kernels.qr_range_sweep(weighted, np.ones(5, dtype=np.int64))
+    assert np.all(q[:, :, 1:] == 0)
+    with pytest.raises(IllConditionedFrame) as info:
+        _kernels.qr_range_sweep(weighted, np.full(5, 4))
+    assert info.value.index == 0

@@ -33,7 +33,7 @@ from calderon.projector import (
     sobolev_weights,
 )
 from calderon.contour import characteristic_roots, root_table, spectral_split
-from calderon.grassmann import assemble_point
+from calderon.grassmann import assemble_point, compare_points
 from calderon.symbols import build_gallery, defect_screen, mode_key, mode_symbol, selfadjoint_double
 
 from test_symbols import GALLERY, sample_modes
@@ -682,6 +682,29 @@ def test_orthogonal_projector_accepts_projector_input():
     assert np.abs(from_frame - from_R).max() < 1e-9
 
 
+def test_orthogonal_projector_rejects_a_weight_of_another_mode_or_size():
+    fr = cauchy_frame_oracle(mode_symbol(build_gallery("laplace_mass", mu=2), 2), "plus")
+    # a mode-7 weight weights the wrong mode; a k=3 weight has 0 entries, not 2
+    for weight in (sobolev_weights((7,), 2, 0.5), sobolev_weights((2,), 3, 0.5)):
+        with pytest.raises(SpecError, match=r"at mode \(2,\)"):
+            orthogonal_projector(fr, weight)
+
+
+@pytest.mark.parametrize("name", [*sorted(GALLERY), "laplace_double"])
+def test_schur_and_sign_frames_give_one_weighted_projector(name):
+    if name == "laplace_double":
+        spec = selfadjoint_double(build_gallery("laplace_mass", mu=1))
+    else:
+        spec = build_gallery(name, **GALLERY[name])
+    point = assemble_point(spec, 8)
+    for m, d, q, w in zip(point.modes, point.dims, point.ortho, point.weights):
+        sqw = np.sqrt(w)
+        want = (q[:, :d] @ q[:, :d].conj().T) * (sqw[None, :] / sqw[:, None])
+        frame = cauchy_frame_oracle(mode_symbol(spec, m), "plus")
+        got = orthogonal_projector(frame, sobolev_weights(m, spec.k, 0.5)).matrix
+        assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
+
+
 def test_mass_one_laplacian_weighted_projector_collapses_to_flat():
     # s^2 = m^2 + 1 matches the weight ratio exactly, so the two sides
     # are weighted-orthogonal and P coincides with R for every mode
@@ -705,6 +728,27 @@ def test_ill_conditioned_frame_rejected():
             CauchyFrame(m=(0,), matrix=zero_column, side="plus")
 
 
+def _three_root_spec():
+    # companion eigenvalues -1, -2, -3 and +1 at every mode: 3-dimensional
+    # frames whose weights spread as (1 + m^2)^3; not elliptic, but accepted
+    coeffs = (1.0, 5.0, 5.0, -5.0, -6.0)  # q = 4, ..., 0
+    terms = {(q, (0,)): [[c]] for q, c in zip(range(4, -1, -1), coeffs)}
+    return build_gallery("custom", n=2, r=1, k=4, terms=terms)
+
+
+def test_one_gram_gate_on_both_weighted_frame_routes():
+    spec = _three_root_spec()
+    frame = lambda m: cauchy_frame_oracle(mode_symbol(spec, m), "plus")
+    with pytest.raises(IllConditionedFrame, match="at mode -1000 ") as info:
+        assemble_point(spec, 1000)
+    assert info.value.index == 0
+    with pytest.raises(IllConditionedFrame, match=r"at mode \(1000,\)"):
+        orthogonal_projector(frame(1000), sobolev_weights(1000, 4, 0.5))
+    assert (assemble_point(spec, 300).dims == 3).all()
+    for m in (-300, 300):
+        orthogonal_projector(frame(m), sobolev_weights(m, 4, 0.5))
+
+
 def test_principal_symbol_dependence_decay():
     sa = build_gallery("dirac2", mu=1, v=0)
     sb = build_gallery("dirac2", mu=1, v=0.3)
@@ -719,6 +763,10 @@ def test_principal_symbol_dependence_decay():
     assert max(m * v for m, v in zip(ms, norms)) < 1.0  # C/|m| bound
     slope = np.polyfit(np.log(ms), np.log(norms), 1)[0]
     assert slope < -0.9
+    # the stacked route of acceptance criterion 10 reads the same norms
+    rep = compare_points(assemble_point(sa, 256), assemble_point(sb, 256))
+    stacked = rep.diff_norms[np.isin(rep.modes[:, 0], ms)]
+    np.testing.assert_allclose(stacked, norms, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
