@@ -80,8 +80,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.cutoff < 4:
             raise SpecError("cutoff must be at least 4")
-        if self.alpha <= 0:
-            raise SpecError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:  # NaN fails
+            raise SpecError("alpha must be finite and positive")
+        if not 0 < self.tol <= 1:
+            raise SpecError("tol must be finite and in (0, 1]")
+        if not all(0 < p < np.inf for p in self.p_list):
+            raise SpecError("Schatten orders must be finite and positive")
 
     def echo(self):
         out = {

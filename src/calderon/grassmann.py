@@ -330,6 +330,8 @@ def schatten_fit(rep, n, q, p_list=(1.0, 2.0)):
     """
     if not isinstance(q, (int, np.integer)) or q < 0:
         raise SpecError("agreement order q must be a nonnegative integer")
+    if not all(0 < p < np.inf for p in p_list):  # NaN fails
+        raise SpecError("Schatten orders must be finite and positive")
     svals = np.asarray(rep.svals, dtype=float)
     if svals.size == 0 and len(rep.modes) == 0:
         raise InsufficientData("comparison produced no singular values")
@@ -440,6 +442,8 @@ def fredholm_index(a, b, tol=1e-6, rep=None):
     away from a right angle; an unsafe tail is reported in ``tail_safe``,
     not raised.
     """
+    if not 0 < tol <= 1:  # NaN fails
+        raise SpecError("tol must be finite and in (0, 1]")
     if rep is None:
         rep = compare_points(a, b)
     da, db = rep.dims_a, rep.dims_b

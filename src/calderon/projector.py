@@ -128,8 +128,8 @@ class SobolevWeight:
 def mode_weights(modes, k, alpha):
     """Sobolev exponents ``s_j = k - 1 + alpha - j`` and the weights
     ``(1 + |m|^2)^{s_j}`` of a stack of modes, shape ``(N, k)``."""
-    if alpha <= 0:
-        raise SpecError("alpha must be positive")
+    if not 0 < alpha < np.inf:  # NaN fails
+        raise SpecError("alpha must be finite and positive")
     exps = np.array([k - 1 + alpha - j for j in range(k)])
     msq = (np.asarray(modes, dtype=float) ** 2).sum(axis=1)
     return exps, (1.0 + msq)[:, None] ** exps[None, :]
@@ -176,36 +176,35 @@ def _jump(A):
 
 def invert_jump_operator(a_op, block_size):
     """Exact inverse of the anti-triangular block matrix from
-    :func:`jump_operator`, by back substitution along block rows.
-
-    The result has the top-order block inverse on the anti-diagonal and
-    vanishes above it.  Raises SingularBlock when that block is
-    singular.
+    :func:`jump_operator`: the N=1 call of :func:`_jump_inverse` on the
+    blocks ``A_1 .. A_k`` of its first block row.  It vanishes above the
+    anti-diagonal.  Raises SingularBlock when ``A_k`` is singular.
     """
     a_op = np.asarray(a_op, dtype=complex)
     r = block_size
-    d = a_op.shape[0]
-    if d % r:
+    if a_op.shape[0] % r:
         raise SpecError("matrix size is not a multiple of the block size")
-    k = d // r
-    blocks = {t: a_op[0:r, (t - 1) * r : t * r] for t in range(1, k + 1)}
-    top = a_op[(k - 1) * r :, 0:r]  # A_k, also visible in the last block row
-    if abs(np.linalg.det(top)) < 1e-300:
+    k = a_op.shape[0] // r
+    A = np.zeros((k + 1, 1, r, r), dtype=complex)
+    A[1:, 0] = a_op[:r].reshape(r, k, r).transpose(1, 0, 2)
+    if abs(np.linalg.det(A[k, 0])) < 1e-300:
         raise SingularBlock("top-order block is singular")
-    top_inv = np.linalg.inv(top)
-    X = np.zeros((k, k, r, r), dtype=complex)
-    eye = np.eye(r, dtype=complex)
+    return _jump_inverse(A)[0]
+
+
+def _jump_inverse(A):
+    """Inverse jump operators ``(..., rk, rk)`` of an ``A`` stack ``(k+1, ..., r, r)``
+    (``A_0`` unread).  With ``E`` the block reversal, ``J E`` is upper block-Toeplitz
+    with diagonal ``A_k``, so block ``(p, j)`` of ``J^{-1}`` is ``Y_{p+j-k+1}``, zero
+    above the anti-diagonal: ``Y_0 = A_k^{-1}``, ``Y_d = -Y_0 sum_{i=1..d} A_{k-i} Y_{d-i}``."""
+    k, r = A.shape[0] - 1, A.shape[-1]
+    Y = [np.linalg.inv(A[k])]
+    for d in range(1, k):
+        Y.append(-Y[0] @ sum(A[k - i] @ Y[d - i] for i in range(1, d + 1)))
+    out = np.zeros(A.shape[1:-2] + (r * k, r * k), dtype=complex)
     for p in range(k):
-        for j in range(k):
-            rhs = eye if j == k - 1 - p else np.zeros((r, r), dtype=complex)
-            acc = rhs.astype(complex)
-            for pp in range(p):
-                acc = acc - blocks[k - p + pp] @ X[pp, j]
-            X[p, j] = top_inv @ acc
-    out = np.zeros((d, d), dtype=complex)
-    for p in range(k):
-        for j in range(k):
-            out[p * r : (p + 1) * r, j * r : (j + 1) * r] = X[p, j]
+        for j in range(k - 1 - p, k):
+            out[..., p * r : (p + 1) * r, j * r : (j + 1) * r] = Y[p + j - k + 1]
     return out
 
 

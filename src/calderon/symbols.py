@@ -175,18 +175,26 @@ def mode_key(vec):
     return tuple(int(x) for x in vec)
 
 
-def mode_matrix_stack(spec, modes):
-    """A_q(m) for a whole stack of modes: shape (k+1, N, r, r)."""
-    modes = np.asarray(modes, dtype=float)
-    N = modes.shape[0]
-    A = np.zeros((spec.k + 1, N, spec.r, spec.r), dtype=complex)
+def _term_stack(spec, modes, degree=None):
+    """``A_q(m) = sum_beta c[q, beta] (i m)^beta``, shape ``(k+1, N, r, r)``, for real
+    modes one per row, over the terms of total degree ``degree`` (None: all)."""
+    im = 1j * np.asarray(modes, dtype=complex)
+    A = np.zeros((spec.k + 1, len(im), spec.r, spec.r), dtype=complex)
     for (q, beta), c in spec.terms.items():
-        phase = np.ones(N, dtype=complex)
+        if degree is not None and q + sum(beta) != degree:
+            continue
+        phase = None
         for j, bj in enumerate(beta):
             if bj:
-                phase *= (1j * modes[:, j]) ** bj
-        A[q] += phase[:, None, None] * c
+                f = im[:, j] if bj == 1 else im[:, j] ** bj
+                phase = f if phase is None else phase * f
+        A[q] += c if phase is None else phase[:, None, None] * c
     return A
+
+
+def mode_matrix_stack(spec, modes):
+    """A_q(m) for a whole stack of modes: shape (k+1, N, r, r)."""
+    return _term_stack(spec, modes)
 
 
 def companion_stack(spec, modes):
@@ -236,15 +244,6 @@ class AgmonRay:
     half_width: float
     eigenvalues: np.ndarray = field(repr=False)
     grid: int = 0
-
-
-def _phase(m, beta):
-    """(i m)^beta for a tangential frequency vector m."""
-    out = 1.0 + 0.0j
-    for mj, bj in zip(m, beta):
-        if bj:
-            out *= (1j * mj) ** bj
-    return out
 
 
 def _as_mode(spec, m):
@@ -350,25 +349,20 @@ def mode_symbol(spec, m):
     """Restrict an operator to one tangential frequency.
 
     Tangential derivatives become multiplication by ``(im)^beta``, so the
-    mode is described by the ``k + 1`` matrices ``A_q(m)``.
+    mode is described by the ``k + 1`` matrices ``A_q(m)``: row 0 of the
+    N=1 :func:`mode_matrix_stack`.
     """
     m = _as_mode(spec, m)
-    A = np.zeros((spec.k + 1, spec.r, spec.r), dtype=complex)
-    for (q, beta), c in spec.terms.items():
-        A[q] += _phase(m, beta) * c
-    return ModeSymbol(spec=spec, m=m, A=A)
+    return ModeSymbol(spec=spec, m=m, A=mode_matrix_stack(spec, [m])[:, 0])
 
 
 def homogeneous_component(spec, j, m, xi_n):
-    """Degree ``k - j`` homogeneous part of the symbol at ``(m, xi_n)``."""
+    """Degree ``k - j`` homogeneous part of the symbol at ``(m, xi_n)``:
+    the N=1 call of :func:`symbol_values` on the degree ``k - j`` terms."""
     if not 0 <= j <= spec.k:
         raise SpecError(f"component index {j} outside 0..{spec.k}")
-    m = _as_mode(spec, m)
-    out = np.zeros((spec.r, spec.r), dtype=complex)
-    for (q, beta), c in spec.terms.items():
-        if q + sum(beta) == spec.k - j:
-            out += _phase(m, beta) * (1j * complex(xi_n)) ** q * c
-    return out
+    A = _term_stack(spec, [_as_mode(spec, m)], spec.k - j)
+    return symbol_values(A, np.asarray(complex(xi_n)))[0]
 
 
 def principal_symbol(spec, xi_prime, xi_n):
@@ -430,9 +424,7 @@ def check_ellipticity(spec, samples=64, mode_scan=None):
     if samples < 8:
         raise SpecError("need at least 8 cosphere samples")
     dirs = _cosphere_directions(spec.n, samples)
-    dets = np.array(
-        [np.linalg.det(principal_symbol(spec, d[:-1], d[-1])) for d in dirs]
-    )
+    dets = np.linalg.det(symbol_values(_term_stack(spec, dirs[:, :-1], spec.k), dirs[:, -1]))
     min_det = float(np.abs(dets).min())
     passed = min_det > 1e-10 * (1.0 + float(np.abs(dets).max()))
 
@@ -460,9 +452,8 @@ def find_agmon_ray(spec, grid=64):
         raise SpecError("need at least 16 grid points")
     samples = grid if spec.n == 2 else grid * grid
     dirs = _cosphere_directions(spec.n, samples)
-    eigs = np.concatenate(
-        [np.linalg.eigvals(principal_symbol(spec, d[:-1], d[-1])) for d in dirs]
-    )
+    principal = symbol_values(_term_stack(spec, dirs[:, :-1], spec.k), dirs[:, -1])
+    eigs = np.linalg.eigvals(principal).ravel()
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     cloud = eigs[np.abs(eigs) > 1e-12 * (1.0 + scale)]
     if cloud.size == 0:

@@ -183,6 +183,33 @@ def test_malformed_numbers_give_a_spec_error_record(specs, capsys, argv):
     assert record["error"]["type"] == "SpecError"
 
 
+@pytest.mark.parametrize(
+    "sub, option, message",
+    [
+        ("index", "--alpha=nan", "alpha must be finite"),
+        ("index", "--alpha=inf", "alpha must be finite"),
+        ("index", "--tol=nan", "tol must be finite"),
+        ("index", "--tol=inf", "tol must be finite"),
+        ("index", "--tol=0", "tol must be finite"),
+        ("index", "--tol=-1", "tol must be finite"),
+        ("schatten", "--p=nan,-1", "Schatten orders must be finite"),
+        ("compare", "--alpha=inf", "alpha must be finite"),
+        # subcommands that never read the value reject it too
+        ("ellipticity", "--tol=nan", "tol must be finite"),
+        ("projector", "--p=inf", "Schatten orders must be finite"),
+    ],
+)
+def test_out_of_range_numbers_give_a_spec_error_record(specs, capsys, sub, option, message):
+    if sub in ("ellipticity", "projector"):
+        argv = [sub, "--spec", specs["dbar"], option]
+    else:
+        argv = [sub, "--spec-a", specs["twist3"], "--spec-b", specs["dbar"], "--cutoff", "8", option]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "SpecError"
+    assert message in record["error"]["message"]
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["ellipticity", "--spec", "does-not-exist.spec"]) == 2
     record = json.loads(capsys.readouterr().out)

@@ -109,6 +109,28 @@ def test_assembly_validation():
         assemble_point(dbar(), 8, alpha=-1)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+def test_alpha_must_be_finite_and_positive(alpha):
+    with pytest.raises(SpecError, match="alpha must be finite and positive"):
+        assemble_point(dbar(), 8, alpha=alpha)
+    with pytest.raises(SpecError, match="alpha must be finite and positive"):
+        sobolev_weights(3, 1, alpha)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1.5])
+def test_index_tol_must_be_finite_and_in_unit_interval(tol):
+    pa, pb = assemble_point(twist(3), 8), assemble_point(dbar(), 8)
+    with pytest.raises(SpecError, match=r"tol must be finite and in \(0, 1\]"):
+        fredholm_index(pa, pb, tol=tol)
+
+
+@pytest.mark.parametrize("p_list", [(np.nan,), (1.0, -1.0), (np.inf,), (0.0,)])
+def test_schatten_orders_must_be_finite_and_positive(p_list):
+    pa = assemble_point(dbar(), 16)
+    with pytest.raises(SpecError, match="Schatten orders must be finite and positive"):
+        schatten_fit(compare_points(pa, pa), n=2, q=0, p_list=p_list)
+
+
 # ---------------------------------------------------------------------------
 # comparison
 

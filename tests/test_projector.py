@@ -16,6 +16,8 @@ from calderon.errors import (
 )
 from calderon.projector import (
     _adjugate,
+    _jump,
+    _jump_inverse,
     calderon_projector,
     calderon_projector_stack,
     cauchy_frame_oracle,
@@ -26,6 +28,7 @@ from calderon.projector import (
     jump_operator,
     layer_potential_blocks,
     mode_lattice,
+    mode_matrix_stack,
     orthogonal_projector,
     principal_angles,
     range_basis,
@@ -39,15 +42,15 @@ from calderon.symbols import build_gallery, defect_screen, mode_key, mode_symbol
 from test_symbols import GALLERY, sample_modes
 
 
-def _order_three():
-    """A random order-3 rank-2 custom operator on the circle."""
-    rng = np.random.default_rng(3)
+def _random_operator(k, seed):
+    """A random order-``k`` rank-2 custom operator on the circle."""
+    rng = np.random.default_rng(seed)
     terms = {
         (q, (b,)): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        for q in range(4)
-        for b in range(4 - q)
+        for q in range(k + 1)
+        for b in range(k + 1 - q)
     }
-    return build_gallery("custom", n=2, r=2, k=3, terms=terms)
+    return build_gallery("custom", n=2, r=2, k=k, terms=terms)
 
 
 def _weighted_angle_frames(F, w):
@@ -79,7 +82,7 @@ def test_companion_spectrum_is_i_times_roots():
 @pytest.mark.parametrize("name", sorted(GALLERY) + ["order_three"])
 def test_companion_matrix_matches_companion_stack(name):
     if name == "order_three":
-        spec = _order_three()
+        spec = _random_operator(3, 3)
     else:
         spec = build_gallery(name, **GALLERY[name])
     modes = sample_modes(spec, 9, count=20)
@@ -151,6 +154,32 @@ def test_singular_top_block_rejected():
     A = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(SingularBlock):
         invert_jump_operator(A, 1)
+
+
+def _jump_inverse_specs():
+    specs = {name: build_gallery(name, **GALLERY[name]) for name in sorted(GALLERY)}
+    specs["laplace_double"] = selfadjoint_double(build_gallery("laplace_mass", mu=1))
+    specs["order_four"] = _random_operator(4, 4)
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(_jump_inverse_specs()))
+def test_stacked_jump_inverse(name):
+    spec = _jump_inverse_specs()[name]
+    k, r = spec.k, spec.r
+    modes = mode_lattice(spec.n, 8 if spec.n == 2 else 3)
+    A = mode_matrix_stack(spec, modes)
+    J, X = _jump(A), _jump_inverse(A)
+    err = np.abs(J @ X - np.eye(r * k)).max(axis=(1, 2))
+    assert (err <= 1e-12 * np.linalg.cond(J)).all()
+    blocks = X.reshape(-1, k, r, k, r)
+    for p in range(k):
+        for j in range(k - 1 - p):  # above the anti-diagonal
+            assert not blocks[:, p, :, j].any()
+    for m in modes[::5]:
+        sym = mode_symbol(spec, m)
+        want = _jump_inverse(sym.A[:, None])[0]
+        assert invert_jump_operator(jump_operator(sym), r).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +648,7 @@ def test_sobolev_weight_values():
 )
 def test_stacked_weights_match_single_mode_weights(name, params, alpha):
     if name == "order_three":
-        spec = _order_three()
+        spec = _random_operator(3, 3)
     elif name == "laplace_double":
         spec = selfadjoint_double(build_gallery("laplace_mass", mu=1))
     else:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from calderon.errors import NoFreeRay, SpecError
 from calderon.symbols import (
+    _cosphere_directions,
     agree_up_to_order,
     build_gallery,
     check_ellipticity,
@@ -12,6 +13,7 @@ from calderon.symbols import (
     find_agmon_ray,
     homogeneous_component,
     load_spec,
+    mode_lattice,
     mode_symbol,
     principal_symbol,
     selfadjoint_double,
@@ -317,3 +319,86 @@ def test_principal_symbol_matches_top_component():
     a = principal_symbol(spec, xi, 0.52)
     b = homogeneous_component(spec, 0, xi, 0.52)
     assert np.abs(a - b).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the per-term formula as a reference for the stacked evaluator
+
+
+def _phase(m, beta):
+    """(i m)^beta for a tangential frequency vector m, one scalar factor
+    at a time."""
+    out = 1.0 + 0.0j
+    for mj, bj in zip(m, beta):
+        if bj:
+            out *= (1j * mj) ** bj
+    return out
+
+
+def _reference_mode_matrices(spec, m):
+    A = np.zeros((spec.k + 1, spec.r, spec.r), dtype=complex)
+    for (q, beta), c in spec.terms.items():
+        A[q] += _phase(m, beta) * c
+    return A
+
+
+def _reference_component(spec, j, m, xi_n):
+    out = np.zeros((spec.r, spec.r), dtype=complex)
+    for (q, beta), c in spec.terms.items():
+        if q + sum(beta) == spec.k - j:
+            out += _phase(m, beta) * (1j * complex(xi_n)) ** q * c
+    return out
+
+
+def _reference_principal(spec, samples):
+    """Principal symbols on the cosphere, one direction at a time."""
+    dirs = _cosphere_directions(spec.n, samples)
+    return [_reference_component(spec, 0, d[:-1], d[-1]) for d in dirs]
+
+
+def _reference_min_abs_det(spec, samples):
+    return float(np.abs([np.linalg.det(a) for a in _reference_principal(spec, samples)]).min())
+
+
+XI_SAMPLES = (0.7, -1.3, 0.4 + 0.9j, -2.1 - 0.3j)
+
+
+def _mixed_spec():
+    """n=3, order 2, rank 2, with d_n d_t1, d_t1 d_t2 and d_n d_t2 terms."""
+    rng = np.random.default_rng(11)
+    keys = [(2, (0, 0)), (1, (1, 0)), (1, (0, 1)), (0, (1, 1)), (0, (2, 0)),
+            (0, (0, 2)), (1, (0, 0)), (0, (0, 0))]
+    terms = {key: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for key in keys}
+    return build_gallery("custom", dict(name="mixed", n=3, r=2, k=2, terms=terms))
+
+
+@pytest.mark.parametrize("name", [*sorted(GALLERY), "laplace_double"])
+def test_stacked_evaluator_is_the_per_term_formula_bitwise(name):
+    if name == "laplace_double":
+        spec = selfadjoint_double(build_gallery("laplace_mass", mu=1))
+    else:
+        spec = build_gallery(name, **GALLERY[name])
+    for m in mode_lattice(spec.n, 6 if spec.n == 2 else 3):
+        want = _reference_mode_matrices(spec, m)
+        assert mode_symbol(spec, m).A.tobytes() == want.tobytes()
+        for j in range(spec.k + 1):
+            for xi in XI_SAMPLES:
+                got = homogeneous_component(spec, j, m, xi)
+                assert got.tobytes() == _reference_component(spec, j, m, xi).tobytes()
+    assert check_ellipticity(spec, 64, mode_scan=2).min_abs_det == _reference_min_abs_det(spec, 64)
+    eigs = np.concatenate([np.linalg.eigvals(a) for a in _reference_principal(spec, 32 ** (spec.n - 1))])
+    assert find_agmon_ray(spec, 32).eigenvalues.tobytes() == eigs.tobytes()
+
+
+def test_stacked_evaluator_rounds_like_the_per_term_formula_on_mixed_terms():
+    # (i xi_n)^q multiplies the summed A_q(m), after the sum over beta
+    spec = _mixed_spec()
+    for m in mode_lattice(3, 3):
+        assert np.array_equal(mode_symbol(spec, m).A, _reference_mode_matrices(spec, m))
+        for j in range(spec.k + 1):
+            for xi in XI_SAMPLES:
+                want = _reference_component(spec, j, m, xi)
+                got = homogeneous_component(spec, j, m, xi)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    got = check_ellipticity(spec, 64, mode_scan=2).min_abs_det
+    assert abs(got - _reference_min_abs_det(spec, 64)) <= 1e-15 * got
