@@ -82,8 +82,8 @@ class ExperimentConfig:
             raise SpecError("cutoff must be at least 4")
         if not 0 < self.alpha < np.inf:  # NaN fails
             raise SpecError("alpha must be finite and positive")
-        if not 0 < self.tol <= 1:
-            raise SpecError("tol must be finite and in (0, 1]")
+        if not 0 < self.tol <= 0.1:  # see fredholm_index
+            raise SpecError("tol must be finite and in (0, 0.1]")
         if not all(0 < p < np.inf for p in self.p_list):
             raise SpecError("Schatten orders must be finite and positive")
 

@@ -5,6 +5,7 @@ which converges exponentially for integrands analytic in a neighborhood
 of the contour; node doubling supplies the error estimate.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import (
     EigenvalueOnCut,
     SpecError,
 )
-from .symbols import companion_matrix, on_real_axis
+from .symbols import on_real_axis
 
 MAX_NODES = 2**16
 _HALVES = ("lower", "real", "upper")  # characteristic_roots' names of half = -1, 0, 1
@@ -79,10 +80,24 @@ class Contour:
 
 def _on_curve(center, a, b, e):
     """Nodes and derivatives dz/dtheta of the curve
-    ``center + a cos t + i b sin t`` at the unit points ``e = exp(i t)``;
-    the arguments broadcast, so one angle grid serves a stack of curves."""
-    ae, s = a * e, b - a  # the circle of radius a, stretched by i s sin t
+    ``center + a cos t + i b sin t`` at the unit points ``e = exp(i t)``,
+    or of the circle of radius ``a`` when ``b`` is None; the arguments
+    broadcast, so one angle grid serves a stack of curves."""
+    ae = a * e
+    if b is None:
+        return center + ae, 1j * ae
+    s = b - a  # the circle of radius a, stretched by i s sin t
     return center + ae + 1j * s * e.imag, 1j * ae + 1j * s * e.real
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_points(n, odd):
+    """``exp(i pi j / n)`` for ``j = 0 .. 2n-1``, or for the odd ``j``
+    only: the ``2n``-node grid, or the midpoints of the ``n``-node one.
+    Read-only, as every call with this ``n`` shares it."""
+    e = np.exp(1j * np.pi / n * (np.arange(1, 2 * n, 2) if odd else np.arange(2 * n)))
+    e.setflags(write=False)
+    return e
 
 
 def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
@@ -111,7 +126,9 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
     start grid and its midpoints, so the first doubling is compared
     without a second call; each later doubling evaluates only the new
     midpoints, on the circles that have not converged.  ``f`` is
-    evaluated at ``n`` nodes per circle in all.
+    evaluated at ``n`` nodes per circle in all.  The loop is
+    :func:`_stacked_quadrature`, which takes arrays in place of a
+    :class:`Contour`.
 
     Raises
     ------
@@ -127,12 +144,30 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
         def f(z, rows):
             return np.asarray(single(z[0]))[None]
 
-    center, a, b = (np.atleast_1d(x)[:, None] for x in (contour.center, *contour.radii))
-    rows = np.arange(len(center))  # the circles still doubling
+    center, a, b = (np.atleast_1d(x) for x in (contour.center, *contour.radii))
+    values, counts = _stacked_quadrature(
+        f, center, a, None if np.array_equal(a, b) else b, contour.nodes, tol, max_nodes
+    )
+    if stacked:
+        return values, counts
+    return values[0][()], int(counts[0])  # [()]: a scalar for scalar f
+
+
+def _stacked_quadrature(f, center, a, b, nodes, tol, max_nodes=MAX_NODES):
+    """The doubling loop of :func:`contour_quadrature` on a stack of
+    curves ``center + a cos t + i b sin t`` given as 1-D arrays, or of
+    circles of radii ``a`` when ``b`` is None: ``nodes`` is the shared
+    start and ``f(z, rows)`` the stacked integrand.  Returns the
+    converged integrals along a leading axis and the node count that
+    achieved each, and raises as :func:`contour_quadrature` does.
+    """
+    center, a = center[:, None], a[:, None]
+    b = None if b is None else b[:, None]
+    rows = np.arange(len(center))  # the curves still doubling
 
     def sums(e, parts):
         # sums of f(z) dz/dtheta over the nodes at the unit points e, per
-        # circle and interleaved subgrid (node j of subgrid i is node
+        # curve and interleaved subgrid (node j of subgrid i is node
         # j parts + i), as one product that needs no weighted copy of f's values
         z, dz = _on_curve(center, a, b, e)
         vals = np.asarray(f(z, rows), dtype=complex)
@@ -143,12 +178,12 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
         out = grid @ vals.reshape(R, m, parts, -1).transpose(0, 2, 1, 3)
         return out[:, :, 0], vals.shape[2:]
 
-    n = max(8, contour.nodes)
+    n = max(8, nodes)
     if 2 * n > max_nodes:
         raise ContourNotConverged(f"no convergence with up to {max_nodes} nodes")
     # the first call takes the 2n-node grid, whose even nodes are the
     # n-node grid, so it yields both estimates of the first comparison
-    both, shape = sums(np.exp(1j * np.pi / n * np.arange(2 * n)), 2)
+    both, shape = sums(_unit_points(n, False), 2)
     prev = both[:, 0] / (1j * n)
     total = both[:, 0] + both[:, 1]
     n *= 2
@@ -156,26 +191,25 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
     counts = np.full(len(rows), n)
     while True:
         err = np.abs(value - prev).max(axis=1)
-        going = ~(err <= tol * np.maximum(1.0, np.abs(value).max(axis=1)))  # NaN keeps going
-        if not going.any():
+        done = err <= tol * np.maximum(1.0, np.abs(value).max(axis=1))  # NaN keeps going
+        if done.all():
             break
+        going = ~done
         if 2 * n > max_nodes:
             raise ContourNotConverged(
                 f"no convergence with up to {max_nodes} nodes", index=int(rows[going.argmax()])
             )
-        rows, center, a, b = rows[going], center[going], a[going], b[going]
+        rows, center, a = rows[going], center[going], a[going]
+        b = None if b is None else b[going]
         prev, total = value[going], total[going]
         # the 2n-node grid is the n-node grid plus its midpoints, so each
         # later call evaluates f only at the nodes the previous ones lacked
-        new, _ = sums(np.exp(1j * np.pi / n * np.arange(1, 2 * n, 2)), 1)
+        new, _ = sums(_unit_points(n, True), 1)
         total = total + new[:, 0]
         n *= 2
         values[rows] = value = total / (1j * n)
         counts[rows] = n
-    values = values.reshape(values.shape[:1] + shape)
-    if stacked:
-        return values, counts
-    return values[0][()], int(counts[0])  # [()]: a scalar for scalar f
+    return values.reshape(values.shape[:1] + shape), counts
 
 
 def _sized_nodes(rho):
@@ -196,29 +230,45 @@ def _enclosing_circles(points, inside, outside):
     encloses ``points[i][inside[i]]`` clear of ``points[i][outside[i]]``.
 
     Returns the centers, the radii and each circle's ``rho`` (see
-    :func:`_sized_nodes`).  Raises EigenvalueOnContour, with the
-    ``index`` of the first row, when a group cannot be separated from
-    its excluded points.
+    :func:`_sized_nodes`).  A row whose group cannot be separated from
+    its excluded points gets ``rho = inf``; :func:`_separating_circles`
+    raises on it.
     """
     center = points.sum(axis=1, where=inside) / inside.sum(axis=1)
     dist = np.abs(points - center[:, None])
     spread = dist.max(axis=1, where=inside, initial=0.0)
     gap = dist.min(axis=1, where=outside, initial=np.inf)
     stuck = gap <= spread * (1 + 1e-12) + 1e-300
+    some_stuck = stuck.any()
+    if some_stuck:  # sized as if free, so no 0 / 0, then marked below
+        gap = np.where(stuck, np.inf, gap)
+    # rho = max(spread / r, r / gap) is least at the geometric mean; the
+    # floor gap / 8 keeps a lone point or a tight group at rho <= 1/8
+    free = np.isinf(gap)  # nothing to exclude: a margin set by the group
+    if free.any():
+        g = np.where(free, 1.0, gap)  # a finite stand-in, so no 0 * inf
+        margin = np.maximum(1.0, 0.5 * np.maximum(np.abs(center), spread))
+        radius = np.where(free, spread + margin, np.maximum(np.sqrt(spread * g), 0.125 * g))
+    else:
+        radius = np.maximum(np.sqrt(spread * gap), 0.125 * gap)
+    rho = np.maximum(spread / radius, radius / gap)
+    if some_stuck:
+        rho[stuck] = np.inf
+    return center, radius, rho
+
+
+def _separating_circles(points, inside, outside):
+    """:func:`_enclosing_circles`, raising EigenvalueOnContour, with the
+    ``index`` of the first row, when a group cannot be separated from its
+    excluded points."""
+    center, radius, rho = _enclosing_circles(points, inside, outside)
+    stuck = np.isinf(rho)
     if stuck.any():
         raise EigenvalueOnContour(
             "cannot separate the enclosed group from excluded eigenvalues",
             index=int(stuck.argmax()),
         )
-    # rho = max(spread / r, r / gap) is least at the geometric mean; the
-    # floor gap / 8 keeps a lone point or a tight group at rho <= 1/8
-    free = np.isinf(gap)  # nothing to exclude: a margin set by the group
-    g = np.where(free, 1.0, gap)  # a finite stand-in, so no 0 * inf
-    radius = np.maximum(np.sqrt(spread * g), 0.125 * g)
-    if free.any():
-        margin = np.maximum(1.0, 0.5 * np.maximum(np.abs(center), spread))
-        radius = np.where(free, spread + margin, radius)
-    return center, radius, np.maximum(spread / radius, radius / gap)
+    return center, radius, rho
 
 
 def enclosing_circle(group, excluded=(), nodes=None):
@@ -237,7 +287,7 @@ def enclosing_circle(group, excluded=(), nodes=None):
         raise CalderonError("cannot build a contour around an empty group")
     points = np.concatenate([group, np.asarray(excluded, dtype=complex).ravel()])[None]
     inside = np.arange(points.shape[1])[None] < group.size
-    center, radius, rho = _enclosing_circles(points, inside, ~inside)
+    center, radius, rho = _separating_circles(points, inside, ~inside)
     return Contour.circle(center[0], radius[0], _sized_nodes(rho[0]) if nodes is None else nodes)
 
 
@@ -301,7 +351,7 @@ def characteristic_roots(sym, allow_real=False):
 
     Raises DefectMode on a real-axis root unless ``allow_real``.
     """
-    lam = eigvals_sweep(companion_matrix(sym)[None])
+    lam = eigvals_sweep(sym._comp[None])
     roots, mult, half = root_table(lam, [sym.m], allow_real)
     return [
         (root, int(m), _HALVES[int(h) + 1]) for root, m, h in zip(roots[0], mult[0], half[0]) if m
@@ -330,7 +380,7 @@ def _cluster_circles(eigs, enclosed, far, ray=None):
         mean = member @ ins / member.sum(axis=1)
         points = np.column_stack([points, np.maximum((mean / ray).real, 0.0) * ray])
         inside = np.column_stack([inside, np.zeros(len(member), dtype=bool)])
-    center, radius, rho = _enclosing_circles(points, inside, ~inside)
+    center, radius, rho = _separating_circles(points, inside, ~inside)
     return Contour.circle(center, radius, _sized_nodes(rho.max()))
 
 

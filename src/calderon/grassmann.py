@@ -437,13 +437,16 @@ def fredholm_index(a, b, tol=1e-6, rep=None):
 
     Per mode, kernel dimensions count cross-Gram singular values below
     ``tol``; any value inside the forbidden decade ``[tol, 10 tol)``
-    raises ThresholdAmbiguous.  Tail safety requires every outermost
+    raises ThresholdAmbiguous.  ``tol`` must lie in ``(0, 0.1]``, so that
+    the decade ends at or below 1, the largest a cosine can be; a larger
+    ``tol`` would put every live cosine at or above it into the decade,
+    and raises SpecError.  Tail safety requires every outermost
     -shell mode to keep its largest principal angle at least 0.5 rad
     away from a right angle; an unsafe tail is reported in ``tail_safe``,
     not raised.
     """
-    if not 0 < tol <= 1:  # NaN fails
-        raise SpecError("tol must be finite and in (0, 1]")
+    if not 0 < tol <= 0.1:  # NaN fails
+        raise SpecError("tol must be finite and in (0, 0.1]")
     if rep is None:
         rep = compare_points(a, b)
     da, db = rep.dims_a, rep.dims_b

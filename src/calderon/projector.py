@@ -16,18 +16,16 @@ import numpy as np
 
 from ._kernels import eigvals_sweep, orthonormal_range_sweep, qr_range_sweep
 from .contour import (
-    Contour,
     _enclosing_circles,
     _mode_at,
     _sized_nodes,
-    contour_quadrature,
+    _stacked_quadrature,
     root_table,
     spectral_split,
 )
 from .errors import (
     CalderonError,
     ContourNotConverged,
-    EigenvalueOnContour,
     IllConditionedFrame,
     SingularBlock,
     SpecError,
@@ -240,16 +238,29 @@ def _blocks(J, k):
     return B
 
 
-def _layer_blocks(A, modes, cross_check):
-    """Layer blocks of a mode stack: ``A`` is ``(k+1, N, r, r)`` and
-    ``modes`` holds one mode per row; see :func:`layer_potential_blocks`.
+def _local_circles(roots, mult, rows, cols):
+    """Circles around the roots ``roots[rows, cols]``, each clear of the
+    other roots of its mode: radius 0.45 times the distance to the
+    nearest one, or ``max(0.5, |root| / 2)`` for a lone root.  Returns
+    the centers, the radii and each circle's ``rho`` (see
+    :func:`contour._sized_nodes`)."""
+    centers = roots[rows, cols]
+    dist = np.abs(roots[rows] - centers[:, None])
+    gap = np.where((mult[rows] > 0) & (dist > 0), dist, np.inf).min(axis=1)
+    radii = np.where(np.isinf(gap), np.maximum(0.5, 0.5 * np.abs(centers)), 0.45 * gap)
+    return centers, radii, radii / gap
 
-    Every failure names its mode: DefectMode, EigenvalueOnContour,
-    ContourNotConverged and the residue/quadrature disagreement.
+
+def _layer_blocks(A, modes, lam, cross_check):
+    """Layer blocks of a mode stack: ``A`` is ``(k+1, N, r, r)``,
+    ``modes`` holds one mode per row and ``lam`` the eigenvalues of its
+    companion matrices; see :func:`layer_potential_blocks`.
+
+    Every failure names its mode: DefectMode, ContourNotConverged and
+    the residue/quadrature disagreement.
     """
     k = A.shape[0] - 1
     powers = np.arange(2 * k - 1)
-    lam = eigvals_sweep(_companion(A))
     roots, mult, half = root_table(lam, modes)
     upper = mult * (half > 0)  # multiplicity of each upper root, 0 elsewhere
 
@@ -266,48 +277,65 @@ def _layer_blocks(A, modes, cross_check):
     J = terms.sum(axis=1, where=simple[:, :, None, None, None])
 
     # circles, integrated on one shared grid: a local one around each
-    # multiple upper root, clear of the other roots, and with cross_check
-    # one per mode around all its upper roots, clear of the rest
+    # multiple upper root, and with cross_check one per mode around all
+    # its upper roots, clear of the rest; where no circle separates them,
+    # a local circle around each upper root, whose values the check sums
     local, cols = np.nonzero(upper > 1)
+    circles, owner = [], []  # (centers, radii, rho) and modes; local circles first
+    if local.size:
+        circles.append(_local_circles(roots, mult, local, cols))
+        owner.append(local)
     checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
-    parts = []  # (center, radius, rho) of each circle; local circles first
-    if local.size:
-        centers = roots[local, cols]
-        dist = np.abs(roots[local] - centers[:, None])
-        gap = np.where((mult[local] > 0) & (dist > 0), dist, np.inf).min(axis=1)
-        radii = np.where(np.isinf(gap), np.maximum(0.5, 0.5 * np.abs(centers)), 0.45 * gap)
-        parts.append((centers, radii, radii / gap))
-    owner = np.concatenate([local, checked])  # the mode of each circle
-    try:
-        if checked.size:
-            u = upper[checked]
-            parts.append(_enclosing_circles(roots[checked], u > 0, mult[checked] > u))
-        if parts:
-            centers, radii, rho = (np.concatenate(p) for p in zip(*parts))
-            Ao = A[:, owner, None]  # the circles' symbols
+    slot = None  # each check circle's row of checked, once a mode has several
+    if checked.size:
+        u = upper[checked]
+        center, radius, rho = _enclosing_circles(roots[checked], u > 0, mult[checked] > u)
+        stuck = np.isinf(rho)
+        if stuck.any():
+            sep = np.flatnonzero(~stuck)
+            row, col = np.nonzero((u > 0) & stuck[:, None])
+            circles.append((center[sep], radius[sep], rho[sep]))
+            circles.append(_local_circles(roots, mult, checked[row], col))
+            slot = np.concatenate([sep, row])
+            owner.append(checked[slot])
+        else:
+            circles.append((center, radius, rho))
+            owner.append(checked)
+    if circles:
+        if len(circles) == 1:
+            (centers, radii, rho), owner = circles[0], owner[0]
+        else:
+            centers, radii, rho = (np.concatenate(part) for part in zip(*circles))
+            owner = np.concatenate(owner)
+        Ao = A[:, owner, None]  # the circles' symbols
 
-            def integrand(z, idx):
-                inv = np.linalg.inv(symbol_values(Ao[:, idx], z))
-                return (z[..., None] ** powers)[..., None, None] * inv[..., None, :, :]
+        def integrand(z, idx):
+            inv = np.linalg.inv(symbol_values(Ao[:, idx], z))
+            return (z[..., None] ** powers)[..., None, None] * inv[..., None, :, :]
 
-            # one start for the stack, sized from its slowest local circle
-            # if it has any, so the cross-check never moves the blocks
-            slowest = rho[: local.size].max() if local.size else rho.max()
-            stack = Contour.circle(centers, radii, _sized_nodes(slowest))
-            values, _ = contour_quadrature(integrand, stack, tol=_QUAD_TOL)
-    except (EigenvalueOnContour, ContourNotConverged) as exc:
-        i = (checked if isinstance(exc, EigenvalueOnContour) else owner)[exc.index]
-        raise type(exc)(f"{exc} at mode {_mode_at(modes, i)}", index=int(i)) from exc
-    if local.size:
-        np.add.at(J, local, values[: local.size])
+        # one start for the stack, sized from its slowest local circle
+        # if it has any, so the cross-check never moves the blocks
+        slowest = rho[: local.size].max() if local.size else rho.max()
+        try:
+            values, _ = _stacked_quadrature(
+                integrand, centers, radii, None, _sized_nodes(slowest), _QUAD_TOL
+            )
+        except ContourNotConverged as exc:
+            i = owner[exc.index]
+            raise ContourNotConverged(f"{exc} at mode {_mode_at(modes, i)}", index=int(i)) from exc
+        if local.size:
+            np.add.at(J, local, values[: local.size])
 
     # the blocks scale J by powers of i, exactly, so comparing J compares them
     if checked.size:
-        Jc = J[checked]
-        err = np.abs(Jc - values[local.size :]).max(axis=(1, 2, 3))
-        bad = ~(err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3))))  # NaN fails
-        if bad.any():
-            i = int(bad.argmax())
+        Jc, quad = J[checked], values[local.size :]
+        if slot is not None:  # the local circles of a mode add up to its check
+            quad = np.zeros_like(Jc)
+            np.add.at(quad, slot, values[local.size :])
+        err = np.abs(Jc - quad).max(axis=(1, 2, 3))
+        agree = err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3)))  # NaN fails
+        if not agree.all():
+            i = int(agree.argmin())
             raise CalderonError(
                 f"layer-potential routes disagree at mode {_mode_at(modes, checked[i])}: "
                 f"{err[i]:.3e}"
@@ -324,13 +352,17 @@ def layer_potential_blocks(sym, cross_check=True):
 
     * residue algebra at the characteristic roots (local circles take
       over at multiple roots),
-    * global contour quadrature around the whole upper root group,
+    * contour quadrature around the whole upper root group, or, where no
+      circle separates it from the other roots, the sum over one local
+      circle per upper root,
 
     and with ``cross_check`` both must agree to 1e-8 relative to the
     block scale.  This is the N=1 call of the stacked route behind
-    :func:`calderon_projector_stack`.
+    :func:`calderon_projector_stack`, on the companion matrix the symbol
+    keeps (:func:`companion_matrix`).
     """
-    return _layer_blocks(sym.A[:, None], [sym.m], cross_check)[0]
+    lam = eigvals_sweep(sym._comp[None])
+    return _layer_blocks(sym.A[:, None], [sym.m], lam, cross_check)[0]
 
 
 def calderon_projector(sym, side="plus", cross_check=True):
@@ -353,6 +385,12 @@ def calderon_projector(sym, side="plus", cross_check=True):
     return BlockProjector(m=sym.m, matrix=R.copy(), kind="Rplus")
 
 
+def _plus_stack(A, modes, lam):
+    """Cross-checked plus projectors ``(N, rk, rk)`` of an ``A`` stack
+    whose companion matrices have the eigenvalues ``lam``."""
+    return _layer_blocks(A, modes, lam, True) @ _jump(A)
+
+
 def calderon_projector_stack(spec, modes, side="plus"):
     """The :func:`calderon_projector` matrices of a stack of modes, one
     mode per row of ``modes``: shape ``(N, rk, rk)``.
@@ -369,7 +407,7 @@ def calderon_projector_stack(spec, modes, side="plus"):
     if modes.ndim != 2 or modes.shape[1] != spec.n - 1:
         raise SpecError(f"modes must have shape (N, {spec.n - 1}), got {modes.shape}")
     A = mode_matrix_stack(spec, modes)
-    R = _layer_blocks(A, modes, True) @ _jump(A)
+    R = _plus_stack(A, modes, eigvals_sweep(_companion(A)))
     if side == "minus":
         return np.eye(R.shape[-1], dtype=complex) - R
     return R

@@ -7,6 +7,7 @@ decouples into an ordinary differential system in the normal variable,
 and everything downstream reduces to finite matrix algebra per mode.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -90,7 +91,8 @@ class ModeSymbol:
     ``A[q] = sum_beta c[q, beta] (i m)^beta``; the top matrix ``A[k]``
     equals the d_n^k coefficient for every mode.  ``A`` is a read-only
     copy, so projectors computed from it stay valid for the symbol's
-    lifetime.
+    lifetime; :func:`mode_symbol` hands over a new array of its own
+    instead of copying it.
     """
 
     spec: OperatorSpec
@@ -104,6 +106,23 @@ class ModeSymbol:
         A = np.array(self.A, dtype=complex)
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
+
+    @classmethod
+    def _adopt(cls, spec, m, A):
+        """The symbol of a new ``A`` that nothing else holds: made
+        read-only in place, not copied."""
+        A.setflags(write=False)
+        sym = object.__new__(cls)
+        sym.__dict__.update(spec=spec, m=m, A=A, _routes={})
+        return sym
+
+    @functools.cached_property
+    def _comp(self):
+        """The block companion matrix, built on first use and kept
+        read-only: the layer route and :func:`companion_matrix` share it."""
+        C = _companion(self.A)
+        C.setflags(write=False)
+        return C
 
     @property
     def r(self):
@@ -149,9 +168,10 @@ def _companion(A):
 def companion_matrix(sym):
     """First-order reduction of the mode ODE on ``(u, ..., d_n^{k-1} u)``.
 
-    Its spectrum is ``{i xi_n}`` over the characteristic roots.
+    Its spectrum is ``{i xi_n}`` over the characteristic roots.  The
+    symbol keeps the matrix, so this is a copy of it.
     """
-    return _companion(sym.A)
+    return sym._comp.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +235,12 @@ def defect_screen(spec, modes):
     """Companion stack and eigenvalues of a mode stack, and the mask of
     its defect modes (a companion eigenvalue on the imaginary axis is a
     real characteristic root)."""
-    comp = companion_stack(spec, modes)
+    return _defect_screen(mode_matrix_stack(spec, modes), modes)
+
+
+def _defect_screen(A, modes):
+    """:func:`defect_screen` of the ``A`` stack of ``modes``."""
+    comp = _companion(A)
     lam = _kernels.eigvals_sweep(comp)
     return comp, lam, on_real_axis(np.abs(lam.real).min(axis=1), modes)
 
@@ -247,9 +272,11 @@ class AgmonRay:
 
 
 def _as_mode(spec, m):
-    if np.isscalar(m):
-        m = (m,)
-    m = tuple(float(x) if not float(x).is_integer() else int(x) for x in np.atleast_1d(m))
+    """A mode as a tuple of Python numbers: ints where integral."""
+    m = tuple(
+        x if type(x) is int else int(x) if float(x).is_integer() else float(x)
+        for x in np.atleast_1d(m).tolist()
+    )
     if len(m) != spec.n - 1:
         raise SpecError(f"mode {m} has length != n-1 = {spec.n - 1}")
     return m
@@ -353,7 +380,7 @@ def mode_symbol(spec, m):
     N=1 :func:`mode_matrix_stack`.
     """
     m = _as_mode(spec, m)
-    return ModeSymbol(spec=spec, m=m, A=mode_matrix_stack(spec, [m])[:, 0])
+    return ModeSymbol._adopt(spec, m, mode_matrix_stack(spec, [m])[:, 0])
 
 
 def homogeneous_component(spec, j, m, xi_n):

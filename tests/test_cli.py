@@ -192,10 +192,13 @@ def test_malformed_numbers_give_a_spec_error_record(specs, capsys, argv):
         ("index", "--tol=inf", "tol must be finite"),
         ("index", "--tol=0", "tol must be finite"),
         ("index", "--tol=-1", "tol must be finite"),
+        ("index", "--tol=0.2", "tol must be finite"),
+        ("index", "--tol=1", "tol must be finite"),
         ("schatten", "--p=nan,-1", "Schatten orders must be finite"),
         ("compare", "--alpha=inf", "alpha must be finite"),
         # subcommands that never read the value reject it too
         ("ellipticity", "--tol=nan", "tol must be finite"),
+        ("ellipticity", "--tol=0.5", "tol must be finite"),
         ("projector", "--p=inf", "Schatten orders must be finite"),
     ],
 )

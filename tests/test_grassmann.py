@@ -120,8 +120,20 @@ def test_alpha_must_be_finite_and_positive(alpha):
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1.5])
 def test_index_tol_must_be_finite_and_in_unit_interval(tol):
     pa, pb = assemble_point(twist(3), 8), assemble_point(dbar(), 8)
-    with pytest.raises(SpecError, match=r"tol must be finite and in \(0, 1\]"):
+    with pytest.raises(SpecError, match=r"tol must be finite and in \(0, 0\.1\]"):
         fredholm_index(pa, pb, tol=tol)
+
+
+def test_index_tol_above_a_tenth_is_a_spec_error():
+    # above 0.1 the forbidden decade [tol, 10 tol) reaches past 1 and holds
+    # every live cosine at or above tol, so no count could come out of it
+    pa, pb = assemble_point(twist(3), 8), assemble_point(dbar(), 8)
+    rep = compare_points(pa, pb)
+    assert fredholm_index(pa, pb, tol=0.05, rep=rep).index == 3
+    assert fredholm_index(pa, pb, tol=0.1, rep=rep).index == 3
+    for tol in (0.2, 0.5, 1.0, np.nextafter(0.1, 1)):
+        with pytest.raises(SpecError, match=r"tol must be finite and in \(0, 0\.1\]"):
+            fredholm_index(pa, pb, tol=tol, rep=rep)
 
 
 @pytest.mark.parametrize("p_list", [(np.nan,), (1.0, -1.0), (np.inf,), (0.0,)])
@@ -301,10 +313,10 @@ def test_threshold_ambiguity_detected():
     pa = assemble_point(build_gallery("laplace_mass", mu=1), 16)
     pb = assemble_point(build_gallery("laplace_mass", mu=2), 16)
     rep = compare_points(pa, pb)
-    # cross-gram values sit near 1; a tolerance close below 1 lands many
-    # of them inside the forbidden decade [tol, 10 tol)
+    # cross-gram values sit near 1, below it; the largest tolerance, 0.1,
+    # lands them inside the forbidden decade [0.1, 1)
     with pytest.raises(ThresholdAmbiguous):
-        fredholm_index(pa, pb, tol=0.5, rep=rep)
+        fredholm_index(pa, pb, tol=0.1, rep=rep)
 
 
 def test_index_zero_for_equal_operators_with_weights():
@@ -529,18 +541,20 @@ def test_padded_threshold_band_names_the_loops_mode(padded_pairs):
     a, b = padded_pairs["laplace"]
     rep = compare_points(a, b)
     ref = _compare_by_loop(a, b)
-    cos = np.sort(np.unique(rep.cos_rows[:, 0]))[::-1]
-    # the two modes +-16 share the largest cosine: only they reach the band
-    tol = 0.5 * (cos[0] + cos[1])
-    assert ((rep.cos_rows[:, 0] >= tol) & (rep.cos_rows[:, 0] < 10 * tol)).sum() == 2
+    cos = np.sort(np.unique(rep.cos_rows[:, 0]))
+    # every cosine lies in (0.98, 1), above any tol <= 0.1, so the band's
+    # open upper edge 10 tol decides: between the second and third smallest
+    # cosines it takes mode 0 and the two modes +-1, which share one cosine
+    tol = (cos[1] + cos[2]) / 20
+    assert ((rep.cos_rows[:, 0] >= tol) & (rep.cos_rows[:, 0] < 10 * tol)).sum() == 3
     got = _ambiguous_message(lambda: fredholm_index(a, b, tol=tol, rep=rep))
     assert got == _ambiguous_message(lambda: _index_by_loop(ref, tol))
-    assert got.endswith("at mode -16; adjust tol")
-    # the largest cosine exactly on the open upper edge 10 tol stays outside
+    assert got.endswith("at mode -1; adjust tol")
+    # the cosine of +-1 exactly on the open upper edge 10 tol stays outside
     tol = next(
-        t for t in (cos[0] / 10, np.nextafter(cos[0] / 10, 0), np.nextafter(cos[0] / 10, 1))
-        if 10 * t == cos[0]
+        t for t in (cos[1] / 10, np.nextafter(cos[1] / 10, 0), np.nextafter(cos[1] / 10, 1))
+        if 10 * t == cos[1]
     )
     got = _ambiguous_message(lambda: fredholm_index(a, b, tol=tol, rep=rep))
     assert got == _ambiguous_message(lambda: _index_by_loop(ref, tol))
-    assert got.endswith("at mode -15; adjust tol")
+    assert got.endswith("at mode 0; adjust tol")

@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from calderon import projector
+from calderon import projector, symbols
 from calderon._kernels import stable_projector_sweep
 from calderon.acceptance import _acceptance_specs
 from calderon.errors import (
     CalderonError,
     ContourNotConverged,
     DefectMode,
+    EigenvalueOnContour,
     IllConditionedFrame,
     SingularBlock,
     SpecError,
@@ -35,7 +36,7 @@ from calderon.projector import (
     scan_defect_modes,
     sobolev_weights,
 )
-from calderon.contour import characteristic_roots, root_table, spectral_split
+from calderon.contour import characteristic_roots, enclosing_circle, root_table, spectral_split
 from calderon.grassmann import assemble_point, compare_points
 from calderon.symbols import build_gallery, defect_screen, mode_key, mode_symbol, selfadjoint_double
 
@@ -388,7 +389,7 @@ def test_returned_projectors_are_private_copies():
 
 
 def test_checked_request_never_reuses_an_unchecked_route(monkeypatch):
-    quadratures = _counting(monkeypatch, "contour_quadrature")
+    quadratures = _counting(monkeypatch, "_stacked_quadrature")
     sym = mode_symbol(build_gallery("laplace_mass", mu=1), 3)  # simple roots only
     unchecked = calderon_projector(sym, "plus", cross_check=False).matrix
     assert len(quadratures) == 0
@@ -446,16 +447,16 @@ def test_cross_check_evaluates_at_most_32_nodes(name, monkeypatch):
     # the rate-optimal circle around a mode's upper roots converges fast
     # enough for a 16-node start, compared with its 16 midpoints
     evaluated = []
-    real = projector.contour_quadrature
+    real = projector._stacked_quadrature
 
-    def counted(f, contour, **kw):
+    def counted(f, *args, **kw):
         def g(z, rows):
             evaluated.append(z.size)
             return f(z, rows)
 
-        return real(g, contour, **kw)
+        return real(g, *args, **kw)
 
-    monkeypatch.setattr(projector, "contour_quadrature", counted)
+    monkeypatch.setattr(projector, "_stacked_quadrature", counted)
     checked = 0
     for sym in _simple_upper_modes(name, 16):
         evaluated.clear()
@@ -463,6 +464,97 @@ def test_cross_check_evaluates_at_most_32_nodes(name, monkeypatch):
         assert sum(evaluated) <= 32, (sym.m, evaluated)
         checked += bool(evaluated)
     assert checked >= 16
+
+
+def _stuck_roots_spec(shift=0.0):
+    # at mode 0, a(xi) = prod (i xi - i xi_j) over three simple roots, and
+    # the lower root lies inside every circle around both upper ones; a
+    # shift of the order-0 term by shift * i m moves the roots of mode m
+    roots = [-3.35 + 5.26j, 7.35 + 1.32j, 0.82 - 2.08j]
+    coeffs = np.poly([1j * x for x in roots])
+    terms = {(3 - j, (0,)): [[complex(c)]] for j, c in enumerate(coeffs)}
+    if shift:
+        terms[(0, (1,))] = [[shift]]
+    return build_gallery("custom", n=2, r=1, k=3, terms=terms), roots
+
+
+def test_cross_check_sums_local_circles_where_no_circle_separates_the_roots(monkeypatch):
+    spec, roots = _stuck_roots_spec()
+    sym = mode_symbol(spec, 0)
+    found = characteristic_roots(sym)
+    assert sorted(half for _, _, half in found) == ["lower", "upper", "upper"]
+    assert max(min(abs(x - r) for x, _, _ in found) for r in roots) < 1e-12
+    upper = [x for x, _, half in found if half == "upper"]
+    with pytest.raises(EigenvalueOnContour):
+        enclosing_circle(upper, excluded=[x for x, _, half in found if half == "lower"])
+    unchecked = calderon_projector(sym, cross_check=False).matrix
+    oracle = spectral_split(companion_matrix(sym)).projector
+    assert np.abs(unchecked - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
+    # the check runs one local circle per upper root, on one grid, and
+    # never moves the residue blocks of these simple roots
+    calls = _counting(monkeypatch, "_stacked_quadrature")
+    assert np.array_equal(calderon_projector(sym).matrix, unchecked)
+    assert len(calls) == 1
+    # in a stack, modes whose upper roots a circle separates (here m > 0)
+    # and modes that take local circles share the one quadrature
+    mixed = _stuck_roots_spec(shift=30.0)[0]
+    modes = np.arange(-3, 4)[:, None]
+    R = calderon_projector_stack(mixed, modes)
+    assert len(calls) == 2
+    assert np.array_equal(R[3], unchecked)
+    for m, row in zip(modes, R):
+        single = mode_symbol(mixed, m)
+        assert np.array_equal(calderon_projector(single, cross_check=False).matrix, row)
+        oracle = spectral_split(companion_matrix(single)).projector
+        assert np.abs(row - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
+    # and the summed circles still catch a wrong residue, naming the mode
+    monkeypatch.setattr(projector, "_adjugate", lambda M: 2 * _adjugate(M))
+    with pytest.raises(CalderonError, match=r"disagree at mode \(-1,\)"):
+        calderon_projector(mode_symbol(spec, -1))
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_one_mode_builds_one_companion_and_runs_one_eigvals(name, monkeypatch):
+    spec = build_gallery(name, **GALLERY[name])
+    m = next(
+        sym.m for sym in _simple_upper_modes(name, 4)
+        if any(half == "upper" for _, _, half in characteristic_roots(sym))
+    )
+    sym = mode_symbol(spec, m)
+    reference = companion_stack(spec, [m])[0]
+    builds, eigvals, evaluated = [], [], []
+
+    def counted(fn, calls):
+        def wrapped(*args, **kw):
+            calls.append(1)
+            return fn(*args, **kw)
+
+        return wrapped
+
+    for module in (symbols, projector):
+        monkeypatch.setattr(module, "_companion", counted(symbols._companion, builds))
+    monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals, eigvals))
+    real = projector._stacked_quadrature
+
+    def quadrature(f, *args, **kw):
+        def g(z, rows):
+            evaluated.append(z.size)
+            return f(z, rows)
+
+        return real(g, *args, **kw)
+
+    monkeypatch.setattr(projector, "_stacked_quadrature", quadrature)
+    rp = calderon_projector(sym, "plus").matrix
+    calderon_projector(sym, "minus")
+    C = companion_matrix(sym)
+    assert len(evaluated) == 1 and evaluated[0] <= 32, evaluated
+    assert (len(builds), len(eigvals)) == (1, 1)
+    # companion_matrix hands out copies of the one the route used
+    assert np.array_equal(C, reference)
+    C[:] = 0.0
+    assert np.array_equal(companion_matrix(sym), reference)
+    assert len(builds) == 1
+    assert np.array_equal(calderon_projector(sym, "plus").matrix, rp)
 
 
 def _criterion_one_stacks():
@@ -505,7 +597,7 @@ def test_stack_takes_the_local_circle_at_a_double_root(monkeypatch):
         assert np.array_equal(single, row) or m[0] == 0
     # the double root's local circle and every mode's cross-check circle
     # are one stack in one quadrature call
-    calls = _counting(monkeypatch, "contour_quadrature")
+    calls = _counting(monkeypatch, "_stacked_quadrature")
     calderon_projector_stack(spec, modes)
     assert len(calls) == 1
 

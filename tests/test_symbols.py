@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from calderon.errors import NoFreeRay, SpecError
 from calderon.symbols import (
+    ModeSymbol,
+    _as_mode,
     _cosphere_directions,
     agree_up_to_order,
     build_gallery,
@@ -112,6 +114,42 @@ def test_mode_symbol_values():
     assert mode_symbol(lap, 2).A[0][0, 0] == 5  # -(2i)^2 + 1
     db = build_gallery("dbar", mu=0.5)
     assert mode_symbol(db, 3).A[0][0, 0] == pytest.approx(-2.5)
+
+
+def _as_mode_by_loop(m):
+    # reference: the element loop _as_mode replaced
+    if np.isscalar(m):
+        m = (m,)
+    return tuple(float(x) if not float(x).is_integer() else int(x) for x in np.atleast_1d(m))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        3, -2, np.int64(-7), 2.0, 2.5, np.float64(-1.0), True, np.array(4), np.array([5]),
+        (3, -2), [0, 1.5], (np.int64(1), np.int64(-1)), np.array([2, -3]),
+        np.array([2.0, -0.5]), mode_lattice(3, 2)[7], (float("inf"), 1),
+    ],
+)
+def test_as_mode_is_the_element_loop(m):
+    n = 2 + np.atleast_1d(m).size - 1
+    spec = build_gallery("custom", n=n, r=1, k=1, terms={(1, (0,) * (n - 1)): [[1.0]]})
+    got, ref = _as_mode(spec, m), _as_mode_by_loop(m)
+    assert got == ref and [type(x) for x in got] == [type(x) for x in ref]
+
+
+def test_mode_symbol_keeps_its_own_array_and_copies_a_callers():
+    spec = build_gallery("dirac3", mu=1, v=0.3)
+    sym = mode_symbol(spec, np.array([3, -2]))
+    built = ModeSymbol(spec=spec, m=(3, -2), A=sym.A)
+    assert vars(sym).keys() == vars(built).keys()
+    assert sym.m == built.m and sym.A.dtype == built.A.dtype == complex
+    assert sym.A.tobytes() == built.A.tobytes() and not sym.A.flags.writeable
+    # a caller's array is copied, so changing it changes no symbol
+    A = np.array(sym.A)
+    held = ModeSymbol(spec=spec, m=(3, -2), A=A)
+    A[0] = 7.0
+    assert held.A.tobytes() == sym.A.tobytes() and not held.A.flags.writeable
 
 
 def test_homogeneous_component_values():
