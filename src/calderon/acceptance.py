@@ -21,14 +21,8 @@ from .grassmann import (
     krichever_reference,
     schatten_fit,
 )
-from .projector import _plus_stack, calderon_projector_stack, entry_growth_fit
-from .symbols import (
-    _defect_screen,
-    build_gallery,
-    mode_lattice,
-    mode_matrix_stack,
-    selfadjoint_double,
-)
+from .projector import calderon_projector_stack, entry_growth_fit
+from .symbols import build_gallery, defect_screen, mode_lattice, selfadjoint_double
 
 
 @dataclass
@@ -67,12 +61,9 @@ def criterion_1():
     checked = 0
     for spec, cutoff in _acceptance_specs():
         lattice = mode_lattice(spec.n, cutoff)
-        A = mode_matrix_stack(spec, lattice)
-        comp, lam, defect = _defect_screen(A, lattice)
-        keep = ~defect
-        modes, comp = lattice[keep], comp[keep]
-        # the screen's symbols and eigenvalues serve the layer route as well
-        rps = _plus_stack(A[:, keep], modes, lam[keep])
+        comp, _, defect = defect_screen(spec, lattice)
+        modes, comp = lattice[~defect], comp[~defect]
+        rps = calderon_projector_stack(spec, modes, "plus")
         worst_idem = max(worst_idem, float(np.abs(rps @ rps - rps).max()))
         # full matrices, so the complement (kernel) is checked as well as the range
         sign = stable_projector_sweep(comp)

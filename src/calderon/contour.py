@@ -239,21 +239,16 @@ def _enclosing_circles(points, inside, outside):
     spread = dist.max(axis=1, where=inside, initial=0.0)
     gap = dist.min(axis=1, where=outside, initial=np.inf)
     stuck = gap <= spread * (1 + 1e-12) + 1e-300
-    some_stuck = stuck.any()
-    if some_stuck:  # sized as if free, so no 0 / 0, then marked below
-        gap = np.where(stuck, np.inf, gap)
+    gap = np.where(stuck, np.inf, gap)  # sized as if free, so no 0 / 0, then marked below
     # rho = max(spread / r, r / gap) is least at the geometric mean; the
     # floor gap / 8 keeps a lone point or a tight group at rho <= 1/8
     free = np.isinf(gap)  # nothing to exclude: a margin set by the group
+    g = np.where(free, 1.0, gap)  # a finite stand-in, so no 0 * inf
+    radius = np.maximum(np.sqrt(spread * g), 0.125 * g)
     if free.any():
-        g = np.where(free, 1.0, gap)  # a finite stand-in, so no 0 * inf
         margin = np.maximum(1.0, 0.5 * np.maximum(np.abs(center), spread))
-        radius = np.where(free, spread + margin, np.maximum(np.sqrt(spread * g), 0.125 * g))
-    else:
-        radius = np.maximum(np.sqrt(spread * gap), 0.125 * gap)
-    rho = np.maximum(spread / radius, radius / gap)
-    if some_stuck:
-        rho[stuck] = np.inf
+        radius = np.where(free, spread + margin, radius)
+    rho = np.where(stuck, np.inf, np.maximum(spread / radius, radius / gap))
     return center, radius, rho
 
 

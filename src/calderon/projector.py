@@ -238,16 +238,16 @@ def _blocks(J, k):
     return B
 
 
-def _local_circles(roots, mult, rows, cols):
+def _local_circles(roots, mult, rows, cols, share):
     """Circles around the roots ``roots[rows, cols]``, each clear of the
-    other roots of its mode: radius 0.45 times the distance to the
+    other roots of its mode: radius ``share`` times the distance to the
     nearest one, or ``max(0.5, |root| / 2)`` for a lone root.  Returns
     the centers, the radii and each circle's ``rho`` (see
     :func:`contour._sized_nodes`)."""
     centers = roots[rows, cols]
     dist = np.abs(roots[rows] - centers[:, None])
     gap = np.where((mult[rows] > 0) & (dist > 0), dist, np.inf).min(axis=1)
-    radii = np.where(np.isinf(gap), np.maximum(0.5, 0.5 * np.abs(centers)), 0.45 * gap)
+    radii = np.where(np.isinf(gap), np.maximum(0.5, 0.5 * np.abs(centers)), share * gap)
     return centers, radii, radii / gap
 
 
@@ -279,11 +279,13 @@ def _layer_blocks(A, modes, lam, cross_check):
     # circles, integrated on one shared grid: a local one around each
     # multiple upper root, and with cross_check one per mode around all
     # its upper roots, clear of the rest; where no circle separates them,
-    # a local circle around each upper root, whose values the check sums
+    # a local circle around each upper root, whose values the check sums.
+    # Those take a smaller radius than the residue route's local circles,
+    # so a multiple root's circle is checked against another circle
     local, cols = np.nonzero(upper > 1)
     circles, owner = [], []  # (centers, radii, rho) and modes; local circles first
     if local.size:
-        circles.append(_local_circles(roots, mult, local, cols))
+        circles.append(_local_circles(roots, mult, local, cols, 0.45))
         owner.append(local)
     checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
     slot = None  # each check circle's row of checked, once a mode has several
@@ -295,18 +297,15 @@ def _layer_blocks(A, modes, lam, cross_check):
             sep = np.flatnonzero(~stuck)
             row, col = np.nonzero((u > 0) & stuck[:, None])
             circles.append((center[sep], radius[sep], rho[sep]))
-            circles.append(_local_circles(roots, mult, checked[row], col))
+            circles.append(_local_circles(roots, mult, checked[row], col, 0.3))
             slot = np.concatenate([sep, row])
             owner.append(checked[slot])
         else:
             circles.append((center, radius, rho))
             owner.append(checked)
     if circles:
-        if len(circles) == 1:
-            (centers, radii, rho), owner = circles[0], owner[0]
-        else:
-            centers, radii, rho = (np.concatenate(part) for part in zip(*circles))
-            owner = np.concatenate(owner)
+        centers, radii, rho = (np.concatenate(part) for part in zip(*circles))
+        owner = np.concatenate(owner)
         Ao = A[:, owner, None]  # the circles' symbols
 
         def integrand(z, idx):
@@ -354,7 +353,8 @@ def layer_potential_blocks(sym, cross_check=True):
       over at multiple roots),
     * contour quadrature around the whole upper root group, or, where no
       circle separates it from the other roots, the sum over one local
-      circle per upper root,
+      circle per upper root, smaller than the residue route's local
+      circles so that none of them is compared with itself,
 
     and with ``cross_check`` both must agree to 1e-8 relative to the
     block scale.  This is the N=1 call of the stacked route behind
@@ -385,12 +385,6 @@ def calderon_projector(sym, side="plus", cross_check=True):
     return BlockProjector(m=sym.m, matrix=R.copy(), kind="Rplus")
 
 
-def _plus_stack(A, modes, lam):
-    """Cross-checked plus projectors ``(N, rk, rk)`` of an ``A`` stack
-    whose companion matrices have the eigenvalues ``lam``."""
-    return _layer_blocks(A, modes, lam, True) @ _jump(A)
-
-
 def calderon_projector_stack(spec, modes, side="plus"):
     """The :func:`calderon_projector` matrices of a stack of modes, one
     mode per row of ``modes``: shape ``(N, rk, rk)``.
@@ -407,7 +401,7 @@ def calderon_projector_stack(spec, modes, side="plus"):
     if modes.ndim != 2 or modes.shape[1] != spec.n - 1:
         raise SpecError(f"modes must have shape (N, {spec.n - 1}), got {modes.shape}")
     A = mode_matrix_stack(spec, modes)
-    R = _plus_stack(A, modes, eigvals_sweep(_companion(A)))
+    R = _layer_blocks(A, modes, eigvals_sweep(_companion(A)), True) @ _jump(A)
     if side == "minus":
         return np.eye(R.shape[-1], dtype=complex) - R
     return R

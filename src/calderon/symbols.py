@@ -91,8 +91,7 @@ class ModeSymbol:
     ``A[q] = sum_beta c[q, beta] (i m)^beta``; the top matrix ``A[k]``
     equals the d_n^k coefficient for every mode.  ``A`` is a read-only
     copy, so projectors computed from it stay valid for the symbol's
-    lifetime; :func:`mode_symbol` hands over a new array of its own
-    instead of copying it.
+    lifetime.
     """
 
     spec: OperatorSpec
@@ -106,15 +105,6 @@ class ModeSymbol:
         A = np.array(self.A, dtype=complex)
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
-
-    @classmethod
-    def _adopt(cls, spec, m, A):
-        """The symbol of a new ``A`` that nothing else holds: made
-        read-only in place, not copied."""
-        A.setflags(write=False)
-        sym = object.__new__(cls)
-        sym.__dict__.update(spec=spec, m=m, A=A, _routes={})
-        return sym
 
     @functools.cached_property
     def _comp(self):
@@ -235,12 +225,7 @@ def defect_screen(spec, modes):
     """Companion stack and eigenvalues of a mode stack, and the mask of
     its defect modes (a companion eigenvalue on the imaginary axis is a
     real characteristic root)."""
-    return _defect_screen(mode_matrix_stack(spec, modes), modes)
-
-
-def _defect_screen(A, modes):
-    """:func:`defect_screen` of the ``A`` stack of ``modes``."""
-    comp = _companion(A)
+    comp = companion_stack(spec, modes)
     lam = _kernels.eigvals_sweep(comp)
     return comp, lam, on_real_axis(np.abs(lam.real).min(axis=1), modes)
 
@@ -380,7 +365,7 @@ def mode_symbol(spec, m):
     N=1 :func:`mode_matrix_stack`.
     """
     m = _as_mode(spec, m)
-    return ModeSymbol._adopt(spec, m, mode_matrix_stack(spec, [m])[:, 0])
+    return ModeSymbol(spec=spec, m=m, A=mode_matrix_stack(spec, [m])[:, 0])
 
 
 def homogeneous_component(spec, j, m, xi_n):

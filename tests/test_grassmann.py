@@ -558,3 +558,37 @@ def test_padded_threshold_band_names_the_loops_mode(padded_pairs):
     got = _ambiguous_message(lambda: fredholm_index(a, b, tol=tol, rep=rep))
     assert got == _ambiguous_message(lambda: _index_by_loop(ref, tol))
     assert got.endswith("at mode 0; adjust tol")
+
+
+def _turned(point, cosines):
+    # the point with each mode's one-dimensional frame q turned towards its
+    # complement, to the given cosine with q
+    q = point.ortho[:, :, 0]
+    p = np.stack([-q[:, 1].conj(), q[:, 0].conj()], axis=1)
+    ortho = np.zeros_like(point.ortho)
+    ortho[:, :, 0] = cosines[:, None] * q + np.sqrt(1.0 - cosines**2)[:, None] * p
+    return dataclasses.replace(point, ortho=ortho)
+
+
+def test_padded_threshold_band_closed_lower_edge_names_the_loops_mode(padded_pairs):
+    a = padded_pairs["laplace"][0]
+    assert (a.dims == 1).all() and a.ambient_dim == 2
+    # cosines rising along the modes through (1e-4, 0.9), so the band's
+    # first mode is the one with the smallest cosine at or above tol: the
+    # closed lower edge decides which mode the error names
+    b = _turned(a, np.geomspace(1e-4, 0.9, len(a.modes)))
+    rep = compare_points(a, b)
+    ref = _compare_by_loop(a, b)
+    cos = rep.cos_rows[:, 0]
+    assert (np.diff(cos) > 0).all()
+    j = int(np.searchsorted(cos, 0.01))
+    cases = [
+        (0.5 * (cos[j - 1] + cos[j]), j),  # between two cosines
+        (cos[j], j),  # exactly on one, which the closed edge lets in
+        (np.nextafter(cos[j], 1), j + 1),  # just above it, which leaves it out
+    ]
+    for tol, named in cases:
+        assert cos[j - 1] < tol <= 0.1
+        got = _ambiguous_message(lambda: fredholm_index(a, b, tol=tol, rep=rep))
+        assert got == _ambiguous_message(lambda: _index_by_loop(ref, tol))
+        assert got.endswith(f"at mode {mode_key(rep.modes[named])}; adjust tol")

@@ -466,16 +466,18 @@ def test_cross_check_evaluates_at_most_32_nodes(name, monkeypatch):
     assert checked >= 16
 
 
-def _stuck_roots_spec(shift=0.0):
-    # at mode 0, a(xi) = prod (i xi - i xi_j) over three simple roots, and
-    # the lower root lies inside every circle around both upper ones; a
-    # shift of the order-0 term by shift * i m moves the roots of mode m
-    roots = [-3.35 + 5.26j, 7.35 + 1.32j, 0.82 - 2.08j]
+def _stuck_roots_spec(shift=0.0, double=False):
+    # at mode 0, a(xi) = prod (i xi - i xi_j) over three simple roots, or
+    # with the first one double, and the lower root lies inside every
+    # circle around both upper ones; a shift of the order-0 term by
+    # shift * i m moves the roots of mode m
+    roots = [-3.35 + 5.26j] * (1 + double) + [7.35 + 1.32j, 0.82 - 2.08j]
     coeffs = np.poly([1j * x for x in roots])
-    terms = {(3 - j, (0,)): [[complex(c)]] for j, c in enumerate(coeffs)}
+    k = len(roots)
+    terms = {(k - j, (0,)): [[complex(c)]] for j, c in enumerate(coeffs)}
     if shift:
         terms[(0, (1,))] = [[shift]]
-    return build_gallery("custom", n=2, r=1, k=3, terms=terms), roots
+    return build_gallery("custom", n=2, r=1, k=k, terms=terms), roots
 
 
 def test_cross_check_sums_local_circles_where_no_circle_separates_the_roots(monkeypatch):
@@ -511,6 +513,50 @@ def test_cross_check_sums_local_circles_where_no_circle_separates_the_roots(monk
     monkeypatch.setattr(projector, "_adjugate", lambda M: 2 * _adjugate(M))
     with pytest.raises(CalderonError, match=r"disagree at mode \(-1,\)"):
         calderon_projector(mode_symbol(spec, -1))
+
+
+def test_cross_check_integrates_its_own_circle_at_a_stuck_double_root(monkeypatch):
+    spec, _ = _stuck_roots_spec(double=True)
+    sym = mode_symbol(spec, 0)
+    found = characteristic_roots(sym)
+    assert sorted((half, mult) for _, mult, half in found) == [
+        ("lower", 1), ("upper", 1), ("upper", 2)
+    ]
+    upper = [x for x, _, half in found if half == "upper"]
+    with pytest.raises(EigenvalueOnContour):
+        enclosing_circle(upper, excluded=[x for x, _, half in found if half == "lower"])
+    unchecked = calderon_projector(sym, cross_check=False).matrix
+    oracle = spectral_split(companion_matrix(sym)).projector
+    assert np.abs(unchecked - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
+    # one quadrature: the residue route's local circle at the double root,
+    # then the check's local circles at both upper roots, none of which
+    # is the residue route's circle
+    circles = []
+    real = projector._stacked_quadrature
+
+    def spied(f, centers, radii, *args):
+        circles.append((centers.copy(), radii.copy()))
+        return real(f, centers, radii, *args)
+
+    monkeypatch.setattr(projector, "_stacked_quadrature", spied)
+    assert np.array_equal(calderon_projector(sym).matrix, unchecked)
+    assert len(circles) == 1
+    centers, radii = circles[0]
+    assert len(centers) == 3
+    check = list(zip(centers[1:], radii[1:]))
+    assert all(
+        abs(c - centers[0]) > radii[0] or abs(r - radii[0]) > 1e-3 * radii[0] for c, r in check
+    ), (centers, radii)
+
+    # so a wrong value of the residue route's local circle fails the check
+    def wrong_local(f, centers, radii, *args):
+        values, counts = real(f, centers, radii, *args)
+        values[0] *= 1.0 + 1e-6
+        return values, counts
+
+    monkeypatch.setattr(projector, "_stacked_quadrature", wrong_local)
+    with pytest.raises(CalderonError, match=r"disagree at mode \(0,\)"):
+        calderon_projector(mode_symbol(spec, 0))
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
