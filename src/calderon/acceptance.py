@@ -296,15 +296,14 @@ CRITERIA = (
 )
 
 
-def run_acceptance(echo=print):
-    """Run every criterion in order; returns the list of results."""
+def run_acceptance():
+    """Run every criterion in order, printing each result line and a
+    summary; returns the list of results."""
     results = []
     for crit in CRITERIA:
         res = crit()
         results.append(res)
-        if echo:
-            echo(res.line)
-    if echo:
-        n_pass = sum(r.passed for r in results)
-        echo(f"acceptance: {n_pass}/{len(results)} criteria passed")
+        print(res.line)
+    n_pass = sum(r.passed for r in results)
+    print(f"acceptance: {n_pass}/{len(results)} criteria passed")
     return results

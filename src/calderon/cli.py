@@ -304,7 +304,7 @@ def _run_index(cfg, reports, timings):
 def _run_acceptance(cfg, reports, timings):
     from .acceptance import run_acceptance  # deferred: only this subcommand runs it
     t0 = time.time()
-    results = run_acceptance(echo=print)
+    results = run_acceptance()
     timings["acceptance"] = time.time() - t0
     table = [
         {"number": r.number, "title": r.title, "passed": r.passed, "detail": r.detail}

@@ -22,7 +22,7 @@ from .errors import (
 from .symbols import on_real_axis
 
 MAX_NODES = 2**16
-_HALVES = ("lower", "real", "upper")  # characteristic_roots' names of half = -1, 0, 1
+QUAD_TOL = 1e-10  # relative agreement of successive node doublings, per curve
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,9 @@ class Contour:
     nodes: int = 16
 
     def __post_init__(self):
-        a, b = self.radii
-        if np.ndim(a):  # a stack of circles
-            a, b = a.min(), b.min()
-        if a <= 0 or b <= 0:
-            raise SpecError("contour radii must be positive")
+        radii = np.asarray(self.radii)
+        if not (np.isfinite(self.center).all() and np.isfinite(radii).all() and (radii > 0).all()):
+            raise SpecError("contour center and radii must be finite, the radii positive")
         if self.nodes < 8:
             raise SpecError("contour needs at least 8 nodes")
 
@@ -100,7 +98,7 @@ def _unit_points(n, odd):
     return e
 
 
-def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
+def contour_quadrature(f, contour):
     """Approximate ``(1 / 2 pi i) * integral of f over the contour``.
 
     Parameters
@@ -113,10 +111,8 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
         return an array whose two leading axes are those of ``z``.
     contour : Contour
         One contour, or a stack of circles on one shared angle grid.  Its
-        ``nodes`` is the start of the doubling loop.
-    tol : float
-        Relative agreement required between successive node doublings,
-        per circle.
+        ``nodes`` is the start of the doubling loop, which ends once
+        successive doublings agree to relative ``QUAD_TOL`` per circle.
 
     Returns
     -------
@@ -133,7 +129,7 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
     Raises
     ------
     ContourNotConverged
-        When doubling passes ``max_nodes`` without agreement (a NaN
+        When doubling passes ``MAX_NODES`` without agreement (a NaN
         integral never agrees); its ``index`` is the first circle of the
         stack that did not converge.
     """
@@ -146,20 +142,21 @@ def contour_quadrature(f, contour, tol=1e-10, max_nodes=MAX_NODES):
 
     center, a, b = (np.atleast_1d(x) for x in (contour.center, *contour.radii))
     values, counts = _stacked_quadrature(
-        f, center, a, None if np.array_equal(a, b) else b, contour.nodes, tol, max_nodes
+        f, center, a, None if np.array_equal(a, b) else b, contour.nodes
     )
     if stacked:
         return values, counts
     return values[0][()], int(counts[0])  # [()]: a scalar for scalar f
 
 
-def _stacked_quadrature(f, center, a, b, nodes, tol, max_nodes=MAX_NODES):
+def _stacked_quadrature(f, center, a, b, nodes):
     """The doubling loop of :func:`contour_quadrature` on a stack of
     curves ``center + a cos t + i b sin t`` given as 1-D arrays, or of
     circles of radii ``a`` when ``b`` is None: ``nodes`` is the shared
     start and ``f(z, rows)`` the stacked integrand.  Returns the
     converged integrals along a leading axis and the node count that
     achieved each, and raises as :func:`contour_quadrature` does.
+    ``QUAD_TOL`` and ``MAX_NODES`` are read at each call.
     """
     center, a = center[:, None], a[:, None]
     b = None if b is None else b[:, None]
@@ -179,8 +176,8 @@ def _stacked_quadrature(f, center, a, b, nodes, tol, max_nodes=MAX_NODES):
         return out[:, :, 0], vals.shape[2:]
 
     n = max(8, nodes)
-    if 2 * n > max_nodes:
-        raise ContourNotConverged(f"no convergence with up to {max_nodes} nodes")
+    if 2 * n > MAX_NODES:
+        raise ContourNotConverged(f"no convergence with up to {MAX_NODES} nodes")
     # the first call takes the 2n-node grid, whose even nodes are the
     # n-node grid, so it yields both estimates of the first comparison
     both, shape = sums(_unit_points(n, False), 2)
@@ -191,13 +188,13 @@ def _stacked_quadrature(f, center, a, b, nodes, tol, max_nodes=MAX_NODES):
     counts = np.full(len(rows), n)
     while True:
         err = np.abs(value - prev).max(axis=1)
-        done = err <= tol * np.maximum(1.0, np.abs(value).max(axis=1))  # NaN keeps going
+        done = err <= QUAD_TOL * np.maximum(1.0, np.abs(value).max(axis=1))  # NaN keeps going
         if done.all():
             break
         going = ~done
-        if 2 * n > max_nodes:
+        if 2 * n > MAX_NODES:
             raise ContourNotConverged(
-                f"no convergence with up to {max_nodes} nodes", index=int(rows[going.argmax()])
+                f"no convergence with up to {MAX_NODES} nodes", index=int(rows[going.argmax()])
             )
         rows, center, a = rows[going], center[going], a[going]
         b = None if b is None else b[going]
@@ -219,10 +216,10 @@ def _sized_nodes(rho):
     For a circle of radius ``radius`` around singularities within
     ``spread`` of its center and clear of those within ``gap``,
     ``rho = max(spread / radius, radius / gap)``.  The start is the
-    smallest power of two >= 16, capped at 256, with ``rho^n <= 1e-10``,
+    smallest power of two >= 16, capped at 256, with ``rho^n <= QUAD_TOL``,
     so the first doubling comparison usually converges.
     """
-    return next((n for n in (16, 32, 64, 128) if rho**n <= 1e-10), 256)
+    return next((n for n in (16, 32, 64, 128) if rho**n <= QUAD_TOL), 256)
 
 
 def _enclosing_circles(points, inside, outside):
@@ -266,16 +263,16 @@ def _separating_circles(points, inside, outside):
     return center, radius, rho
 
 
-def enclosing_circle(group, excluded=(), nodes=None):
+def enclosing_circle(group, excluded=()):
     """Circle around an eigenvalue group, clear of excluded points.
 
     Centered at the group mean; the radius is the geometric mean of the
     group spread and the distance to the nearest excluded point, where
     the trapezoidal rate ``max(spread / r, r / gap)`` is least, but at
-    least ``gap / 8``.  ``nodes`` defaults to the start sized from that
-    rate (a power of two in [16, 256], see :func:`_sized_nodes`): the
-    smallest count at which the trapezoidal error bound reaches 1e-10,
-    so :func:`contour_quadrature` usually converges in one integrand call.
+    least ``gap / 8``.  Its start ``nodes`` is sized from that rate (a
+    power of two in [16, 256], see :func:`_sized_nodes`): the smallest
+    count at which the trapezoidal error bound reaches ``QUAD_TOL``, so
+    :func:`contour_quadrature` usually converges in one integrand call.
     """
     group = np.atleast_1d(np.asarray(group, dtype=complex))
     if group.size == 0:
@@ -283,7 +280,7 @@ def enclosing_circle(group, excluded=(), nodes=None):
     points = np.concatenate([group, np.asarray(excluded, dtype=complex).ravel()])[None]
     inside = np.arange(points.shape[1])[None] < group.size
     center, radius, rho = _separating_circles(points, inside, ~inside)
-    return Contour.circle(center[0], radius[0], _sized_nodes(rho[0]) if nodes is None else nodes)
+    return Contour.circle(center[0], radius[0], _sized_nodes(rho[0]))
 
 
 def _mode_at(modes, i):
@@ -291,7 +288,7 @@ def _mode_at(modes, i):
     return tuple(np.atleast_1d(modes[i]).tolist())
 
 
-def root_table(lam, modes, allow_real=False):
+def root_table(lam, modes):
     """Characteristic roots of a mode stack, grouped by multiplicity.
 
     ``lam`` holds the companion eigenvalues ``lambda = i xi_n``, one row
@@ -302,8 +299,8 @@ def root_table(lam, modes, allow_real=False):
     holds the cluster mean, and 0 at its other members.  ``half`` is 1
     above the real axis, -1 below and 0 on it (:func:`on_real_axis`).
 
-    Raises DefectMode, naming the first mode with a real-axis root,
-    unless ``allow_real``.
+    Raises DefectMode, naming the first mode with a real-axis root and
+    listing its real roots.
     """
     tol = 1e-7 * (1.0 + np.abs(lam).max(axis=1))[:, None, None]
     xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
@@ -321,7 +318,7 @@ def root_table(lam, modes, allow_real=False):
         roots = (member * xi[:, :, None]).sum(axis=1) / np.maximum(mult, 1)
     real = on_real_axis(np.abs(roots.imag), np.asarray(modes, dtype=float)[:, None])
     half = np.copysign(~real, roots.imag)
-    if not allow_real and real.any():
+    if real.any():
         bad = real & (mult > 0)  # clusters are judged by their means
         if bad.any():
             i = int(bad.any(axis=1).argmax())
@@ -335,21 +332,24 @@ def root_table(lam, modes, allow_real=False):
     return roots, mult, half
 
 
-def characteristic_roots(sym, allow_real=False):
+def characteristic_roots(sym):
     """All rk roots of ``det a(m, xi_n) = 0`` grouped by multiplicity.
 
     Roots come from the eigenvalues ``lambda = i xi_n`` of the block
     companion matrix of the mode ODE; clusters within relative 1e-7 are
     merged into one root with a multiplicity (:func:`root_table`, whose
     N=1 view this is).  Each entry is ``(root, multiplicity, halfplane)``
-    with halfplane one of ``upper``, ``lower``, ``real``.
+    with halfplane ``upper`` or ``lower``.
 
-    Raises DefectMode on a real-axis root unless ``allow_real``.
+    Raises DefectMode on a real-axis root; its ``mode`` and ``roots``
+    name the mode and its real roots.
     """
     lam = eigvals_sweep(sym._comp[None])
-    roots, mult, half = root_table(lam, [sym.m], allow_real)
+    roots, mult, half = root_table(lam, [sym.m])
     return [
-        (root, int(m), _HALVES[int(h) + 1]) for root, m, h in zip(roots[0], mult[0], half[0]) if m
+        (root, int(m), "upper" if h > 0 else "lower")
+        for root, m, h in zip(roots[0], mult[0], half[0])
+        if m
     ]
 
 
@@ -379,7 +379,7 @@ def _cluster_circles(eigs, enclosed, far, ray=None):
     return Contour.circle(center, radius, _sized_nodes(rho.max()))
 
 
-def riesz_projector(M, contour, tol=1e-10):
+def riesz_projector(M, contour):
     """Spectral projector onto the eigen-group enclosed by the contour.
 
     The contour, which must clear the spectrum by a relative margin of
@@ -406,11 +406,11 @@ def riesz_projector(M, contour, tol=1e-10):
     def resolvent(z, rows=None):
         return np.linalg.inv(z[..., None, None] * eye - M)
 
-    values, _ = contour_quadrature(resolvent, contour, tol=tol)
+    values, _ = contour_quadrature(resolvent, contour)
     return values.reshape(-1, *M.shape).sum(axis=0)
 
 
-def matrix_power(a, t, cut_angle=np.pi, tol=1e-10):
+def matrix_power(a, t, cut_angle=np.pi):
     """Fractional power ``a^t`` with the branch of ``z^t`` cut along
     the ray ``r e^{i cut_angle}``.
 
@@ -418,8 +418,11 @@ def matrix_power(a, t, cut_angle=np.pi, tol=1e-10):
     Cauchy integral of ``z^t (z - a)^{-1}`` runs on one small circle per
     eigenvalue cluster, clear of the cut (:func:`_cluster_circles`).
     Eigenvalues of the result are the t-th powers, same branch, of the
-    eigenvalues of ``a``.
+    eigenvalues of ``a``.  A non-finite ``t`` or ``cut_angle`` raises
+    SpecError.
     """
+    if not (np.isfinite(t) and np.isfinite(cut_angle)):
+        raise SpecError("the power and the cut angle must be finite")
     a = np.asarray(a, dtype=complex)
     eigs = np.linalg.eigvals(a)
     scale = 1.0 + float(np.abs(eigs).max())
@@ -439,7 +442,7 @@ def matrix_power(a, t, cut_angle=np.pi, tol=1e-10):
         powz = np.exp(t * logz)
         return powz[..., None, None] * np.linalg.inv(z[..., None, None] * eye - a)
 
-    values, _ = contour_quadrature(integrand, contour, tol=tol)
+    values, _ = contour_quadrature(integrand, contour)
     return values.sum(axis=0)
 
 
@@ -459,18 +462,16 @@ class SpectralSplit:
     gap: float
 
 
-def spectral_split(C, validate=False):
+def spectral_split(C):
     """Split a matrix into stable and unstable invariant subspaces.
 
     Frames come from ordered Schur decompositions, so they survive
     Jordan structure: one unsorted LAPACK ``zgees``, whose eigenvalues
     also give the gap, reordered by ``ztrsen`` for ``Re lambda < 0`` and
     for ``Re lambda >= 0`` as ``zgees`` sorts (LAPACK Users' Guide, 3rd
-    ed., 2.4.8).  With ``validate=True``
-    the stable projector is recomputed independently through
-    :func:`riesz_projector` on a circle in the left half plane and both
-    must agree to 1e-8.  scipy is imported on the first call, so only
-    runs that reach this oracle pay for loading it.
+    ed., 2.4.8).  It calls no contour code, so :func:`riesz_projector`
+    is an independent check of its projector.  scipy is imported on the
+    first call, so only runs that reach this oracle pay for loading it.
 
     Raises LinAlgError on non-finite input, and DefectMode when an
     eigenvalue sits within ``1e-10 (1 + max |lambda|)`` of the imaginary
@@ -501,10 +502,4 @@ def spectral_split(C, validate=False):
     else:
         basis = np.hstack([stable, unstable])
         proj = basis[:, :ds] @ np.linalg.inv(basis)[:ds, :]
-
-    if validate and 0 < ds < d:
-        circle = enclosing_circle(eigs[eigs.real < 0], excluded=eigs[eigs.real >= 0])
-        check = riesz_projector(C, circle)
-        if np.abs(check - proj).max() > 1e-8 * (1.0 + np.abs(proj).max()):
-            raise CalderonError("Schur and contour projectors disagree")
     return SpectralSplit(stable=stable, unstable=unstable, projector=proj, gap=gap)

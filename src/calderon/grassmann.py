@@ -76,22 +76,19 @@ class GrassmannPoint:
         return [mode_key(m) for m in self.modes[self.dims > 0]]
 
 
-def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA, strict=False):
+def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
     """Build the truncated decaying-side point of an operator.
 
     Frames are the stable invariant subspaces of the per-mode companion
     matrices, rescaled by ``W^{1/2}`` and re-orthonormalized by QR, whose
     Gram gate raises IllConditionedFrame.  Defect modes (real-axis roots)
-    are excluded and listed, or raise if ``strict`` is set.  A stalled
-    sign iteration raises DefectMode.  Every error names its mode.
+    are excluded and listed in ``excluded``.  A stalled sign iteration
+    raises DefectMode.  Every error names its mode.
     """
     if cutoff < 1:
         raise SpecError("cutoff must be at least 1")
     modes = mode_lattice(spec.n, cutoff)
     comp, lam, bad = defect_screen(spec, modes)
-    if strict and bad.any():
-        first = mode_key(modes[bad][0])
-        raise DefectMode(f"defect mode {first} in strict assembly", mode=first)
     excluded = [mode_key(m) for m in modes[bad]]
     keep = ~bad
     modes = modes[keep]
@@ -133,7 +130,7 @@ def krichever_reference(cutoff, alpha=DEFAULT_ALPHA):
     return assemble_point(build_gallery("dbar", mu=0.5), cutoff, alpha=alpha)
 
 
-def chiral_point(spec, side, cutoff, alpha=DEFAULT_ALPHA, strict=False):
+def chiral_point(spec, side, cutoff, alpha=DEFAULT_ALPHA):
     """Project a point's frames onto the declared L or R component block.
 
     Only available for first-order operators of even rank carrying a
@@ -146,7 +143,7 @@ def chiral_point(spec, side, cutoff, alpha=DEFAULT_ALPHA, strict=False):
         raise NoChiralStructure(
             f"{spec.name} has no usable chiral block structure (need k=1, even rank, marking)"
         )
-    base = assemble_point(spec, cutoff, alpha=alpha, strict=strict)
+    base = assemble_point(spec, cutoff, alpha=alpha)
     rows = list(spec.chiral_blocks[0 if side == "L" else 1])
     sub = np.ascontiguousarray(base.ortho[:, rows, :])
     svals = _kernels.svdvals_sweep(sub)

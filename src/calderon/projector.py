@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 _AGREEMENT_TOL = 1e-8  # residue route against contour quadrature, relative
-_QUAD_TOL = 1e-10  # node-doubling agreement of the layer route's circles
 
 
 @dataclass
@@ -78,6 +77,8 @@ class CauchyFrame:
         if self.side not in ("plus", "minus"):
             raise SpecError(f"side must be plus or minus, got {self.side!r}")
         self.matrix = np.asarray(self.matrix, dtype=complex)
+        if self.matrix.ndim != 2:
+            raise SpecError(f"frame at mode {self.m} must be a 2-D matrix, got {self.matrix.shape}")
         if self.matrix.shape[1]:
             if not np.abs(self.matrix).max(axis=0).all():
                 raise IllConditionedFrame(f"frame at mode {self.m} has a zero column")
@@ -162,14 +163,24 @@ def jump_operator(sym):
     return _jump(sym.A)
 
 
+def _block_hankel(H):
+    """Block Hankel matrices ``(..., rk, rk)`` from ``2k - 1`` stacks
+    ``H[s]`` of shape ``(..., r, r)``: block ``(q, p)`` is ``H[q + p]``,
+    or zero where that is None.  The anti-diagonal ``H[k-1]`` is given."""
+    k = (len(H) + 1) // 2
+    h = H[k - 1]
+    r = h.shape[-1]
+    out = np.zeros(h.shape[:-2] + (r * k, r * k), dtype=complex)
+    for q in range(k):
+        for p in range(k):
+            if H[q + p] is not None:
+                out[..., q * r : (q + 1) * r, p * r : (p + 1) * r] = H[q + p]
+    return out
+
+
 def _jump(A):
     """Jump operators from an ``A`` stack ``(k+1, ..., r, r)``."""
-    k, r = A.shape[0] - 1, A.shape[-1]
-    out = np.zeros(A.shape[1:-2] + (r * k, r * k), dtype=complex)
-    for q in range(k):
-        for p in range(k - q):
-            out[..., q * r : (q + 1) * r, p * r : (p + 1) * r] = A[q + p + 1]
-    return out
+    return _block_hankel(list(A[1:]) + [None] * (A.shape[0] - 2))
 
 
 def invert_jump_operator(a_op, block_size):
@@ -195,15 +206,11 @@ def _jump_inverse(A):
     (``A_0`` unread).  With ``E`` the block reversal, ``J E`` is upper block-Toeplitz
     with diagonal ``A_k``, so block ``(p, j)`` of ``J^{-1}`` is ``Y_{p+j-k+1}``, zero
     above the anti-diagonal: ``Y_0 = A_k^{-1}``, ``Y_d = -Y_0 sum_{i=1..d} A_{k-i} Y_{d-i}``."""
-    k, r = A.shape[0] - 1, A.shape[-1]
+    k = A.shape[0] - 1
     Y = [np.linalg.inv(A[k])]
     for d in range(1, k):
         Y.append(-Y[0] @ sum(A[k - i] @ Y[d - i] for i in range(1, d + 1)))
-    out = np.zeros(A.shape[1:-2] + (r * k, r * k), dtype=complex)
-    for p in range(k):
-        for j in range(k - 1 - p, k):
-            out[..., p * r : (p + 1) * r, j * r : (j + 1) * r] = Y[p + j - k + 1]
-    return out
+    return _block_hankel([None] * (k - 1) + Y)
 
 
 @functools.lru_cache(maxsize=8)
@@ -224,18 +231,6 @@ def _adjugate(M):
     singular matrices, which is where the residues evaluate it."""
     rows, cols, sign = _cofactor_tables(M.shape[-1])
     return np.swapaxes(sign * np.linalg.det(M[..., rows, cols]), -1, -2)
-
-
-def _blocks(J, k):
-    """Layer blocks ``(N, rk, rk)`` from integrals ``J`` of shape
-    ``(N, 2k-1, r, r)``, one per power of ``xi``: block ``(q, p)`` is
-    ``i^{p+q+1}`` times the integral of power ``p + q``."""
-    N, r = J.shape[0], J.shape[-1]
-    B = np.empty((N, k * r, k * r), dtype=complex)
-    for q in range(k):
-        for p in range(k):
-            B[:, q * r : (q + 1) * r, p * r : (p + 1) * r] = (1j) ** (p + q + 1) * J[:, p + q]
-    return B
 
 
 def _local_circles(roots, mult, rows, cols, share):
@@ -316,9 +311,7 @@ def _layer_blocks(A, modes, lam, cross_check):
         # if it has any, so the cross-check never moves the blocks
         slowest = rho[: local.size].max() if local.size else rho.max()
         try:
-            values, _ = _stacked_quadrature(
-                integrand, centers, radii, None, _sized_nodes(slowest), _QUAD_TOL
-            )
+            values, _ = _stacked_quadrature(integrand, centers, radii, None, _sized_nodes(slowest))
         except ContourNotConverged as exc:
             i = owner[exc.index]
             raise ContourNotConverged(f"{exc} at mode {_mode_at(modes, i)}", index=int(i)) from exc
@@ -339,7 +332,8 @@ def _layer_blocks(A, modes, lam, cross_check):
                 f"layer-potential routes disagree at mode {_mode_at(modes, checked[i])}: "
                 f"{err[i]:.3e}"
             )
-    return _blocks(J, k)
+    # block (q, p) is i^{p+q+1} times the integral of power p + q
+    return _block_hankel([(1j) ** (s + 1) * J[:, s] for s in range(2 * k - 1)])
 
 
 def layer_potential_blocks(sym, cross_check=True):
@@ -365,21 +359,21 @@ def layer_potential_blocks(sym, cross_check=True):
     return _layer_blocks(sym.A[:, None], [sym.m], lam, cross_check)[0]
 
 
-def calderon_projector(sym, side="plus", cross_check=True):
+def calderon_projector(sym, side="plus"):
     """Projector onto one side's Cauchy-data space along the other.
 
-    The plus projector is the layer-potential block matrix times the
-    jump operator; the minus one is its complement, exactly.  The plus
-    matrix is kept on ``sym`` per ``cross_check``, so asking for both
-    sides of one symbol runs the layer route, and its cross-check, once.
-    The returned matrix is the caller's own copy.
+    The plus projector is the cross-checked layer-potential block matrix
+    times the jump operator; the minus one is its complement, exactly.
+    The plus matrix is kept on ``sym``, so asking for both sides of one
+    symbol runs the layer route, and its cross-check, once.  The
+    unchecked matrix is ``layer_potential_blocks(sym, cross_check=False)
+    @ jump_operator(sym)``.  The returned matrix is the caller's own copy.
     """
     if side not in ("plus", "minus"):
         raise SpecError(f"side must be plus or minus, got {side!r}")
-    key = bool(cross_check)
-    R = sym._routes.get(key)
+    R = sym._routes.get("plus")
     if R is None:
-        R = sym._routes[key] = layer_potential_blocks(sym, cross_check=key) @ jump_operator(sym)
+        R = sym._routes["plus"] = layer_potential_blocks(sym) @ jump_operator(sym)
     if side == "minus":
         return BlockProjector(m=sym.m, matrix=np.eye(R.shape[0], dtype=complex) - R, kind="Rminus")
     return BlockProjector(m=sym.m, matrix=R.copy(), kind="Rplus")

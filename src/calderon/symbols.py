@@ -79,10 +79,6 @@ class OperatorSpec:
     def top_coefficient(self):
         return self.terms[(self.k, (0,) * (self.n - 1))]
 
-    def coefficient(self, q, beta):
-        """Coefficient matrix for (q, beta), zero when absent."""
-        return self.terms.get((q, tuple(beta)), np.zeros((self.r, self.r), dtype=complex))
-
 
 @dataclass(frozen=True)
 class ModeSymbol:
@@ -97,8 +93,7 @@ class ModeSymbol:
     spec: OperatorSpec
     m: tuple
     A: np.ndarray  # (k+1, r, r)
-    # plus-side projector matrices by cross_check, filled by
-    # projector.calderon_projector
+    # the plus-side projector matrix, filled by projector.calderon_projector
     _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -267,7 +262,7 @@ def _as_mode(spec, m):
     return m
 
 
-def build_gallery(name, params=None, **kw):
+def build_gallery(name, /, **params):
     """Construct one of the built-in model operators.
 
     Parameters
@@ -275,10 +270,10 @@ def build_gallery(name, params=None, **kw):
     name : str
         One of ``dbar``, ``twisted_dbar``, ``laplace_mass``, ``dirac2``,
         ``dirac3`` or ``custom``.
-    params, **kw
-        Gallery parameters (``mu``, ``d``, ``v``), as a mapping or as
-        keywords; ``custom`` instead takes ``n``, ``r``, ``k``, a raw
-        ``terms`` table and an optional ``name`` label.
+    **params
+        Gallery parameters (``mu``, ``d``, ``v``); ``custom`` instead
+        takes ``n``, ``r``, ``k``, a raw ``terms`` table and an optional
+        ``name`` label.
 
     Returns
     -------
@@ -295,11 +290,10 @@ def build_gallery(name, params=None, **kw):
     * ``dirac3(mu,v)``      ``s1 d_n + s2 d_t1 + s3 d_t2 + mu s3 + v``
       on the 2-torus.
     """
-    p = {**(params or {}), **kw}
 
     def take(key, default=None):
-        if key in p:
-            return p.pop(key)
+        if key in params:
+            return params.pop(key)
         if default is None:
             raise SpecError(f"gallery {name!r} requires parameter {key!r}")
         return default
@@ -347,13 +341,13 @@ def build_gallery(name, params=None, **kw):
             str(take("name", "custom")),
             int(take("n")), int(take("r")), int(take("k")),
             dict(take("terms")),
-            agmon_hint=p.pop("agmon_hint", None),
-            chiral_blocks=p.pop("chiral_blocks", None),
+            agmon_hint=params.pop("agmon_hint", None),
+            chiral_blocks=params.pop("chiral_blocks", None),
         )
     else:
         raise SpecError(f"unknown gallery name {name!r}")
-    if p:
-        raise SpecError(f"unused gallery parameters {sorted(p)} for {name!r}")
+    if params:
+        raise SpecError(f"unused gallery parameters {sorted(params)} for {name!r}")
     return spec
 
 
@@ -425,13 +419,13 @@ def _cosphere_directions(n, samples):
     return v
 
 
-def check_ellipticity(spec, samples=64, mode_scan=None):
+def check_ellipticity(spec, samples=64):
     """Sample ``det a_k`` on the unit cosphere and scan for defect modes.
 
     A failure is reported through the returned flag, never raised.  The
-    defect scan walks integer modes with ``|m|_inf <= mode_scan`` and
-    flags those whose full mode symbol has a characteristic root on the
-    real axis.
+    defect scan (:func:`scan_defect_modes`) walks integer modes with
+    ``|m|_inf <= 64`` for n = 2, else 24, and flags those whose full
+    mode symbol has a characteristic root on the real axis.
     """
     if samples < 8:
         raise SpecError("need at least 8 cosphere samples")
@@ -440,9 +434,7 @@ def check_ellipticity(spec, samples=64, mode_scan=None):
     min_det = float(np.abs(dets).min())
     passed = min_det > 1e-10 * (1.0 + float(np.abs(dets).max()))
 
-    if mode_scan is None:
-        mode_scan = 64 if spec.n == 2 else 24
-    defects = scan_defect_modes(spec, mode_scan)
+    defects = scan_defect_modes(spec, 64 if spec.n == 2 else 24)
     return EllipticityReport(
         directions=dirs,
         min_abs_det=min_det,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from calderon import contour as contour_module
 from calderon.contour import (
     MAX_NODES,
     Contour,
@@ -60,7 +61,8 @@ def test_matrix_valued_quadrature_and_ellipse():
     assert np.abs(val - eye).max() < 1e-10  # both eigenvalues enclosed
 
 
-def test_quadrature_gives_up_on_nonanalytic_data():
+def test_quadrature_gives_up_on_nonanalytic_data(monkeypatch):
+    monkeypatch.setattr(contour_module, "MAX_NODES", 256)
     rng = np.random.default_rng(0)
     evaluated = []
 
@@ -69,7 +71,7 @@ def test_quadrature_gives_up_on_nonanalytic_data():
         return rng.normal(size=len(z))
 
     with pytest.raises(ContourNotConverged):
-        contour_quadrature(noise, Contour.circle(0, 1.0), max_nodes=256)
+        contour_quadrature(noise, Contour.circle(0, 1.0))
     assert sum(evaluated) == 256  # every level reuses the nodes before it
 
 
@@ -156,7 +158,7 @@ def test_nested_quadrature_matches_full_grid(case):
 
 
 @pytest.mark.parametrize("start", [8, 16, 64])
-def test_first_call_covers_two_levels(start):
+def test_first_call_covers_two_levels(start, monkeypatch):
     calls = []
 
     def counted(z):
@@ -168,8 +170,9 @@ def test_first_call_covers_two_levels(start):
     assert (n, calls) == (2 * start, [2 * start])
     # with no room for the second level, the loop gives up before calling f
     calls.clear()
+    monkeypatch.setattr(contour_module, "MAX_NODES", 2 * start - 1)
     with pytest.raises(ContourNotConverged):
-        contour_quadrature(counted, Contour.circle(0, 1.0, nodes=start), max_nodes=2 * start - 1)
+        contour_quadrature(counted, Contour.circle(0, 1.0, nodes=start))
     assert calls == []
 
 
@@ -190,7 +193,7 @@ def _sized_and_unsized_counts(f, group, rest):
     sized = enclosing_circle(group, excluded=rest)
     assert sized.nodes in (16, 32, 64, 128, 256)
     _, n = contour_quadrature(f, sized)
-    _, n16 = contour_quadrature(f, enclosing_circle(group, excluded=rest, nodes=16))
+    _, n16 = contour_quadrature(f, Contour.circle(sized.center, sized.radii[0], 16))
     return sized, n, n16
 
 
@@ -201,9 +204,12 @@ def test_sized_start_keeps_the_cross_check_node_count(name):
     checked = 0
     for m in mode_lattice(spec.n, 16):
         sym = mode_symbol(spec, m)
-        roots = characteristic_roots(sym, allow_real=True)
+        try:
+            roots = characteristic_roots(sym)
+        except DefectMode:  # a real root
+            continue
         upper = [root for root, _, half in roots if half == "upper"]
-        if not upper or any(half == "real" for _, _, half in roots):
+        if not upper:
             continue
 
         def f(z, sym=sym):
@@ -272,6 +278,27 @@ def test_contour_validation():
         Contour.circle(0, 1.0, nodes=4)
     with pytest.raises(SpecError):
         Contour.circle(0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "center, radii",
+    [
+        (4, (np.nan, np.nan)),
+        (np.nan, (1.0, 1.0)),
+        (complex(0, np.inf), (1.0, 1.0)),
+        (0, (1.0, np.inf)),
+        (0, (np.nan, 1.0)),
+        (0, (0.0, 1.0)),
+        (np.zeros(2), (np.array([1.0, np.nan]),) * 2),
+        (np.array([0, np.nan]), (np.ones(2),) * 2),
+    ],
+)
+def test_contour_rejects_non_finite_geometry(center, radii):
+    # a NaN passes a test such as radius <= 0; a NaN circle then encloses
+    # no eigenvalue, so riesz_projector returned a zero matrix, and the
+    # quadrature doubled to MAX_NODES before it gave up
+    with pytest.raises(SpecError):
+        Contour(center, radii)
 
 
 def test_stack_of_circles_has_one_boundary_and_distance_row_per_circle():
@@ -343,10 +370,9 @@ def test_dbar_root():
 
 def test_real_root_raises_defect():
     db0 = build_gallery("dbar", mu=0.0)
-    with pytest.raises(DefectMode):
+    with pytest.raises(DefectMode) as info:
         characteristic_roots(mode_symbol(db0, 0))
-    roots = characteristic_roots(mode_symbol(db0, 0), allow_real=True)
-    assert roots[0][2] == "real"
+    assert info.value.mode == (0,) and info.value.roots == [0.0]
 
 
 def test_multiplicity_grouping():
@@ -561,6 +587,15 @@ def test_power_rejects_spectrum_at_origin():
         matrix_power(np.diag([0.0, 2.0]).astype(complex), 0.5)
 
 
+@pytest.mark.parametrize("t, cut_angle", [(np.nan, np.pi), (np.inf, np.pi), (0.5, np.nan)])
+def test_power_rejects_non_finite_arguments_before_any_quadrature(t, cut_angle, monkeypatch):
+    called = []
+    monkeypatch.setattr(contour_module, "contour_quadrature", lambda *a: called.append(a))
+    with pytest.raises(SpecError):
+        matrix_power(np.diag([4.0, 9.0]), t, cut_angle=cut_angle)
+    assert called == []
+
+
 # ---------------------------------------------------------------------------
 # stable/unstable splitting
 
@@ -574,7 +609,11 @@ def test_split_diagonal():
 
 def test_split_companion_of_u_double_prime_equals_u():
     C = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sp = spectral_split(C, validate=True)
+    sp = spectral_split(C)
+    circle = enclosing_circle([-1.0], excluded=[1.0])
+    assert np.abs(riesz_projector(C, circle) - sp.projector).max() <= 1e-8 * (
+        1.0 + np.abs(sp.projector).max()
+    )
     v = sp.stable[:, 0]
     assert abs(v[0] / v[1] + 1.0) < 1e-12  # direction (1, -1)
 
@@ -672,7 +711,7 @@ def test_split_projector_matches_contour_route(name):
 
 def test_split_dimensions_sum_to_matrix_size():
     for name, params in GALLERY.items():
-        spec = build_gallery(name, params)
+        spec = build_gallery(name, **params)
         for m in sample_modes(spec, 8, count=8, seed=4):
             try:
                 sp = spectral_split(companion_matrix(mode_symbol(spec, m)))

@@ -87,10 +87,6 @@ def test_defect_modes_excluded_and_listed():
     pt = assemble_point(build_gallery("dirac2", mu=1, v=0), 8)
     assert pt.excluded == [-1, 0, 1]
     assert len(pt.modes) == 14
-    from calderon.errors import DefectMode
-
-    with pytest.raises(DefectMode):
-        assemble_point(build_gallery("dirac2", mu=1, v=0), 8, strict=True)
 
 
 def test_sign_iteration_stall_names_the_mode():

@@ -1,5 +1,8 @@
-"""A fresh process loads scipy only when the Schur oracle runs."""
+"""A fresh process loads scipy only when the Schur oracle runs, and the
+public calls keep their pinned parameter lists."""
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -93,3 +96,31 @@ def test_schur_oracle_loads_scipy_and_matches_in_process(specs, tmp_path):
     assert "scipy.linalg" in got["loaded"]
     assert main(args + ["--out", str(tmp_path / "here.json")]) == 0
     assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+# every parameter each public call takes: the quadrature tolerance, the
+# node budget, the defect policy and the cross-check are constants, so
+# none of them comes back as a keyword unnoticed
+SIGNATURES = {
+    "contour.contour_quadrature": "(f, contour)",
+    "contour.riesz_projector": "(M, contour)",
+    "contour.matrix_power": "(a, t, cut_angle=3.141592653589793)",
+    "contour.enclosing_circle": "(group, excluded=())",
+    "contour.characteristic_roots": "(sym)",
+    "contour.root_table": "(lam, modes)",
+    "contour.spectral_split": "(C)",
+    "projector.calderon_projector": "(sym, side='plus')",
+    "projector.layer_potential_blocks": "(sym, cross_check=True)",
+    "symbols.check_ellipticity": "(spec, samples=64)",
+    "symbols.build_gallery": "(name, /, **params)",
+    "grassmann.assemble_point": "(spec, cutoff, alpha=0.5)",
+    "grassmann.chiral_point": "(spec, side, cutoff, alpha=0.5)",
+    "acceptance.run_acceptance": "()",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SIGNATURES))
+def test_public_signature_is_pinned(path):
+    module, name = path.split(".")
+    fn = getattr(importlib.import_module(f"calderon.{module}"), name)
+    assert str(inspect.signature(fn)) == SIGNATURES[path]

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from calderon import projector, symbols
+from calderon import contour, projector, symbols
 from calderon._kernels import stable_projector_sweep
 from calderon.acceptance import _acceptance_specs
 from calderon.errors import (
@@ -16,6 +16,7 @@ from calderon.errors import (
     SpecError,
 )
 from calderon.projector import (
+    CauchyFrame,
     _adjugate,
     _jump,
     _jump_inverse,
@@ -388,14 +389,19 @@ def test_returned_projectors_are_private_copies():
         sym.A = np.zeros_like(sym.A)
 
 
+def _unchecked_projector(sym):
+    """The plus projector of the residue route alone."""
+    return layer_potential_blocks(sym, cross_check=False) @ jump_operator(sym)
+
+
 def test_checked_request_never_reuses_an_unchecked_route(monkeypatch):
     quadratures = _counting(monkeypatch, "_stacked_quadrature")
     sym = mode_symbol(build_gallery("laplace_mass", mu=1), 3)  # simple roots only
-    unchecked = calderon_projector(sym, "plus", cross_check=False).matrix
+    unchecked = _unchecked_projector(sym)
     assert len(quadratures) == 0
-    checked = calderon_projector(sym, "plus", cross_check=True).matrix
+    checked = calderon_projector(sym, "plus").matrix
     assert len(quadratures) == 1
-    calderon_projector(sym, "minus", cross_check=True)
+    calderon_projector(sym, "minus")
     assert len(quadratures) == 1
     assert np.array_equal(checked, unchecked)
 
@@ -406,10 +412,11 @@ def _simple_upper_modes(name, cutoff):
     spec = build_gallery(name, **GALLERY[name])
     for m in mode_lattice(spec.n, cutoff):
         sym = mode_symbol(spec, m)
-        roots = characteristic_roots(sym, allow_real=True)
-        if all(half != "real" for _, _, half in roots) and all(
-            mult == 1 for _, mult, half in roots if half == "upper"
-        ):
+        try:
+            roots = characteristic_roots(sym)
+        except DefectMode:  # a real root
+            continue
+        if all(mult == 1 for _, mult, half in roots if half == "upper"):
             yield sym
 
 
@@ -489,7 +496,7 @@ def test_cross_check_sums_local_circles_where_no_circle_separates_the_roots(monk
     upper = [x for x, _, half in found if half == "upper"]
     with pytest.raises(EigenvalueOnContour):
         enclosing_circle(upper, excluded=[x for x, _, half in found if half == "lower"])
-    unchecked = calderon_projector(sym, cross_check=False).matrix
+    unchecked = _unchecked_projector(sym)
     oracle = spectral_split(companion_matrix(sym)).projector
     assert np.abs(unchecked - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
     # the check runs one local circle per upper root, on one grid, and
@@ -506,7 +513,7 @@ def test_cross_check_sums_local_circles_where_no_circle_separates_the_roots(monk
     assert np.array_equal(R[3], unchecked)
     for m, row in zip(modes, R):
         single = mode_symbol(mixed, m)
-        assert np.array_equal(calderon_projector(single, cross_check=False).matrix, row)
+        assert np.array_equal(_unchecked_projector(single), row)
         oracle = spectral_split(companion_matrix(single)).projector
         assert np.abs(row - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
     # and the summed circles still catch a wrong residue, naming the mode
@@ -525,7 +532,7 @@ def test_cross_check_integrates_its_own_circle_at_a_stuck_double_root(monkeypatc
     upper = [x for x, _, half in found if half == "upper"]
     with pytest.raises(EigenvalueOnContour):
         enclosing_circle(upper, excluded=[x for x, _, half in found if half == "lower"])
-    unchecked = calderon_projector(sym, cross_check=False).matrix
+    unchecked = _unchecked_projector(sym)
     oracle = spectral_split(companion_matrix(sym)).projector
     assert np.abs(unchecked - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
     # one quadrature: the residue route's local circle at the double root,
@@ -667,7 +674,7 @@ def test_nan_residues_fail_the_cross_check(monkeypatch):
 def test_stack_names_the_mode_whose_circle_did_not_converge(monkeypatch):
     # dbar's root i (mu - m) is upper for m < mu only, so m = 3 has no
     # circle and the stack's only circle is that of m = -2, its second row
-    monkeypatch.setattr(projector, "_QUAD_TOL", 1e-30)
+    monkeypatch.setattr(contour, "QUAD_TOL", 1e-30)
     with pytest.raises(ContourNotConverged, match=r"at mode \(-2,\)") as info:
         calderon_projector_stack(build_gallery("dbar", mu=0.5), np.array([[3], [-2]]))
     assert info.value.index == 1
@@ -886,13 +893,16 @@ def test_mass_one_laplacian_weighted_projector_collapses_to_flat():
 
 def test_ill_conditioned_frame_rejected():
     frame_matrix = np.array([[1.0, 1.0], [1e-13, 0.0], [0.0, 1e-13], [0.0, 0.0]])
-    from calderon.projector import CauchyFrame
-
     with pytest.raises(IllConditionedFrame):
         CauchyFrame(m=(0,), matrix=frame_matrix, side="plus")
     for zero_column in (np.zeros((2, 1)), np.array([[1.0, 0.0], [2.0, 0.0]])):
         with pytest.raises(IllConditionedFrame):
             CauchyFrame(m=(0,), matrix=zero_column, side="plus")
+
+
+def test_frame_must_be_a_matrix():
+    with pytest.raises(SpecError):
+        CauchyFrame(m=(0,), matrix=np.ones(2), side="plus")
 
 
 def _three_root_spec():
