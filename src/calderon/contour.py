@@ -189,7 +189,7 @@ def _stacked_quadrature(f, center, a, b, nodes):
     while True:
         err = np.abs(value - prev).max(axis=1)
         done = err <= QUAD_TOL * np.maximum(1.0, np.abs(value).max(axis=1))  # NaN keeps going
-        if done.all():
+        if np.count_nonzero(done) == len(done):
             break
         going = ~done
         if 2 * n > MAX_NODES:
@@ -236,13 +236,13 @@ def _enclosing_circles(points, inside, outside):
     spread = dist.max(axis=1, where=inside, initial=0.0)
     gap = dist.min(axis=1, where=outside, initial=np.inf)
     stuck = gap <= spread * (1 + 1e-12) + 1e-300
-    gap = np.where(stuck, np.inf, gap)  # sized as if free, so no 0 / 0, then marked below
+    gap[stuck] = np.inf  # sized as if free, so no 0 / 0, then marked below
     # rho = max(spread / r, r / gap) is least at the geometric mean; the
     # floor gap / 8 keeps a lone point or a tight group at rho <= 1/8
     free = np.isinf(gap)  # nothing to exclude: a margin set by the group
     g = np.where(free, 1.0, gap)  # a finite stand-in, so no 0 * inf
     radius = np.maximum(np.sqrt(spread * g), 0.125 * g)
-    if free.any():
+    if np.count_nonzero(free):
         margin = np.maximum(1.0, 0.5 * np.maximum(np.abs(center), spread))
         radius = np.where(free, spread + margin, radius)
     rho = np.where(stuck, np.inf, np.maximum(spread / radius, radius / gap))
@@ -306,7 +306,7 @@ def root_table(lam, modes):
     xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
     close = np.abs(xi[:, :, None] - xi[:, None, :]) <= tol
     roots, mult = xi, np.ones(xi.shape, dtype=int)
-    if close.sum() > close.shape[0] * close.shape[1]:  # some roots lie within tol
+    if np.count_nonzero(close) > xi.size:  # some roots lie within tol of another
         # each root points at the first root within tol of it; following
         # the pointers, which only go back, ends at its cluster's first root
         rows = np.arange(len(xi))[:, None]
@@ -318,7 +318,7 @@ def root_table(lam, modes):
         roots = (member * xi[:, :, None]).sum(axis=1) / np.maximum(mult, 1)
     real = on_real_axis(np.abs(roots.imag), np.asarray(modes, dtype=float)[:, None])
     half = np.copysign(~real, roots.imag)
-    if real.any():
+    if np.count_nonzero(real):
         bad = real & (mult > 0)  # clusters are judged by their means
         if bad.any():
             i = int(bad.any(axis=1).argmax())

@@ -45,6 +45,10 @@ class ContourNotConverged(_StackError):
     """Node doubling exceeded the node budget without convergence."""
 
 
+class RoutesDisagree(_StackError):
+    """The residue and quadrature routes of the layer blocks disagree."""
+
+
 class EigenvalueOnContour(_StackError):
     """An eigenvalue lies on (or too close to) the integration contour."""
 

@@ -24,9 +24,9 @@ from .contour import (
     spectral_split,
 )
 from .errors import (
-    CalderonError,
     ContourNotConverged,
     IllConditionedFrame,
+    RoutesDisagree,
     SingularBlock,
     SpecError,
 )
@@ -187,10 +187,13 @@ def invert_jump_operator(a_op, block_size):
     """Exact inverse of the anti-triangular block matrix from
     :func:`jump_operator`: the N=1 call of :func:`_jump_inverse` on the
     blocks ``A_1 .. A_k`` of its first block row.  It vanishes above the
-    anti-diagonal.  Raises SingularBlock when ``A_k`` is singular.
+    anti-diagonal.  Raises SingularBlock when ``A_k`` is singular, and
+    SpecError on a block size below 1.
     """
     a_op = np.asarray(a_op, dtype=complex)
     r = block_size
+    if r < 1:
+        raise SpecError(f"block size must be at least 1, got {r}")
     if a_op.shape[0] % r:
         raise SpecError("matrix size is not a multiple of the block size")
     k = a_op.shape[0] // r
@@ -215,22 +218,24 @@ def _jump_inverse(A):
 
 @functools.lru_cache(maxsize=8)
 def _cofactor_tables(d):
-    """Row/column indices of every (d-1)-minor of a d x d matrix and the
-    cofactor signs: ``keep[i, j] = j + (j >= i)`` skips row/column i."""
+    """Index tables and signs of the cofactors of a d x d matrix, transposed:
+    entry ``(i, j)`` takes the (d-1)-minor without row ``j`` and column ``i``."""
     j = np.arange(d - 1)
-    keep = j[None, :] + (j[None, :] >= np.arange(d)[:, None])  # (d, d-1)
+    keep = j[None, :] + (j[None, :] >= np.arange(d)[:, None])  # (d, d-1): row i skips i
     sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
     for table in (keep, sign):
         table.setflags(write=False)  # shared by every call of this size
-    return keep[:, None, :, None], keep[None, :, None, :], sign
+    return keep[None, :, :, None], keep[:, None, None, :], sign
 
 
 def _adjugate(M):
     """Adjugates of a stack ``(..., d, d)`` from all d^2 cofactor
     determinants at once.  Unlike ``det * inv`` this is defined at
     singular matrices, which is where the residues evaluate it."""
+    if M.shape[-1] == 1:  # the one cofactor is the empty minor's determinant, 1
+        return np.ones(M.shape, dtype=complex)
     rows, cols, sign = _cofactor_tables(M.shape[-1])
-    return np.swapaxes(sign * np.linalg.det(M[..., rows, cols]), -1, -2)
+    return sign * np.linalg.det(M[..., rows, cols])
 
 
 def _local_circles(roots, mult, rows, cols, share):
@@ -252,7 +257,7 @@ def _layer_blocks(A, modes, lam, cross_check):
     companion matrices; see :func:`layer_potential_blocks`.
 
     Every failure names its mode: DefectMode, ContourNotConverged and
-    the residue/quadrature disagreement.
+    RoutesDisagree, the residue/quadrature disagreement.
     """
     k = A.shape[0] - 1
     powers = np.arange(2 * k - 1)
@@ -264,11 +269,11 @@ def _layer_blocks(A, modes, lam, cross_check):
     # root whose sum over the root axis takes the simple upper ones
     simple = upper == 1
     diff = 1j * roots[:, :, None] - lam[:, None, :]
-    own = np.abs(diff).argmin(axis=2)[:, :, None] == np.arange(lam.shape[1])
-    denom = np.linalg.det(A[k])[:, None] * 1j * np.where(own, 1.0, diff).prod(axis=2)
-    denom = np.where(simple, denom, 1.0)[..., None, None]  # 1 where the sum drops the term
-    res = _adjugate(symbol_values(A[:, :, None], roots)) / denom
-    terms = (roots[:, :, None] ** powers)[..., None, None] * res[:, :, None]
+    diff[diff == 0] = 1.0  # a simple root's own factor: i root is its lam, exactly
+    denom = np.linalg.det(A[k])[:, None] * 1j * diff.prod(axis=2)
+    denom[~simple] = 1.0  # where the sum drops the term
+    res = (_adjugate(symbol_values(A[:, :, None], roots)) / denom[..., None, None])[:, :, None]
+    terms = res if k == 1 else (roots[:, :, None] ** powers)[..., None, None] * res  # xi^0 = 1
     J = terms.sum(axis=1, where=simple[:, :, None, None, None])
 
     # circles, integrated on one shared grid: a local one around each
@@ -278,34 +283,32 @@ def _layer_blocks(A, modes, lam, cross_check):
     # Those take a smaller radius than the residue route's local circles,
     # so a multiple root's circle is checked against another circle
     local, cols = np.nonzero(upper > 1)
-    circles, owner = [], []  # (centers, radii, rho) and modes; local circles first
+    parts = []  # (centers, radii, rho, modes) of each kind of circle, local ones first
     if local.size:
-        circles.append(_local_circles(roots, mult, local, cols, 0.45))
-        owner.append(local)
+        parts.append((*_local_circles(roots, mult, local, cols, 0.45), local))
     checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
+    rows = slice(None) if checked.size == len(upper) else checked  # every mode: a view, no copy
     slot = None  # each check circle's row of checked, once a mode has several
     if checked.size:
-        u = upper[checked]
-        center, radius, rho = _enclosing_circles(roots[checked], u > 0, mult[checked] > u)
+        u = upper[rows]
+        center, radius, rho = _enclosing_circles(roots[rows], u > 0, mult[rows] > u)
         stuck = np.isinf(rho)
-        if stuck.any():
+        if np.count_nonzero(stuck):
             sep = np.flatnonzero(~stuck)
             row, col = np.nonzero((u > 0) & stuck[:, None])
-            circles.append((center[sep], radius[sep], rho[sep]))
-            circles.append(_local_circles(roots, mult, checked[row], col, 0.3))
+            parts.append((center[sep], radius[sep], rho[sep], checked[sep]))
+            parts.append((*_local_circles(roots, mult, checked[row], col, 0.3), checked[row]))
             slot = np.concatenate([sep, row])
-            owner.append(checked[slot])
         else:
-            circles.append((center, radius, rho))
-            owner.append(checked)
-    if circles:
-        centers, radii, rho = (np.concatenate(part) for part in zip(*circles))
-        owner = np.concatenate(owner)
+            parts.append((center, radius, rho, checked))
+    if parts:
+        centers, radii, rho, owner = map(np.concatenate, zip(*parts)) if parts[1:] else parts[0]
         Ao = A[:, owner, None]  # the circles' symbols
 
         def integrand(z, idx):
-            inv = np.linalg.inv(symbol_values(Ao[:, idx], z))
-            return (z[..., None] ** powers)[..., None, None] * inv[..., None, :, :]
+            at = Ao if len(idx) == Ao.shape[1] else Ao[:, idx]  # the first call takes every circle
+            inv = np.linalg.inv(symbol_values(at, z))[..., None, :, :]
+            return inv if k == 1 else (z[..., None] ** powers)[..., None, None] * inv  # z^0 = 1
 
         # one start for the stack, sized from its slowest local circle
         # if it has any, so the cross-check never moves the blocks
@@ -320,17 +323,18 @@ def _layer_blocks(A, modes, lam, cross_check):
 
     # the blocks scale J by powers of i, exactly, so comparing J compares them
     if checked.size:
-        Jc, quad = J[checked], values[local.size :]
+        Jc, quad = J[rows], values[local.size :]
         if slot is not None:  # the local circles of a mode add up to its check
             quad = np.zeros_like(Jc)
             np.add.at(quad, slot, values[local.size :])
         err = np.abs(Jc - quad).max(axis=(1, 2, 3))
         agree = err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3)))  # NaN fails
-        if not agree.all():
+        if np.count_nonzero(agree) < agree.size:
             i = int(agree.argmin())
-            raise CalderonError(
+            raise RoutesDisagree(
                 f"layer-potential routes disagree at mode {_mode_at(modes, checked[i])}: "
-                f"{err[i]:.3e}"
+                f"{err[i]:.3e}",
+                index=int(checked[i]),
             )
     # block (q, p) is i^{p+q+1} times the integral of power p + q
     return _block_hankel([(1j) ** (s + 1) * J[:, s] for s in range(2 * k - 1)])

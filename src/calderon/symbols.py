@@ -9,6 +9,7 @@ and everything downstream reduces to finite matrix algebra per mode.
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,7 +133,7 @@ def symbol_values(A, xi):
     iz = 1j * xi
     out = 0 + A[0]  # equals the q = 0 term (i xi)^0 A_0 added to zero
     for q in range(1, A.shape[0]):
-        out = out + (iz**q)[..., None, None] * A[q]
+        out = out + (iz**q if q > 1 else iz)[..., None, None] * A[q]  # iz**1 is iz, exactly
     return out
 
 
@@ -164,9 +165,11 @@ def companion_matrix(sym):
 
 
 def mode_lattice(n, cutoff):
-    """Integer modes with |m|_inf <= cutoff, in ascending lex order."""
-    if cutoff < 0:
-        raise SpecError("cutoff must be nonnegative")
+    """Integer modes with |m|_inf <= cutoff, in ascending lex order.  A
+    cutoff that is not a nonnegative integer (2.5, NaN) raises SpecError."""
+    if not (float(cutoff).is_integer() and cutoff >= 0):
+        raise SpecError(f"cutoff must be a nonnegative integer, got {cutoff}")
+    cutoff = int(cutoff)
     axes = [np.arange(-cutoff, cutoff + 1)] * (n - 1)
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack(grid, axis=-1).reshape(-1, n - 1).astype(np.int64)
@@ -252,13 +255,16 @@ class AgmonRay:
 
 
 def _as_mode(spec, m):
-    """A mode as a tuple of Python numbers: ints where integral."""
+    """A mode as a tuple of Python numbers: ints where integral.  A
+    non-finite entry raises SpecError."""
     m = tuple(
         x if type(x) is int else int(x) if float(x).is_integer() else float(x)
         for x in np.atleast_1d(m).tolist()
     )
     if len(m) != spec.n - 1:
         raise SpecError(f"mode {m} has length != n-1 = {spec.n - 1}")
+    if not all(map(math.isfinite, m)):
+        raise SpecError(f"mode {m} is not finite")
     return m
 
 

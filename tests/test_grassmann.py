@@ -23,7 +23,13 @@ from calderon.grassmann import (
     schatten_fit,
 )
 from calderon.projector import sobolev_weights
-from calderon.symbols import build_gallery, companion_stack, mode_key, selfadjoint_double
+from calderon.symbols import (
+    build_gallery,
+    companion_stack,
+    mode_key,
+    mode_lattice,
+    selfadjoint_double,
+)
 from test_symbols import GALLERY
 
 
@@ -588,3 +594,19 @@ def test_padded_threshold_band_closed_lower_edge_names_the_loops_mode(padded_pai
         got = _ambiguous_message(lambda: fredholm_index(a, b, tol=tol, rep=rep))
         assert got == _ambiguous_message(lambda: _index_by_loop(ref, tol))
         assert got.endswith(f"at mode {mode_key(rep.modes[named])}; adjust tol")
+
+
+@pytest.mark.parametrize("cutoff", [2.5, float("nan"), float("inf"), -1])
+def test_cutoff_must_be_a_nonnegative_integer(cutoff):
+    # 2.5 used to repeat mode 0 in the lattice, and NaN failed inside np.arange
+    with pytest.raises(SpecError, match="cutoff must be"):
+        mode_lattice(2, cutoff)
+    with pytest.raises(SpecError, match="cutoff must be"):
+        assemble_point(dbar(), cutoff)
+
+
+def test_integral_cutoff_of_any_type_gives_the_integer_lattice():
+    want = mode_lattice(3, 2)
+    for cutoff in (2.0, np.int64(2), np.float64(2.0)):
+        got = mode_lattice(3, cutoff)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

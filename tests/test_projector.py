@@ -12,6 +12,7 @@ from calderon.errors import (
     DefectMode,
     EigenvalueOnContour,
     IllConditionedFrame,
+    RoutesDisagree,
     SingularBlock,
     SpecError,
 )
@@ -150,6 +151,11 @@ def test_jump_operator_inverse_random_order_three():
     assert np.abs(X[:2, :2]).max() < 1e-14
     assert np.abs(X[:2, 2:4]).max() < 1e-14
     assert np.abs(X[2:4, :2]).max() < 1e-14
+
+
+def test_jump_inverse_needs_a_block_size_of_at_least_one():
+    with pytest.raises(SpecError, match="block size must be at least 1"):
+        invert_jump_operator(np.eye(2, dtype=complex), 0)
 
 
 def test_singular_top_block_rejected():
@@ -567,6 +573,31 @@ def test_cross_check_integrates_its_own_circle_at_a_stuck_double_root(monkeypatc
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
+def test_one_checked_call_makes_one_linalg_call_per_stage(name, monkeypatch):
+    # on a fresh symbol: one solve for its companion, one eigvals, one det
+    # of A_k and one of the cofactor minors (none at r = 1, whose one
+    # cofactor is 1), and one inv on the cross-check's nodes; the minus
+    # side reuses the kept plus matrix and calls none
+    spec = build_gallery(name, **GALLERY[name])
+    m = next(
+        sym.m for sym in _simple_upper_modes(name, 4)
+        if any(half == "upper" for _, _, half in characteristic_roots(sym))
+    )
+    sym = mode_symbol(spec, m)
+    calls = dict.fromkeys(("eigvals", "solve", "det", "inv"), 0)
+    for fn in calls:
+
+        def counted(*args, _fn=fn, _real=getattr(np.linalg, fn), **kw):
+            calls[_fn] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, fn, counted)
+    calderon_projector(sym, "plus")
+    calderon_projector(sym, "minus")
+    assert calls == {"eigvals": 1, "solve": 1, "det": 2 if spec.r > 1 else 1, "inv": 1}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
 def test_one_mode_builds_one_companion_and_runs_one_eigvals(name, monkeypatch):
     spec = build_gallery(name, **GALLERY[name])
     m = next(
@@ -669,6 +700,22 @@ def test_nan_residues_fail_the_cross_check(monkeypatch):
     sym = mode_symbol(build_gallery("laplace_mass", mu=1), 3)  # simple roots only
     with pytest.raises(CalderonError, match=r"disagree at mode \(3,\)"):
         calderon_projector(sym)
+
+
+def test_stack_names_the_mode_whose_routes_disagree(monkeypatch):
+    # each mode of laplace_mass has one simple upper root and so one check
+    # circle; a wrong quadrature value on the third fails that mode alone
+    real = projector._stacked_quadrature
+
+    def perturbed(f, centers, radii, *args):
+        values, counts = real(f, centers, radii, *args)
+        values[2] *= 1.0 + 1e-6
+        return values, counts
+
+    monkeypatch.setattr(projector, "_stacked_quadrature", perturbed)
+    with pytest.raises(RoutesDisagree, match=r"disagree at mode \(3,\)") as info:
+        calderon_projector_stack(build_gallery("laplace_mass", mu=1), np.array([[1], [2], [3]]))
+    assert info.value.index == 2 and isinstance(info.value, CalderonError)
 
 
 def test_stack_names_the_mode_whose_circle_did_not_converge(monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,8 +137,25 @@ def _as_mode_by_loop(m):
 def test_as_mode_is_the_element_loop(m):
     n = 2 + np.atleast_1d(m).size - 1
     spec = build_gallery("custom", n=n, r=1, k=1, terms={(1, (0,) * (n - 1)): [[1.0]]})
-    got, ref = _as_mode(spec, m), _as_mode_by_loop(m)
+    ref = _as_mode_by_loop(m)
+    if not np.isfinite(ref).all():  # the loop's tuple, rejected by name
+        with pytest.raises(SpecError, match=rf"mode \({ref[0]}, {ref[1]}\) is not finite"):
+            _as_mode(spec, m)
+        return
+    got = _as_mode(spec, m)
     assert got == ref and [type(x) for x in got] == [type(x) for x in ref]
+
+
+def test_non_finite_mode_is_rejected_before_any_arithmetic():
+    dbar, dirac3 = build_gallery("dbar", mu=0.5), build_gallery("dirac3", mu=1, v=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from inf or NaN arithmetic
+        with pytest.raises(SpecError, match=r"mode \(nan,\) is not finite"):
+            mode_symbol(dbar, float("nan"))
+        with pytest.raises(SpecError, match=r"mode \(inf, 0\) is not finite"):
+            mode_symbol(dirac3, (np.inf, 0))
+        with pytest.raises(SpecError, match=r"mode \(-inf,\) is not finite"):
+            homogeneous_component(dbar, 0, -np.inf, 1.0)
 
 
 def test_mode_symbol_is_read_only_and_copies_a_callers_array():
