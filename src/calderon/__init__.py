@@ -22,11 +22,9 @@ from .grassmann import (
     compare_points,
     fredholm_index,
     krichever_reference,
-    outer_shell_max,
     schatten_fit,
 )
 from .projector import (
-    BlockProjector,
     CauchyFrame,
     SobolevWeight,
     calderon_projector,
@@ -38,11 +36,9 @@ from .projector import (
     layer_potential_blocks,
     orthogonal_projector,
     principal_angles,
-    range_basis,
     sobolev_weights,
 )
 from .symbols import (
-    AgmonRay,
     EllipticityReport,
     ModeSymbol,
     OperatorSpec,
@@ -51,12 +47,10 @@ from .symbols import (
     check_ellipticity,
     companion_matrix,
     dump_spec,
-    find_agmon_ray,
     from_document,
     homogeneous_component,
     load_spec,
     mode_symbol,
-    principal_symbol,
     read_spec,
     save_spec,
     selfadjoint_double,

@@ -1,8 +1,8 @@
 """Contour quadrature and holomorphic functional calculus.
 
-The quadrature rule is the trapezoidal rule on circles and ellipses,
-which converges exponentially for integrands analytic in a neighborhood
-of the contour; node doubling supplies the error estimate.
+The quadrature rule is the trapezoidal rule on circles, which
+converges exponentially for integrands analytic in a neighborhood of
+the contour; node doubling supplies the error estimate.
 """
 
 import functools
@@ -22,70 +22,41 @@ from .errors import (
 from .symbols import on_real_axis
 
 MAX_NODES = 2**16
-QUAD_TOL = 1e-10  # relative agreement of successive node doublings, per curve
+QUAD_TOL = 1e-10  # relative agreement of successive node doublings, per circle
 
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed circular or elliptic contour, counter-clockwise.
+    """Closed circle, counter-clockwise.
 
-    ``radii`` is ``(a, b)``; the contour is a circle when ``a == b``.
     ``nodes`` is the starting node count for the doubling loop.  A stack
-    of circles holds one center and radius per circle in arrays and one
-    shared start (see :meth:`circle`).
+    of circles is no Contour: it is the arrays of centers and radii that
+    :func:`_stacked_quadrature` takes.
     """
 
     center: complex
-    radii: tuple
+    radius: float
     nodes: int = 16
 
     def __post_init__(self):
-        radii = np.asarray(self.radii)
-        if not (np.isfinite(self.center).all() and np.isfinite(radii).all() and (radii > 0).all()):
-            raise SpecError("contour center and radii must be finite, the radii positive")
+        if not (np.isfinite(self.center) and np.isfinite(self.radius) and self.radius > 0):
+            raise SpecError("contour center and radius must be finite, the radius positive")
         if self.nodes < 8:
             raise SpecError("contour needs at least 8 nodes")
 
     @classmethod
     def circle(cls, center, radius, nodes=16):
-        """One circle, or a stack of circles when ``center`` and
-        ``radius`` are arrays."""
-        if np.ndim(center):
-            radius = np.asarray(radius, dtype=float)
-            return cls(np.asarray(center, dtype=complex), (radius, radius), int(nodes))
-        return cls(complex(center), (float(radius), float(radius)), nodes)
-
-    @classmethod
-    def ellipse(cls, center, a, b, nodes=16):
-        return cls(complex(center), (float(a), float(b)), nodes)
+        return cls(complex(center), float(radius), nodes)
 
     def boundary(self, n):
-        """Nodes z_j and derivatives dz/dtheta at n equispaced angles,
-        shape ``(n,)``, or ``(N, n)`` for a stack of N circles."""
-        center, a, b = (np.asarray(x)[..., None] for x in (self.center, *self.radii))
-        return _on_curve(center, a, b, np.exp(2j * np.pi / n * np.arange(n)))
+        """Nodes z_j and derivatives dz/dtheta at n equispaced angles."""
+        re = self.radius * np.exp(2j * np.pi / n * np.arange(n))
+        return self.center + re, 1j * re
 
     def distance(self, points):
-        """Distance from each point to the contour curve, shape ``(P,)``,
-        or ``(N, P)`` for a stack of N circles."""
+        """Distance from each point to the circle, shape ``(P,)``."""
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        center, a, b = (np.asarray(x)[..., None] for x in (self.center, *self.radii))
-        if np.array_equal(a, b):
-            return np.abs(np.abs(pts - center) - a)
-        zb, _ = self.boundary(4096)
-        return np.abs(pts[:, None] - zb[..., None, :]).min(axis=-1)
-
-
-def _on_curve(center, a, b, e):
-    """Nodes and derivatives dz/dtheta of the curve
-    ``center + a cos t + i b sin t`` at the unit points ``e = exp(i t)``,
-    or of the circle of radius ``a`` when ``b`` is None; the arguments
-    broadcast, so one angle grid serves a stack of curves."""
-    ae = a * e
-    if b is None:
-        return center + ae, 1j * ae
-    s = b - a  # the circle of radius a, stretched by i s sin t
-    return center + ae + 1j * s * e.imag, 1j * ae + 1j * s * e.real
+        return np.abs(np.abs(pts - self.center) - self.radius)
 
 
 @functools.lru_cache(maxsize=32)
@@ -104,69 +75,58 @@ def contour_quadrature(f, contour):
     Parameters
     ----------
     f : callable
-        Vectorized integrand.  On one contour, ``f(z)`` for an array of
-        nodes ``z`` must return an array whose leading axis runs over the
-        nodes.  On a stack of circles, ``f(z, rows)`` gets the nodes
-        ``z``, shape ``(len(rows), n)``, of the circles ``rows`` and must
-        return an array whose two leading axes are those of ``z``.
+        Vectorized integrand: ``f(z)`` for an array of nodes ``z`` must
+        return an array whose leading axis runs over the nodes.
     contour : Contour
-        One contour, or a stack of circles on one shared angle grid.  Its
-        ``nodes`` is the start of the doubling loop, which ends once
-        successive doublings agree to relative ``QUAD_TOL`` per circle.
+        Its ``nodes`` is the start of the doubling loop, which ends once
+        successive doublings agree to relative ``QUAD_TOL``.
 
     Returns
     -------
-    (values, counts) : for a stack, the converged integrals along a
-    leading axis and the node count that achieved each; for one contour,
-    the N=1 view ``(value, n)``.  The first call of ``f`` takes the
-    start grid and its midpoints, so the first doubling is compared
-    without a second call; each later doubling evaluates only the new
-    midpoints, on the circles that have not converged.  ``f`` is
-    evaluated at ``n`` nodes per circle in all.  The loop is
-    :func:`_stacked_quadrature`, which takes arrays in place of a
-    :class:`Contour`.
+    (value, n) : the converged integral and the node count that achieved
+    it.  The first call of ``f`` takes the start grid and its midpoints,
+    so the first doubling is compared without a second call; each later
+    doubling evaluates only the new midpoints.  ``f`` is evaluated at
+    ``n`` nodes in all.  This is the N=1 call of
+    :func:`_stacked_quadrature`, which takes a stack of circles as arrays.
 
     Raises
     ------
     ContourNotConverged
         When doubling passes ``MAX_NODES`` without agreement (a NaN
-        integral never agrees); its ``index`` is the first circle of the
-        stack that did not converge.
+        integral never agrees).
     """
-    stacked = np.ndim(contour.center) > 0
-    if not stacked:
-        single = f
-
-        def f(z, rows):
-            return np.asarray(single(z[0]))[None]
-
-    center, a, b = (np.atleast_1d(x) for x in (contour.center, *contour.radii))
     values, counts = _stacked_quadrature(
-        f, center, a, None if np.array_equal(a, b) else b, contour.nodes
+        lambda z, rows: np.asarray(f(z[0]))[None],
+        np.array([contour.center]),
+        np.array([contour.radius]),
+        contour.nodes,
     )
-    if stacked:
-        return values, counts
     return values[0][()], int(counts[0])  # [()]: a scalar for scalar f
 
 
-def _stacked_quadrature(f, center, a, b, nodes):
+def _stacked_quadrature(f, center, radius, nodes):
     """The doubling loop of :func:`contour_quadrature` on a stack of
-    curves ``center + a cos t + i b sin t`` given as 1-D arrays, or of
-    circles of radii ``a`` when ``b`` is None: ``nodes`` is the shared
-    start and ``f(z, rows)`` the stacked integrand.  Returns the
-    converged integrals along a leading axis and the node count that
-    achieved each, and raises as :func:`contour_quadrature` does.
-    ``QUAD_TOL`` and ``MAX_NODES`` are read at each call.
+    circles given as 1-D arrays of centers and radii: ``nodes`` is the
+    shared start and ``f(z, rows)`` gets the nodes ``z``, shape
+    ``(len(rows), n)``, of the circles ``rows`` and returns an array
+    whose two leading axes are those of ``z``.  Returns the converged
+    integrals along a leading axis and the node count that achieved
+    each.  Circles converge one by one: a circle whose successive
+    doublings agree to relative ``QUAD_TOL`` leaves the loop, and the
+    rest keep doubling.  Raises ContourNotConverged past ``MAX_NODES``,
+    its ``index`` the first circle that did not converge.  ``QUAD_TOL``
+    and ``MAX_NODES`` are read at each call.
     """
-    center, a = center[:, None], a[:, None]
-    b = None if b is None else b[:, None]
-    rows = np.arange(len(center))  # the curves still doubling
+    center, radius = center[:, None], radius[:, None]
+    rows = np.arange(len(center))  # the circles still doubling
 
     def sums(e, parts):
         # sums of f(z) dz/dtheta over the nodes at the unit points e, per
-        # curve and interleaved subgrid (node j of subgrid i is node
+        # circle and interleaved subgrid (node j of subgrid i is node
         # j parts + i), as one product that needs no weighted copy of f's values
-        z, dz = _on_curve(center, a, b, e)
+        re = radius * e
+        z, dz = center + re, 1j * re
         vals = np.asarray(f(z, rows), dtype=complex)
         if vals.shape[:2] != z.shape:
             raise ValueError("integrand must be vectorized over the node axis")
@@ -196,8 +156,7 @@ def _stacked_quadrature(f, center, a, b, nodes):
             raise ContourNotConverged(
                 f"no convergence with up to {MAX_NODES} nodes", index=int(rows[going.argmax()])
             )
-        rows, center, a = rows[going], center[going], a[going]
-        b = None if b is None else b[going]
+        rows, center, radius = rows[going], center[going], radius[going]
         prev, total = value[going], total[going]
         # the 2n-node grid is the n-node grid plus its midpoints, so each
         # later call evaluates f only at the nodes the previous ones lacked
@@ -361,7 +320,9 @@ def _cluster_circles(eigs, enclosed, far, ray=None):
     Clusters link at a quarter of ``far``, the distance from the enclosed
     eigenvalues to the excluded ones and the cut, so a split Jordan block
     shares one circle (Hale, Higham & Trefethen, SIAM J. Numer. Anal. 46,
-    2008).  Raises EigenvalueOnContour when a cluster cannot be isolated.
+    2008).  Returns the arrays of centers and radii and the shared start
+    that :func:`_stacked_quadrature` takes.  Raises EigenvalueOnContour
+    when a cluster cannot be isolated.
     """
     ins = eigs[enclosed]
     reach = np.abs(ins[:, None] - ins) <= 0.25 * far
@@ -376,7 +337,7 @@ def _cluster_circles(eigs, enclosed, far, ray=None):
         points = np.column_stack([points, np.maximum((mean / ray).real, 0.0) * ray])
         inside = np.column_stack([inside, np.zeros(len(member), dtype=bool)])
     center, radius, rho = _separating_circles(points, inside, ~inside)
-    return Contour.circle(center, radius, _sized_nodes(rho.max()))
+    return center, radius, _sized_nodes(rho.max())
 
 
 def riesz_projector(M, contour):
@@ -385,29 +346,28 @@ def riesz_projector(M, contour):
     The contour, which must clear the spectrum by a relative margin of
     1e-8, picks the enclosed eigenvalues.  The resolvent is integrated on
     one small circle per cluster of them, in one stacked quadrature
-    (:func:`_cluster_circles`), or on the contour if none isolates one.
+    (:func:`_cluster_circles`), or on the contour, as a stack of one
+    circle, if none isolates one.
     """
     M = np.asarray(M, dtype=complex)
     eigs = np.linalg.eigvals(M)
     scale = 1.0 + float(np.abs(eigs).max())
     if contour.distance(eigs).min() < 1e-8 * scale:
         raise EigenvalueOnContour("an eigenvalue lies on the integration contour")
-    w, (a, b) = eigs - contour.center, contour.radii
-    enclosed = (w.real / a) ** 2 + (w.imag / b) ** 2 < 1
+    enclosed = np.abs(eigs - contour.center) < contour.radius
     if not enclosed.any():
         return np.zeros_like(M)
     far = np.abs(eigs[enclosed][:, None] - eigs[~enclosed]).min(initial=np.inf)
     try:
-        contour = _cluster_circles(eigs, enclosed, far)
-    except EigenvalueOnContour:
-        pass  # the caller's contour clears the spectrum
+        circles = _cluster_circles(eigs, enclosed, far)
+    except EigenvalueOnContour:  # the caller's contour clears the spectrum
+        circles = np.array([contour.center]), np.array([contour.radius]), contour.nodes
     eye = np.eye(M.shape[0], dtype=complex)
 
-    def resolvent(z, rows=None):
+    def resolvent(z, rows):
         return np.linalg.inv(z[..., None, None] * eye - M)
 
-    values, _ = contour_quadrature(resolvent, contour)
-    return values.reshape(-1, *M.shape).sum(axis=0)
+    return _stacked_quadrature(resolvent, *circles)[0].sum(axis=0)
 
 
 def matrix_power(a, t, cut_angle=np.pi):
@@ -431,7 +391,7 @@ def matrix_power(a, t, cut_angle=np.pi):
     dist_ray = np.where(rotated.real > 0, np.abs(rotated.imag), np.abs(rotated))
     if dist_ray.min() < 1e-8 * scale or np.abs(eigs).min() < 1e-12 * scale:
         raise EigenvalueOnCut("an eigenvalue lies on the branch cut or at 0")
-    contour = _cluster_circles(eigs, np.ones(eigs.shape, dtype=bool), dist_ray.min(), ray)
+    circles = _cluster_circles(eigs, np.ones(eigs.shape, dtype=bool), dist_ray.min(), ray)
     eye = np.eye(a.shape[0], dtype=complex)
 
     def integrand(z, rows):
@@ -442,8 +402,7 @@ def matrix_power(a, t, cut_angle=np.pi):
         powz = np.exp(t * logz)
         return powz[..., None, None] * np.linalg.inv(z[..., None, None] * eye - a)
 
-    values, _ = contour_quadrature(integrand, contour)
-    return values.sum(axis=0)
+    return _stacked_quadrature(integrand, *circles)[0].sum(axis=0)
 
 
 @dataclass

@@ -58,10 +58,6 @@ class EigenvalueOnCut(CalderonError):
     separated from it by a circle."""
 
 
-class NoFreeRay(CalderonError):
-    """No eigenvalue-free angular sector of the required width exists."""
-
-
 class SingularBlock(CalderonError):
     """The top-order coefficient block is singular."""
 

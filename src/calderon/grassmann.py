@@ -24,7 +24,7 @@ from .errors import (
     SpecError,
     ThresholdAmbiguous,
 )
-from .projector import CauchyFrame, _padded_sines, mode_weights
+from .projector import _padded_sines, mode_weights
 from .symbols import agree_up_to_order, build_gallery, defect_screen, mode_key, mode_lattice
 
 DEFAULT_ALPHA = 0.5
@@ -44,33 +44,9 @@ class GrassmannPoint:
     excluded: list = field(default_factory=list)  # defect modes left out
     chiral_side: str | None = None
 
-    @functools.cached_property
-    def _index(self):
-        # built on the first lookup: compare_points and fredholm_index
-        # match modes without it
-        return {mode_key(m): i for i, m in enumerate(self.modes)}
-
     @property
     def ambient_dim(self):
         return self.ortho.shape[1]
-
-    def mode_index(self, m):
-        key = mode_key(np.atleast_1d(m))
-        if key not in self._index:
-            raise SpecError(f"mode {key} is not retained in this point")
-        return self._index[key]
-
-    def frame(self, m):
-        """W-orthonormal Cauchy frame at one mode."""
-        i = self.mode_index(m)
-        d = int(self.dims[i])
-        mat = self.ortho[i][:, :d] / np.sqrt(self.weights[i])[:, None]
-        return CauchyFrame(
-            m=tuple(int(x) for x in self.modes[i]),
-            matrix=mat,
-            side="plus",
-            normalization="W-orthonormal",
-        )
 
     def nontrivial_modes(self):
         return [mode_key(m) for m in self.modes[self.dims > 0]]
@@ -205,10 +181,6 @@ class CompareReport:
     def cos_svals(self):
         return _row_views(self.cos_rows, np.minimum(self.dims_a, self.dims_b))
 
-    @property
-    def max_difference(self):
-        return float(self.diff_norms.max()) if len(self.diff_norms) else 0.0
-
 
 def _row_views(rows, lengths):
     return [row[:k] for row, k in zip(rows, lengths.tolist())]
@@ -280,21 +252,6 @@ def compare_points(a, b):
         cutoff=a.cutoff,
         alpha=a.alpha,
     )
-
-
-def outer_shell_max(rep):
-    """Largest projector-difference norm on the outer half of the modes.
-
-    The finite-cutoff shadow of compactness: this number must trend down
-    as the cutoff doubles.
-    """
-    if len(rep.modes) == 0:
-        return 0.0
-    radius = np.abs(rep.modes).max(axis=1)
-    shell = radius > rep.cutoff / 2
-    if not shell.any():
-        return 0.0
-    return float(rep.diff_norms[shell].max())
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import eigvals_sweep, orthonormal_range_sweep, qr_range_sweep
+from ._kernels import eigvals_sweep, qr_range_sweep
 from .contour import (
     _enclosing_circles,
     _mode_at,
@@ -55,7 +55,6 @@ __all__ = [
     "orthogonal_projector",
     "entry_growth_fit",
     "principal_angles",
-    "range_basis",
 ]
 
 _AGREEMENT_TOL = 1e-8  # residue route against contour quadrature, relative
@@ -71,7 +70,6 @@ class CauchyFrame:
     m: tuple
     matrix: np.ndarray  # (rk, d)
     side: str
-    normalization: str = "raw"
 
     def __post_init__(self):
         if self.side not in ("plus", "minus"):
@@ -98,11 +96,6 @@ class BlockProjector:
     m: tuple
     matrix: np.ndarray
     kind: str  # Rplus | Rminus | Pplus | Pminus
-    weight: "SobolevWeight | None" = None
-
-    @property
-    def side(self):
-        return "plus" if self.kind.endswith("plus") else "minus"
 
 
 @dataclass
@@ -153,7 +146,7 @@ def cauchy_frame_oracle(sym, side):
     """
     split = spectral_split(companion_matrix(sym))
     frame = split.stable if side == "plus" else split.unstable
-    return CauchyFrame(m=sym.m, matrix=frame, side=side, normalization="raw")
+    return CauchyFrame(m=sym.m, matrix=frame, side=side)
 
 
 def jump_operator(sym):
@@ -188,12 +181,12 @@ def invert_jump_operator(a_op, block_size):
     :func:`jump_operator`: the N=1 call of :func:`_jump_inverse` on the
     blocks ``A_1 .. A_k`` of its first block row.  It vanishes above the
     anti-diagonal.  Raises SingularBlock when ``A_k`` is singular, and
-    SpecError on a block size below 1.
+    SpecError on a block size that is a bool, not an int, or below 1.
     """
     a_op = np.asarray(a_op, dtype=complex)
     r = block_size
-    if r < 1:
-        raise SpecError(f"block size must be at least 1, got {r}")
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+        raise SpecError(f"block size must be at least 1 and an int, got {r!r}")
     if a_op.shape[0] % r:
         raise SpecError("matrix size is not a multiple of the block size")
     k = a_op.shape[0] // r
@@ -314,7 +307,7 @@ def _layer_blocks(A, modes, lam, cross_check):
         # if it has any, so the cross-check never moves the blocks
         slowest = rho[: local.size].max() if local.size else rho.max()
         try:
-            values, _ = _stacked_quadrature(integrand, centers, radii, None, _sized_nodes(slowest))
+            values, _ = _stacked_quadrature(integrand, centers, radii, _sized_nodes(slowest))
         except ContourNotConverged as exc:
             i = owner[exc.index]
             raise ContourNotConverged(f"{exc} at mode {_mode_at(modes, i)}", index=int(i)) from exc
@@ -405,8 +398,8 @@ def calderon_projector_stack(spec, modes, side="plus"):
     return R
 
 
-def orthogonal_projector(frame_or_proj, weight):
-    """Weighted-orthogonal projector with the same range as the input.
+def orthogonal_projector(frame, weight):
+    """Weighted-orthogonal projector onto the span of a CauchyFrame.
 
     Computes ``F (F* W F)^{-1} F* W`` for a frame F of the range as
     ``W^{-1/2} Q Q* W^{1/2}``, Q from ``assemble_point``'s weighted-frame
@@ -414,13 +407,9 @@ def orthogonal_projector(frame_or_proj, weight):
     IllConditionedFrame naming the mode.  A weight of another mode or
     size raises SpecError.
     """
-    if isinstance(frame_or_proj, CauchyFrame):
-        F = frame_or_proj.matrix
-    elif isinstance(frame_or_proj, BlockProjector):
-        F = range_basis(frame_or_proj.matrix)
-    else:
-        raise SpecError("expected a CauchyFrame or a BlockProjector")
-    side, m = frame_or_proj.side, frame_or_proj.m
+    if not isinstance(frame, CauchyFrame):
+        raise SpecError("expected a CauchyFrame")
+    F, side, m = frame.matrix, frame.side, frame.m
 
     d = F.shape[0]
     kind = "Pplus" if side == "plus" else "Pminus"
@@ -436,17 +425,7 @@ def orthogonal_projector(frame_or_proj, weight):
         msg = f"weighted Gram matrix at mode {m} is numerically singular"
         raise IllConditionedFrame(msg) from exc
     P = (Q @ Q.conj().T) * (sqw[None, :] / sqw[:, None])
-    return BlockProjector(m=m, matrix=P, kind=kind, weight=weight)
-
-
-def range_basis(proj_matrix):
-    """Orthonormal basis of the range of a (numerical) projector.
-
-    The rank comes from the trace, which is exact for idempotents.
-    """
-    M = np.asarray(proj_matrix, dtype=complex)
-    rank = int(round(float(np.trace(M).real)))
-    return orthonormal_range_sweep(M[None], [rank])[0][:, :rank]
+    return BlockProjector(m=m, matrix=P, kind=kind)
 
 
 def _padded_sines(sines_a, da, db):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import NoFreeRay, ParseError, SpecError
+from .errors import ParseError, SpecError
 
 _PAULI = {
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -75,10 +75,6 @@ class OperatorSpec:
             if sorted(left + right) != list(range(self.r)):
                 raise SpecError("chiral blocks must partition the component indices")
             self.chiral_blocks = (left, right)
-
-    @property
-    def top_coefficient(self):
-        return self.terms[(self.k, (0,) * (self.n - 1))]
 
 
 @dataclass(frozen=True)
@@ -166,10 +162,13 @@ def companion_matrix(sym):
 
 def mode_lattice(n, cutoff):
     """Integer modes with |m|_inf <= cutoff, in ascending lex order.  A
-    cutoff that is not a nonnegative integer (2.5, NaN) raises SpecError."""
+    cutoff that is not a nonnegative integer (2.5, NaN), or whose lattice
+    has more bytes than an array can index, raises SpecError."""
     if not (float(cutoff).is_integer() and cutoff >= 0):
         raise SpecError(f"cutoff must be a nonnegative integer, got {cutoff}")
     cutoff = int(cutoff)
+    if (2 * cutoff + 1) ** (n - 1) * (n - 1) * 8 > np.iinfo(np.intp).max:
+        raise SpecError(f"cutoff must be small enough for an array to hold its lattice: {cutoff}")
     axes = [np.arange(-cutoff, cutoff + 1)] * (n - 1)
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack(grid, axis=-1).reshape(-1, n - 1).astype(np.int64)
@@ -244,27 +243,22 @@ class EllipticityReport:
     samples: int
 
 
-@dataclass
-class AgmonRay:
-    """Eigenvalue-free ray of the principal symbol over the cosphere."""
-
-    theta: float
-    half_width: float
-    eigenvalues: np.ndarray = field(repr=False)
-    grid: int = 0
-
-
 def _as_mode(spec, m):
-    """A mode as a tuple of Python numbers: ints where integral.  A
-    non-finite entry raises SpecError."""
+    """A mode as a tuple of Python numbers: ints where integral.  A mode
+    whose squared norm is no finite float (a non-finite entry, or one so
+    large that the defect predicate's square overflows) raises SpecError."""
     m = tuple(
         x if type(x) is int else int(x) if float(x).is_integer() else float(x)
         for x in np.atleast_1d(m).tolist()
     )
     if len(m) != spec.n - 1:
         raise SpecError(f"mode {m} has length != n-1 = {spec.n - 1}")
-    if not all(map(math.isfinite, m)):
-        raise SpecError(f"mode {m} is not finite")
+    try:
+        finite = math.isfinite(sum(float(x) * float(x) for x in m))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise SpecError(f"mode {m} is not finite, or its squared norm overflows")
     return m
 
 
@@ -377,12 +371,6 @@ def homogeneous_component(spec, j, m, xi_n):
     return symbol_values(A, np.asarray(complex(xi_n)))[0]
 
 
-def principal_symbol(spec, xi_prime, xi_n):
-    """Principal symbol at a real covector ``(xi', xi_n)``: the degree
-    ``k`` homogeneous component."""
-    return homogeneous_component(spec, 0, xi_prime, xi_n)
-
-
 def agree_up_to_order(a, b):
     """Largest q such that the homogeneous components of degree >= k - q
     coincide; ``"full"`` when the whole coefficient tables agree, ``None``
@@ -448,35 +436,6 @@ def check_ellipticity(spec, samples=64):
         defect_modes=defects,
         samples=samples,
     )
-
-
-def find_agmon_ray(spec, grid=64):
-    """Midpoint of the largest eigenvalue-free angular sector.
-
-    Eigenvalues of the principal symbol are collected over a cosphere
-    grid; the gap search runs on their arguments.  The reported
-    half-width keeps a 10% safety margin inside the observed gap, and a
-    gap below 2 degrees raises :class:`NoFreeRay`.
-    """
-    if grid < 16:
-        raise SpecError("need at least 16 grid points")
-    samples = grid if spec.n == 2 else grid * grid
-    dirs = _cosphere_directions(spec.n, samples)
-    principal = symbol_values(_term_stack(spec, dirs[:, :-1], spec.k), dirs[:, -1])
-    eigs = np.linalg.eigvals(principal).ravel()
-    scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    cloud = eigs[np.abs(eigs) > 1e-12 * (1.0 + scale)]
-    if cloud.size == 0:
-        raise NoFreeRay("principal symbol has no nonzero eigenvalues on the grid")
-    args = np.sort(np.angle(cloud))
-    gaps = np.diff(args, append=args[0] + 2 * np.pi)
-    best = int(np.argmax(gaps))
-    gap = float(gaps[best])
-    if gap < np.deg2rad(2.0):
-        raise NoFreeRay(f"largest eigenvalue-free sector is only {np.rad2deg(gap):.3f} deg")
-    theta = args[best] + 0.5 * gap
-    theta = float(np.angle(np.exp(1j * theta)))
-    return AgmonRay(theta=theta, half_width=0.45 * gap, eigenvalues=eigs, grid=grid)
 
 
 def selfadjoint_double(spec):

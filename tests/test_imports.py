@@ -100,8 +100,11 @@ def test_schur_oracle_loads_scipy_and_matches_in_process(specs, tmp_path):
 
 # every parameter each public call takes: the quadrature tolerance, the
 # node budget, the defect policy and the cross-check are constants, so
-# none of them comes back as a keyword unnoticed
+# none of them comes back as a keyword unnoticed; a contour is one circle,
+# and an orthogonal projector takes a frame, not a projector
 SIGNATURES = {
+    "contour.Contour": "(center: complex, radius: float, nodes: int = 16) -> None",
+    "contour.Contour.circle": "(center, radius, nodes=16)",
     "contour.contour_quadrature": "(f, contour)",
     "contour.riesz_projector": "(M, contour)",
     "contour.matrix_power": "(a, t, cut_angle=3.141592653589793)",
@@ -111,6 +114,7 @@ SIGNATURES = {
     "contour.spectral_split": "(C)",
     "projector.calderon_projector": "(sym, side='plus')",
     "projector.layer_potential_blocks": "(sym, cross_check=True)",
+    "projector.orthogonal_projector": "(frame, weight)",
     "symbols.check_ellipticity": "(spec, samples=64)",
     "symbols.build_gallery": "(name, /, **params)",
     "grassmann.assemble_point": "(spec, cutoff, alpha=0.5)",
@@ -121,6 +125,8 @@ SIGNATURES = {
 
 @pytest.mark.parametrize("path", sorted(SIGNATURES))
 def test_public_signature_is_pinned(path):
-    module, name = path.split(".")
-    fn = getattr(importlib.import_module(f"calderon.{module}"), name)
+    module, *names = path.split(".")
+    fn = importlib.import_module(f"calderon.{module}")
+    for name in names:
+        fn = getattr(fn, name)
     assert str(inspect.signature(fn)) == SIGNATURES[path]
