@@ -122,3 +122,20 @@ def qr_range_sweep(mats, dims):
         raise IllConditionedFrame("weighted Gram matrix is singular", index=int(ok.argmin()))
     mask = np.arange(q.shape[2])[None, :] < dims[:, None]
     return q * mask[:, None, :]
+
+
+def _padded_sines(sines_a, da, db):
+    """Principal-angle sines of a stack of subspace pairs, largest first.
+
+    ``sines_a`` is ``(N, d)``: row ``i`` holds the singular values of the
+    complement of frame A against frame B, of which the leading
+    ``da[i]`` count.  Each row becomes ``(db - da)+`` right-angle sines,
+    then A's sines, then -1 padding, which sorts last and clips to angle
+    0; ``d`` must be at least ``max(da, db)``.
+    """
+    d = sines_a.shape[1]
+    j = np.arange(d)
+    lead = np.maximum(db - da, 0)[:, None]
+    shifted = np.take_along_axis(sines_a, np.clip(j - lead, 0, d - 1), axis=1)
+    sines = np.where(j < lead, 1.0, np.where(j < lead + da[:, None], shifted, -1.0))
+    return np.sort(sines, axis=1)[:, ::-1]

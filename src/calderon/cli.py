@@ -20,8 +20,6 @@ import numpy as np
 
 from . import __version__
 from .errors import CalderonError, ParseError, SpecError
-from .grassmann import assemble_point, compare_points, fredholm_index, schatten_fit
-from .projector import calderon_projector, cauchy_frame_oracle, orthogonal_projector, sobolev_weights
 from .symbols import (
     GALLERY_NAMES,
     agree_up_to_order,
@@ -195,16 +193,17 @@ def _run_ellipticity(cfg, reports, timings):
 
 
 def _run_projector(cfg, reports, timings):
+    from . import projector  # deferred: a runner imports what only it runs
     spec = read_spec(cfg.spec)
     mode = cfg.mode if cfg.mode is not None else (0,) * (spec.n - 1)
     t0 = time.time()
     sym = mode_symbol(spec, mode)
     if cfg.kind == "R":
-        proj = calderon_projector(sym, cfg.side)
+        proj = projector.calderon_projector(sym, cfg.side)
     else:
-        frame = cauchy_frame_oracle(sym, cfg.side)
-        weight = sobolev_weights(mode, spec.k, cfg.alpha)
-        proj = orthogonal_projector(frame, weight)
+        frame = projector.cauchy_frame_oracle(sym, cfg.side)
+        weight = projector.sobolev_weights(mode, spec.k, cfg.alpha)
+        proj = projector.orthogonal_projector(frame, weight)
     timings["projector"] = time.time() - t0
     reports["projector"] = {
         "m": mode[0] if spec.n == 2 else list(mode),
@@ -234,6 +233,7 @@ def _compare_payload(rep):
 
 def _points(cfg):
     """Both specs of a pair command and their assembled points."""
+    from .grassmann import assemble_point
     sa, sb = read_spec(cfg.spec_a), read_spec(cfg.spec_b)
     pa = assemble_point(sa, cfg.cutoff, alpha=cfg.alpha)
     pb = assemble_point(sb, cfg.cutoff, alpha=cfg.alpha)
@@ -241,6 +241,7 @@ def _points(cfg):
 
 
 def _run_compare(cfg, reports, timings):
+    from .grassmann import compare_points
     t0 = time.time()
     _, _, pa, pb = _points(cfg)
     rep = compare_points(pa, pb)
@@ -250,6 +251,7 @@ def _run_compare(cfg, reports, timings):
 
 
 def _run_schatten(cfg, reports, timings):
+    from .grassmann import compare_points, schatten_fit
     t0 = time.time()
     sa, sb, pa, pb = _points(cfg)
     rep = compare_points(pa, pb)
@@ -280,6 +282,7 @@ def _run_schatten(cfg, reports, timings):
 
 
 def _run_index(cfg, reports, timings):
+    from .grassmann import fredholm_index
     t0 = time.time()
     sa, _, pa, pb = _points(cfg)
     rep = fredholm_index(pa, pb, tol=cfg.tol)

@@ -48,11 +48,6 @@ class Contour:
     def circle(cls, center, radius, nodes=16):
         return cls(complex(center), float(radius), nodes)
 
-    def boundary(self, n):
-        """Nodes z_j and derivatives dz/dtheta at n equispaced angles."""
-        re = self.radius * np.exp(2j * np.pi / n * np.arange(n))
-        return self.center + re, 1j * re
-
     def distance(self, points):
         """Distance from each point to the circle, shape ``(P,)``."""
         pts = np.atleast_1d(np.asarray(points, dtype=complex))

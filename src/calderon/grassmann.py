@@ -24,8 +24,14 @@ from .errors import (
     SpecError,
     ThresholdAmbiguous,
 )
-from .projector import _padded_sines, mode_weights
-from .symbols import agree_up_to_order, build_gallery, defect_screen, mode_key, mode_lattice
+from .symbols import (
+    agree_up_to_order,
+    build_gallery,
+    defect_screen,
+    mode_key,
+    mode_lattice,
+    mode_weights,
+)
 
 DEFAULT_ALPHA = 0.5
 
@@ -212,7 +218,7 @@ def _complement_sines(QA, QB, da, db):
     ``QA - QB cross*`` and those rows padded by ``_padded_sines``."""
     cross = np.einsum("nij,nik->njk", QA.conj(), QB)
     sines_a = _kernels.svdvals_sweep(QA - QB @ np.conj(np.swapaxes(cross, 1, 2)))
-    return cross, sines_a, _padded_sines(sines_a, da, db)
+    return cross, sines_a, _kernels._padded_sines(sines_a, da, db)
 
 
 def compare_points(a, b):

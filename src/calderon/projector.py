@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import eigvals_sweep, qr_range_sweep
+from ._kernels import _padded_sines, eigvals_sweep, qr_range_sweep
 from .contour import (
     _enclosing_circles,
     _mode_at,
@@ -36,6 +36,7 @@ from .symbols import (  # the stack builders and the defect scan are re-exported
     companion_stack,
     mode_lattice,
     mode_matrix_stack,
+    mode_weights,
     scan_defect_modes,
     symbol_values,
 )
@@ -115,16 +116,6 @@ class SobolevWeight:
     def full(self, r):
         """Diagonal of the weight on the rk-dimensional data space."""
         return np.repeat(self.values, r)
-
-
-def mode_weights(modes, k, alpha):
-    """Sobolev exponents ``s_j = k - 1 + alpha - j`` and the weights
-    ``(1 + |m|^2)^{s_j}`` of a stack of modes, shape ``(N, k)``."""
-    if not 0 < alpha < np.inf:  # NaN fails
-        raise SpecError("alpha must be finite and positive")
-    exps = np.array([k - 1 + alpha - j for j in range(k)])
-    msq = (np.asarray(modes, dtype=float) ** 2).sum(axis=1)
-    return exps, (1.0 + msq)[:, None] ** exps[None, :]
 
 
 def sobolev_weights(m, k, alpha):
@@ -426,23 +417,6 @@ def orthogonal_projector(frame, weight):
         raise IllConditionedFrame(msg) from exc
     P = (Q @ Q.conj().T) * (sqw[None, :] / sqw[:, None])
     return BlockProjector(m=m, matrix=P, kind=kind)
-
-
-def _padded_sines(sines_a, da, db):
-    """Principal-angle sines of a stack of subspace pairs, largest first.
-
-    ``sines_a`` is ``(N, d)``: row ``i`` holds the singular values of the
-    complement of frame A against frame B, of which the leading
-    ``da[i]`` count.  Each row becomes ``(db - da)+`` right-angle sines,
-    then A's sines, then -1 padding, which sorts last and clips to angle
-    0; ``d`` must be at least ``max(da, db)``.
-    """
-    d = sines_a.shape[1]
-    j = np.arange(d)
-    lead = np.maximum(db - da, 0)[:, None]
-    shifted = np.take_along_axis(sines_a, np.clip(j - lead, 0, d - 1), axis=1)
-    sines = np.where(j < lead, 1.0, np.where(j < lead + da[:, None], shifted, -1.0))
-    return np.sort(sines, axis=1)[:, ::-1]
 
 
 def principal_angles(F, G):

@@ -163,8 +163,9 @@ def companion_matrix(sym):
 def mode_lattice(n, cutoff):
     """Integer modes with |m|_inf <= cutoff, in ascending lex order.  A
     cutoff that is not a nonnegative integer (2.5, NaN), or whose lattice
-    has more bytes than an array can index, raises SpecError."""
-    if not (float(cutoff).is_integer() and cutoff >= 0):
+    has more bytes than an array can index, raises SpecError.  An int is
+    not passed through float, which overflows past 1e308."""
+    if not ((isinstance(cutoff, int) or float(cutoff).is_integer()) and cutoff >= 0):
         raise SpecError(f"cutoff must be a nonnegative integer, got {cutoff}")
     cutoff = int(cutoff)
     if (2 * cutoff + 1) ** (n - 1) * (n - 1) * 8 > np.iinfo(np.intp).max:
@@ -172,6 +173,16 @@ def mode_lattice(n, cutoff):
     axes = [np.arange(-cutoff, cutoff + 1)] * (n - 1)
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack(grid, axis=-1).reshape(-1, n - 1).astype(np.int64)
+
+
+def mode_weights(modes, k, alpha):
+    """Sobolev exponents ``s_j = k - 1 + alpha - j`` and the weights
+    ``(1 + |m|^2)^{s_j}`` of a stack of modes, shape ``(N, k)``."""
+    if not 0 < alpha < np.inf:  # NaN fails
+        raise SpecError("alpha must be finite and positive")
+    exps = np.array([k - 1 + alpha - j for j in range(k)])
+    msq = (np.asarray(modes, dtype=float) ** 2).sum(axis=1)
+    return exps, (1.0 + msq)[:, None] ** exps[None, :]
 
 
 def mode_key(vec):

@@ -200,6 +200,8 @@ def test_malformed_numbers_give_a_spec_error_record(specs, capsys, argv):
         ("ellipticity", "--tol=nan", "tol must be finite"),
         ("ellipticity", "--tol=0.5", "tol must be finite"),
         ("projector", "--p=inf", "Schatten orders must be finite"),
+        # past the float range: the lattice check must not convert it
+        pytest.param("index", f"--cutoff={10**400}", "cutoff must be", id="index-cutoff=10**400"),
     ],
 )
 def test_out_of_range_numbers_give_a_spec_error_record(specs, capsys, sub, option, message):

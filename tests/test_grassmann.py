@@ -584,10 +584,12 @@ def test_padded_threshold_band_closed_lower_edge_names_the_loops_mode(padded_pai
         assert got.endswith(f"at mode {mode_key(rep.modes[named])}; adjust tol")
 
 
-@pytest.mark.parametrize("cutoff", [2.5, float("nan"), float("inf"), -1, 10**20])
+@pytest.mark.parametrize(
+    "cutoff", [2.5, float("nan"), float("inf"), -1, 10**20, pytest.param(10**400, id="10**400")]
+)
 def test_cutoff_must_be_a_nonnegative_integer(cutoff):
-    # 2.5 used to repeat mode 0 in the lattice, and NaN and 10**20 failed
-    # inside np.arange
+    # 2.5 used to repeat mode 0 in the lattice, NaN and 10**20 failed
+    # inside np.arange, and 10**400 overflowed float()
     with pytest.raises(SpecError, match="cutoff must be"):
         mode_lattice(2, cutoff)
     with pytest.raises(SpecError, match="cutoff must be"):

@@ -1,5 +1,6 @@
-"""A fresh process loads scipy only when the Schur oracle runs, and the
-public calls keep their pinned parameter lists."""
+"""A fresh process loads only the modules its subcommand runs, and
+scipy only when the Schur oracle runs; the lazy package root resolves
+every public name; the public calls keep their pinned parameter lists."""
 
 import importlib
 import inspect
@@ -16,16 +17,17 @@ from calderon.cli import main
 
 PACKAGE = Path(calderon.__file__).resolve().parent
 
-# imports the modules named after the argv lists, runs cli.main on each
-# argv list, then reports the exit codes and the scipy and calderon
-# modules the process has loaded
+# imports calderon and the modules named after the argv lists, runs
+# cli.main on each argv list, then reports the exit codes and the scipy,
+# numpy.ma and calderon modules the process has loaded
 SCRIPT = """\
 import importlib, json, sys
-import calderon, calderon.cli
+import calderon
 for name in sys.argv[2:]:
     importlib.import_module(name)
-codes = [calderon.cli.main(argv) for argv in json.loads(sys.argv[1])]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "calderon"))
+codes = [importlib.import_module("calderon.cli").main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "calderon") or m.split(".")[:2] == ["numpy", "ma"])
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -87,6 +89,83 @@ def test_pipelines_never_load_scipy(specs, tmp_path):
         assert [m for m in loaded if m.startswith("scipy")] == []
     assert modules <= set(got["loaded"]) | set(alone["loaded"])
     assert "calderon.acceptance" not in got["loaded"]
+
+
+PAIR_MODULES = {"calderon", "calderon.cli", "calderon.errors", "calderon.symbols",
+                "calderon._kernels", "calderon.grassmann"}
+LAYER_MODULES = PAIR_MODULES - {"calderon.grassmann"} | {"calderon.projector", "calderon.contour"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["compare", "PAIR"], PAIR_MODULES),
+        (["schatten", "PAIR", "--format", "csv"], PAIR_MODULES),
+        (["index", "PAIR"], PAIR_MODULES),
+        (["ellipticity", "--spec", "dirac_a"], PAIR_MODULES - {"calderon.grassmann"}),
+        (["projector", "--spec", "laplace", "--mode", "3", "--kind", "R"], LAYER_MODULES),
+        (["projector", "--spec", "laplace", "--mode", "3", "--kind", "P"], LAYER_MODULES),
+    ],
+    ids=["compare", "schatten-csv", "index", "ellipticity", "projector-R", "projector-P"],
+)
+def test_each_subcommand_loads_only_what_it_runs(specs, tmp_path, argv, modules):
+    pair = ["--spec-a", specs["dirac_a"], "--spec-b", specs["dirac_b"]]
+    argv = [a for arg in argv for a in (pair if arg == "PAIR" else [specs.get(arg, arg)])]
+    got = _fresh([argv + ["--cutoff", "8", "--out", "report"]], tmp_path)
+    assert got["codes"] == [0]
+    assert {m for m in got["loaded"] if m.split(".")[0] == "calderon"} == modules
+    if "--spec-a" in argv:  # nor scipy, nor numpy.ma, which qr_range_sweep keeps out
+        assert [m for m in got["loaded"] if m.split(".")[0] != "calderon"] == []
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    assert _fresh([], tmp_path)["loaded"] == ["calderon"]
+
+
+# every name the package root exported when it imported its modules
+# eagerly, and the module that defines it
+ROOT_NAMES = {
+    "contour": ["Contour", "SpectralSplit", "characteristic_roots", "contour_quadrature",
+                "enclosing_circle", "matrix_power", "riesz_projector", "spectral_split"],
+    "grassmann": ["CompareReport", "GrassmannPoint", "IndexReport", "SchattenReport",
+                  "assemble_point", "chiral_point", "compare_points", "fredholm_index",
+                  "krichever_reference", "schatten_fit"],
+    "projector": ["CauchyFrame", "SobolevWeight", "calderon_projector",
+                  "calderon_projector_stack", "cauchy_frame_oracle", "entry_growth_fit",
+                  "invert_jump_operator", "jump_operator", "layer_potential_blocks",
+                  "orthogonal_projector", "principal_angles", "sobolev_weights"],
+    "symbols": ["EllipticityReport", "ModeSymbol", "OperatorSpec", "agree_up_to_order",
+                "build_gallery", "check_ellipticity", "companion_matrix", "dump_spec",
+                "from_document", "homogeneous_component", "load_spec", "mode_symbol",
+                "read_spec", "save_spec", "selfadjoint_double", "to_document"],
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in sorted(ROOT_NAMES.items()) for n in names]
+)
+def test_root_name_is_the_defining_modules_object(module, name):
+    want = getattr(importlib.import_module(f"calderon.{module}"), name)
+    assert calderon.__getattr__(name) is want
+    assert getattr(calderon, name) is want
+    assert name in vars(calderon)  # resolved once, then a plain attribute
+    scope = {}
+    exec(f"from calderon import {name} as got", scope)
+    assert scope["got"] is want
+    assert name in dir(calderon)
+
+
+def test_root_resolves_its_submodules_and_rejects_unknown_names():
+    assert calderon.__version__ == "0.1.0"
+    assert {"errors", "__version__"} <= set(dir(calderon))
+    for module in ("errors", "contour", "grassmann", "projector", "symbols"):
+        want = importlib.import_module(f"calderon.{module}")
+        assert calderon.__getattr__(module) is want and getattr(calderon, module) is want
+    with pytest.raises(AttributeError, match="no_such_name"):
+        calderon.no_such_name
+    assert not hasattr(calderon, "mode_lattice")  # a module's name, never a root name
+    with pytest.raises(ImportError):
+        exec("from calderon import no_such_name", {})
 
 
 def test_schur_oracle_loads_scipy_and_matches_in_process(specs, tmp_path):
