@@ -201,9 +201,7 @@ def _run_projector(cfg, reports, timings):
     if cfg.kind == "R":
         proj = projector.calderon_projector(sym, cfg.side)
     else:
-        frame = projector.cauchy_frame_oracle(sym, cfg.side)
-        weight = projector.sobolev_weights(mode, spec.k, cfg.alpha)
-        proj = projector.orthogonal_projector(frame, weight)
+        proj = projector.orthogonal_projector(sym, cfg.side, cfg.alpha)
     timings["projector"] = time.time() - t0
     reports["projector"] = {
         "m": mode[0] if spec.n == 2 else list(mode),

@@ -107,8 +107,6 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
 def krichever_reference(cutoff, alpha=DEFAULT_ALPHA):
     """Hardy-space model point: the dbar(0.5) point, nontrivial exactly
     on modes m <= 0 under the fixed conventions."""
-    if cutoff < 1:
-        raise SpecError("cutoff must be at least 1")
     return assemble_point(build_gallery("dbar", mu=0.5), cutoff, alpha=alpha)
 
 
@@ -155,8 +153,8 @@ class CompareReport:
     (dimension jumps count as right angles); row ``i`` of ``cos_rows``
     holds the cross-Gram singular values in its leading
     ``min(dims_a[i], dims_b[i])`` entries.  Both are zero past the mask.
-    ``angles`` and ``cos_svals`` are the per-mode lists of those row
-    prefixes, made as views on first read.  ``diff_norms`` holds the
+    ``angles`` is the per-mode list of the ``angle_rows`` prefixes,
+    made as views on first read.  ``diff_norms`` holds the
     operator norm of the projector difference per mode, which is the
     sine of its largest angle (0 where both frames are empty), and
     ``q_svals`` the singular values of the one-sided restriction
@@ -181,15 +179,8 @@ class CompareReport:
 
     @functools.cached_property
     def angles(self):
-        return _row_views(self.angle_rows, np.maximum(self.dims_a, self.dims_b))
-
-    @functools.cached_property
-    def cos_svals(self):
-        return _row_views(self.cos_rows, np.minimum(self.dims_a, self.dims_b))
-
-
-def _row_views(rows, lengths):
-    return [row[:k] for row, k in zip(rows, lengths.tolist())]
+        lengths = np.maximum(self.dims_a, self.dims_b).tolist()
+        return [row[:k] for row, k in zip(self.angle_rows, lengths)]
 
 
 def _common_indices(a, b):
@@ -275,7 +266,6 @@ class SchattenReport:
     bound_holds: bool | None
     sums: dict
     tail_increase: dict
-    sums_converging: dict
 
 
 def schatten_fit(rep, n, q, p_list=(1.0, 2.0)):
@@ -286,10 +276,14 @@ def schatten_fit(rep, n, q, p_list=(1.0, 2.0)):
     non-asymptotic head and the truncation edge.  Fewer than 50 nonzero
     values short-circuits to an explicit finite-rank report.  The decay
     target for operators agreeing to order ``q`` in dimension ``n`` is
-    ``-(q + 1) / (n - 1)``.
+    ``-(q + 1) / (n - 1)``.  ``n`` must be the dimension of the compared
+    points, whose mode rows have ``n - 1`` entries, and ``q`` an int that
+    is not a bool; SpecError otherwise.
     """
-    if not isinstance(q, (int, np.integer)) or q < 0:
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 0:
         raise SpecError("agreement order q must be a nonnegative integer")
+    if n != rep.modes.shape[1] + 1:  # NaN fails
+        raise SpecError(f"dimension n must be {rep.modes.shape[1] + 1} for these modes, got {n!r}")
     if not all(0 < p < np.inf for p in p_list):  # NaN fails
         raise SpecError("Schatten orders must be finite and positive")
     svals = np.asarray(rep.svals, dtype=float)
@@ -300,67 +294,49 @@ def schatten_fit(rep, n, q, p_list=(1.0, 2.0)):
     positive = svals[svals > 1e-13 * max(scale, 1.0)]
     J = positive.size
 
-    def partial_sums(vals):
-        sums, tail, conv = {}, {}, {}
-        for p in p_list:
-            powers = vals**p
-            total = float(powers.sum())
-            half = float(powers[: max(1, len(vals) // 2)].sum()) if len(vals) else 0.0
-            quarter = float(powers[: max(1, len(vals) // 4)].sum()) if len(vals) else 0.0
-            sums[p] = total
-            tail[p] = (total - half) / half if half > 0 else 0.0
-            conv[p] = (total - half) <= (half - quarter) + 1e-15
-        return sums, tail, conv
+    sums, tail = {}, {}
+    for p in p_list:
+        powers = positive**p
+        total = float(powers.sum())
+        half = float(powers[: max(1, J // 2)].sum()) if J else 0.0
+        sums[p] = total
+        tail[p] = (total - half) / half if half > 0 else 0.0
 
-    sums, tail, conv = partial_sums(positive)
-    if J < 50:
-        return SchattenReport(
-            svals=svals,
-            count=J,
-            finite_rank=J,
-            slope=None,
-            slope_halfwidth=None,
-            window=None,
-            target_exponent=target,
-            bound_constant=None,
-            bound_holds=None,
-            sums=sums,
-            tail_increase=tail,
-            sums_converging=conv,
+    slope = halfwidth = window = C = bound_holds = None
+    if J >= 50:
+        mid = np.sqrt(J)
+        lo = max(5, int(round(mid / np.sqrt(10.0))))
+        hi = min(J, int(round(mid * np.sqrt(10.0))))
+        window = (lo, hi)
+
+        j = np.arange(1, J + 1, dtype=float)
+        sel = slice(lo - 1, hi)
+        x = np.log(j[sel])
+        y = np.log(positive[sel])
+        fitted, intercept = np.polyfit(x, y, 1)
+        resid = y - (fitted * x + intercept)
+        dof = max(1, len(x) - 2)
+        se = np.sqrt((resid**2).sum() / dof / ((x - x.mean()) ** 2).sum())
+        slope = float(fitted)
+        halfwidth = 1.96 * float(se)
+
+        C = float((positive[sel] * j[sel] ** (-target)).max())
+        tail_sel = slice(lo - 1, J)
+        bound_holds = bool(
+            (positive[tail_sel] <= C * j[tail_sel] ** target * (1 + 1e-9)).all()
         )
-
-    mid = np.sqrt(J)
-    lo = max(5, int(round(mid / np.sqrt(10.0))))
-    hi = min(J, int(round(mid * np.sqrt(10.0))))
-
-    j = np.arange(1, J + 1, dtype=float)
-    sel = slice(lo - 1, hi)
-    x = np.log(j[sel])
-    y = np.log(positive[sel])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = max(1, len(x) - 2)
-    se = np.sqrt((resid**2).sum() / dof / ((x - x.mean()) ** 2).sum())
-    halfwidth = 1.96 * float(se)
-
-    C = float((positive[sel] * j[sel] ** (-target)).max())
-    tail_sel = slice(lo - 1, J)
-    bound_holds = bool(
-        (positive[tail_sel] <= C * j[tail_sel] ** target * (1 + 1e-9)).all()
-    )
     return SchattenReport(
         svals=svals,
         count=J,
-        finite_rank=None,
-        slope=float(slope),
+        finite_rank=J if window is None else None,
+        slope=slope,
         slope_halfwidth=halfwidth,
-        window=(lo, hi),
+        window=window,
         target_exponent=target,
         bound_constant=C,
         bound_holds=bound_holds,
         sums=sums,
         tail_increase=tail,
-        sums_converging=conv,
     )
 
 
@@ -386,10 +362,6 @@ class IndexReport:
     tail_safe: bool
     min_tail_gap: float
     tol: float
-
-    @property
-    def converged(self):
-        return self.tail_safe
 
 
 def fredholm_index(a, b, tol=1e-6, rep=None):

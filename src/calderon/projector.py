@@ -44,7 +44,6 @@ from .symbols import (  # the stack builders and the defect scan are re-exported
 __all__ = [
     "CauchyFrame",
     "BlockProjector",
-    "SobolevWeight",
     "companion_matrix",
     "cauchy_frame_oracle",
     "jump_operator",
@@ -52,7 +51,6 @@ __all__ = [
     "layer_potential_blocks",
     "calderon_projector",
     "calderon_projector_stack",
-    "sobolev_weights",
     "orthogonal_projector",
     "entry_growth_fit",
     "principal_angles",
@@ -97,31 +95,6 @@ class BlockProjector:
     m: tuple
     matrix: np.ndarray
     kind: str  # Rplus | Rminus | Pplus | Pminus
-
-
-@dataclass
-class SobolevWeight:
-    """Per-component Sobolev weights for one mode.
-
-    Component ``j`` of the Cauchy data carries smoothness index
-    ``s_j = k - 1 + alpha - j`` and weight ``(1 + |m|^2)^{s_j}``.
-    """
-
-    alpha: float
-    k: int
-    m: tuple
-    indices: tuple
-    values: np.ndarray
-
-    def full(self, r):
-        """Diagonal of the weight on the rk-dimensional data space."""
-        return np.repeat(self.values, r)
-
-
-def sobolev_weights(m, k, alpha):
-    m = tuple(np.atleast_1d(m))
-    exps, values = mode_weights([m], k, alpha)
-    return SobolevWeight(alpha=alpha, k=k, m=m, indices=tuple(exps.tolist()), values=values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -389,34 +362,29 @@ def calderon_projector_stack(spec, modes, side="plus"):
     return R
 
 
-def orthogonal_projector(frame, weight):
-    """Weighted-orthogonal projector onto the span of a CauchyFrame.
+def orthogonal_projector(sym, side, alpha):
+    """Weighted-orthogonal projector onto one side's Cauchy-data space.
 
-    Computes ``F (F* W F)^{-1} F* W`` for a frame F of the range as
+    Computes ``F (F* W F)^{-1} F* W`` for the frame F of
+    :func:`cauchy_frame_oracle` and the order-``alpha`` Sobolev weight W
+    of the symbol's mode (``symbols.mode_weights``), as
     ``W^{-1/2} Q Q* W^{1/2}``, Q from ``assemble_point``'s weighted-frame
     step (``_kernels.qr_range_sweep``) at N=1, whose Gram gate raises
-    IllConditionedFrame naming the mode.  A weight of another mode or
-    size raises SpecError.
+    IllConditionedFrame naming the mode.  A side other than plus or
+    minus, or an alpha that is not finite and positive, raises SpecError
+    before the Schur split runs.
     """
-    if not isinstance(frame, CauchyFrame):
-        raise SpecError("expected a CauchyFrame")
-    F, side, m = frame.matrix, frame.side, frame.m
-
-    d = F.shape[0]
-    kind = "Pplus" if side == "plus" else "Pminus"
-    if (weight.values <= 0).any():
-        raise SpecError("weights must be positive")
-    w = weight.full(d // weight.k)
-    if tuple(weight.m) != tuple(m) or w.size != d:
-        raise SpecError(f"the weight does not fit the {d}-dimensional frame at mode {m}")
-    sqw = np.sqrt(w)
+    if side not in ("plus", "minus"):
+        raise SpecError(f"side must be plus or minus, got {side!r}")
+    sqw = np.sqrt(np.repeat(mode_weights([sym.m], sym.k, alpha)[1][0], sym.r))
+    F = cauchy_frame_oracle(sym, side).matrix
     try:
         Q = qr_range_sweep((sqw[:, None] * F)[None], [F.shape[1]])[0]
     except IllConditionedFrame as exc:
-        msg = f"weighted Gram matrix at mode {m} is numerically singular"
+        msg = f"weighted Gram matrix at mode {sym.m} is numerically singular"
         raise IllConditionedFrame(msg) from exc
     P = (Q @ Q.conj().T) * (sqw[None, :] / sqw[:, None])
-    return BlockProjector(m=m, matrix=P, kind=kind)
+    return BlockProjector(m=sym.m, matrix=P, kind="Pplus" if side == "plus" else "Pminus")
 
 
 def principal_angles(F, G):

@@ -247,7 +247,6 @@ def scan_defect_modes(spec, cutoff):
 
 @dataclass
 class EllipticityReport:
-    directions: np.ndarray
     min_abs_det: float
     passed: bool
     defect_modes: list
@@ -441,7 +440,6 @@ def check_ellipticity(spec, samples=64):
 
     defects = scan_defect_modes(spec, 64 if spec.n == 2 else 24)
     return EllipticityReport(
-        directions=dirs,
         min_abs_det=min_det,
         passed=passed,
         defect_modes=defects,

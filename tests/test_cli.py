@@ -344,6 +344,27 @@ def test_reports_match_the_golden_files(tmp_path, monkeypatch, sub):
     assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
 
+# weighted projector reports: (gallery operator, projector options) per golden file
+P_GOLDEN = {
+    "projector_P_laplace2_m3": (["laplace_mass", "-p", "mu=2"], ["--mode", "3"]),
+    "projector_P_dirac3_m2_-3_minus_a1.7": (
+        ["dirac3", "-p", "mu=1", "-p", "v=0.3"],
+        ["--mode", "2,-3", "--side", "minus", "--alpha", "1.7"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(P_GOLDEN))
+def test_weighted_projector_reports_match_the_golden_files(tmp_path, monkeypatch, name):
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    gallery, options = P_GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(["write-spec", *gallery, "--out", "op.spec"]) == 0
+    assert main(["projector", "--spec", "op.spec", "--kind", "P", *options,
+                 "--out", "report.json"]) == 0
+    assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+
+
 def test_non_finite_spec_coefficient_gives_a_spec_error_record(specs, tmp_path, capsys):
     doc = json.loads(Path(specs["dbar"]).read_text())
     doc["terms"][0]["re"][0][0] = float("nan")

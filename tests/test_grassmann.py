@@ -21,12 +21,14 @@ from calderon.grassmann import (
     krichever_reference,
     schatten_fit,
 )
-from calderon.projector import sobolev_weights
+from calderon.projector import orthogonal_projector
 from calderon.symbols import (
     build_gallery,
     companion_stack,
     mode_key,
     mode_lattice,
+    mode_symbol,
+    mode_weights,
     selfadjoint_double,
 )
 from test_symbols import GALLERY
@@ -71,7 +73,7 @@ def test_frames_are_weight_orthonormal():
     pt = assemble_point(build_gallery("laplace_mass", mu=2), 6, alpha=0.8)
     assert pt.modes[:, 0].tolist() == list(range(-6, 7))
     for m, d, ortho, weights in zip(pt.modes[:, 0].tolist(), pt.dims, pt.ortho, pt.weights):
-        w = sobolev_weights((m,), 2, 0.8).full(1)
+        w = mode_weights([(m,)], 2, 0.8)[1][0]  # r = 1: one weight per component
         assert np.allclose(weights, w, rtol=1e-14, atol=0)
         frame = ortho[:, :d] / np.sqrt(weights)[:, None]
         gram = frame.conj().T @ (w[:, None] * frame)
@@ -107,6 +109,8 @@ def test_sign_iteration_stall_names_the_mode():
 def test_assembly_validation():
     with pytest.raises(SpecError):
         assemble_point(dbar(), 0)
+    with pytest.raises(SpecError, match="cutoff must be at least 1"):
+        krichever_reference(0)
     with pytest.raises(SpecError):
         assemble_point(dbar(), 8, alpha=-1)
 
@@ -116,7 +120,7 @@ def test_alpha_must_be_finite_and_positive(alpha):
     with pytest.raises(SpecError, match="alpha must be finite and positive"):
         assemble_point(dbar(), 8, alpha=alpha)
     with pytest.raises(SpecError, match="alpha must be finite and positive"):
-        sobolev_weights(3, 1, alpha)
+        orthogonal_projector(mode_symbol(dbar(), 3), "plus", alpha)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1.5])
@@ -250,8 +254,24 @@ def test_schatten_window_and_bound():
 
 def test_schatten_validates_q():
     pa = assemble_point(dbar(), 16)
-    with pytest.raises(SpecError):
-        schatten_fit(compare_points(pa, pa), n=2, q=-1)
+    for q in (-1, 1.0, True, False):
+        with pytest.raises(SpecError, match="agreement order q"):
+            schatten_fit(compare_points(pa, pa), n=2, q=q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2.5, np.nan, 3, True])
+def test_schatten_n_is_the_dimension_of_the_compared_points(n):
+    pa = assemble_point(dbar(), 16)
+    with pytest.raises(SpecError, match="dimension n must be 2"):
+        schatten_fit(compare_points(pa, pa), n=n, q=0)
+
+
+def test_schatten_n_follows_the_mode_width():
+    pa = assemble_point(build_gallery("dirac3", mu=1, v=0.3), 4)
+    rep = compare_points(pa, pa)
+    with pytest.raises(SpecError, match="dimension n must be 3"):
+        schatten_fit(rep, n=2, q=0)
+    assert schatten_fit(rep, n=3, q=0).target_exponent == -0.5
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +282,7 @@ def test_twist_index_with_kernel_modes():
     idx = fredholm_index(assemble_point(twist(3), 16), assemble_point(dbar(), 16))
     assert idx.index == 3
     assert idx.kernel_total == 3 and idx.cokernel_total == 0
-    assert idx.tail_safe and idx.converged
+    assert idx.tail_safe
     kernel_modes = [int(m[0]) for m, k in zip(idx.modes, idx.kernel_dims) if k]
     assert kernel_modes == [1, 2, 3]
 
@@ -404,7 +424,7 @@ def _compare_by_loop(a, b):
         dims_a=da,
         dims_b=db,
         angles=angles,
-        cos_svals=cosines,
+        cosines=cosines,
         diff_norms=diff_norms,
         svals=np.sort(np.concatenate(global_parts))[::-1] if global_parts else np.zeros(0),
         q_svals=np.sort(np.concatenate(q_parts))[::-1] if q_parts else np.zeros(0),
@@ -419,7 +439,7 @@ def _index_by_loop(ref, tol):
     cok = np.zeros(n, dtype=int)
     for i in range(n):
         na, nb = int(ref.dims_a[i]), int(ref.dims_b[i])
-        cos = np.asarray(ref.cos_svals[i])
+        cos = np.asarray(ref.cosines[i])
         if ((cos >= tol) & (cos < 10 * tol)).any():
             raise ThresholdAmbiguous(
                 f"singular value in [{tol:.1e}, {10 * tol:.1e}) at mode "
@@ -486,9 +506,12 @@ def test_padded_compare_and_index_match_the_loops(padded_pairs, name):
     a, b = padded_pairs[name]
     rep = compare_points(a, b)
     ref = _compare_by_loop(a, b)
-    assert len(rep.angles) == len(ref.angles) == len(rep.cos_svals) == len(rep.modes)
+    assert len(rep.angles) == len(ref.angles) == len(rep.cos_rows) == len(rep.modes)
     assert all(np.array_equal(x, y) for x, y in zip(rep.angles, ref.angles))
-    assert all(np.array_equal(x, y) for x, y in zip(rep.cos_svals, ref.cos_svals))
+    # every live cosine is the loop's, bit for bit, and the padding is zero
+    live = np.minimum(rep.dims_a, rep.dims_b)
+    assert all(np.array_equal(x[:k], y) for x, k, y in zip(rep.cos_rows, live, ref.cosines))
+    assert not rep.cos_rows[np.arange(rep.cos_rows.shape[1]) >= live[:, None]].any()
     for key in ("svals", "q_svals", "diff_norms"):
         assert np.array_equal(getattr(rep, key), getattr(ref, key)), key
     idx = fredholm_index(a, b, rep=rep)

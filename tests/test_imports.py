@@ -130,10 +130,10 @@ ROOT_NAMES = {
     "grassmann": ["CompareReport", "GrassmannPoint", "IndexReport", "SchattenReport",
                   "assemble_point", "chiral_point", "compare_points", "fredholm_index",
                   "krichever_reference", "schatten_fit"],
-    "projector": ["CauchyFrame", "SobolevWeight", "calderon_projector",
+    "projector": ["CauchyFrame", "calderon_projector",
                   "calderon_projector_stack", "cauchy_frame_oracle", "entry_growth_fit",
                   "invert_jump_operator", "jump_operator", "layer_potential_blocks",
-                  "orthogonal_projector", "principal_angles", "sobolev_weights"],
+                  "orthogonal_projector", "principal_angles"],
     "symbols": ["EllipticityReport", "ModeSymbol", "OperatorSpec", "agree_up_to_order",
                 "build_gallery", "check_ellipticity", "companion_matrix", "dump_spec",
                 "from_document", "homogeneous_component", "load_spec", "mode_symbol",
@@ -180,7 +180,7 @@ def test_schur_oracle_loads_scipy_and_matches_in_process(specs, tmp_path):
 # every parameter each public call takes: the quadrature tolerance, the
 # node budget, the defect policy and the cross-check are constants, so
 # none of them comes back as a keyword unnoticed; a contour is one circle,
-# and an orthogonal projector takes a frame, not a projector
+# and an orthogonal projector takes what calderon_projector takes, plus alpha
 SIGNATURES = {
     "contour.Contour": "(center: complex, radius: float, nodes: int = 16) -> None",
     "contour.Contour.circle": "(center, radius, nodes=16)",
@@ -193,7 +193,7 @@ SIGNATURES = {
     "contour.spectral_split": "(C)",
     "projector.calderon_projector": "(sym, side='plus')",
     "projector.layer_potential_blocks": "(sym, cross_check=True)",
-    "projector.orthogonal_projector": "(frame, weight)",
+    "projector.orthogonal_projector": "(sym, side, alpha)",
     "symbols.check_ellipticity": "(spec, samples=64)",
     "symbols.build_gallery": "(name, /, **params)",
     "grassmann.assemble_point": "(spec, cutoff, alpha=0.5)",

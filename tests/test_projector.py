@@ -35,11 +35,17 @@ from calderon.projector import (
     orthogonal_projector,
     principal_angles,
     scan_defect_modes,
-    sobolev_weights,
 )
 from calderon.contour import characteristic_roots, enclosing_circle, root_table, spectral_split
 from calderon.grassmann import assemble_point, compare_points
-from calderon.symbols import build_gallery, defect_screen, mode_key, mode_symbol, selfadjoint_double
+from calderon.symbols import (
+    build_gallery,
+    defect_screen,
+    mode_key,
+    mode_symbol,
+    mode_weights,
+    selfadjoint_double,
+)
 
 from test_symbols import GALLERY, sample_modes
 
@@ -53,6 +59,11 @@ def _random_operator(k, seed):
         for b in range(k + 1 - q)
     }
     return build_gallery("custom", n=2, r=2, k=k, terms=terms)
+
+
+def _full_weight(m, spec, alpha):
+    """Diagonal of the order-``alpha`` weight on one mode's rk-dimensional data."""
+    return np.repeat(mode_weights([m], spec.k, alpha)[1][0], spec.r)
 
 
 def _weighted_angle_frames(F, w):
@@ -781,7 +792,7 @@ def test_transversality_uniform_in_weighted_metric(name):
         fm = cauchy_frame_oracle(sym, "minus")
         if fp.dim == 0 or fm.dim == 0:
             continue
-        w = sobolev_weights((m,), spec.k, 0.5).full(spec.r)
+        w = _full_weight((m,), spec, 0.5)
         qp = _weighted_angle_frames(fp.matrix, w)
         qm = _weighted_angle_frames(fm.matrix, w)
         cosmax = np.linalg.svd(qp.conj().T @ qm, compute_uv=False).max()
@@ -794,15 +805,14 @@ def test_transversality_uniform_in_weighted_metric(name):
 
 
 def test_sobolev_weight_values():
-    w = sobolev_weights((0,), 1, 0.5)
-    assert w.values == pytest.approx([1.0])
-    w = sobolev_weights((2,), 2, 0.5)
-    assert w.values == pytest.approx([5.0**1.5, 5.0**0.5])
-    w = sobolev_weights((0,), 2, 1.0)
-    assert w.values == pytest.approx([1.0, 1.0])
-    assert w.full(2).shape == (4,)
+    exps, w = mode_weights([(0,)], 1, 0.5)
+    assert exps.tolist() == [0.5] and w[0] == pytest.approx([1.0])
+    exps, w = mode_weights([(2,)], 2, 0.5)
+    assert exps.tolist() == [1.5, 0.5] and w[0] == pytest.approx([5.0**1.5, 5.0**0.5])
+    assert mode_weights([(0,)], 2, 1.0)[1][0] == pytest.approx([1.0, 1.0])
+    assert mode_weights([(0,), (2,), (-3,)], 2, 1.0)[1].shape == (3, 2)
     with pytest.raises(SpecError):
-        sobolev_weights((0,), 1, -1.0)
+        mode_weights([(0,)], 1, -1.0)
 
 
 @pytest.mark.parametrize(
@@ -825,31 +835,28 @@ def test_stacked_weights_match_single_mode_weights(name, params, alpha):
     else:
         spec = build_gallery(name, **params)
     pt = assemble_point(spec, 12, alpha=alpha)
-    single = np.array([sobolev_weights(m, spec.k, alpha).full(spec.r) for m in pt.modes])
+    single = np.array([_full_weight(m, spec, alpha) for m in pt.modes])
     assert pt.weights.shape == (len(pt.modes), spec.r * spec.k)
     np.testing.assert_array_max_ulp(pt.weights, single, maxulp=1)
 
 
 def test_weights_decrease_along_components():
-    w = sobolev_weights((3,), 3, 0.7)
-    assert all(np.diff(w.values) < 0)
+    w = mode_weights([(3,)], 3, 0.7)[1][0]
+    assert all(np.diff(w) < 0)
 
 
 def test_orthogonal_projector_full_and_zero_range():
     db = build_gallery("dbar", mu=0.5)
-    w = sobolev_weights((0,), 1, 0.5)
-    P = orthogonal_projector(cauchy_frame_oracle(mode_symbol(db, 0), "plus"), w)
+    P = orthogonal_projector(mode_symbol(db, 0), "plus", 0.5)
     assert P.matrix[0, 0] == pytest.approx(1.0)
-    w3 = sobolev_weights((3,), 1, 0.5)
-    P = orthogonal_projector(cauchy_frame_oracle(mode_symbol(db, 3), "plus"), w3)
+    P = orthogonal_projector(mode_symbol(db, 3), "plus", 0.5)
     assert P.matrix[0, 0] == 0.0
 
 
 def test_orthogonal_projector_equal_weights_match_flat_projector():
     lap = build_gallery("laplace_mass", mu=1)
     sym = mode_symbol(lap, 0)
-    w = sobolev_weights((0,), 2, 0.5)  # weights (1, 1) at m = 0
-    P = orthogonal_projector(cauchy_frame_oracle(sym, "plus"), w).matrix
+    P = orthogonal_projector(sym, "plus", 0.5).matrix  # weights (1, 1) at m = 0
     expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
     assert np.abs(P - expected).max() < 1e-12
 
@@ -857,34 +864,38 @@ def test_orthogonal_projector_equal_weights_match_flat_projector():
 def test_orthogonal_projector_gram_formula_oracle():
     lap = build_gallery("laplace_mass", mu=2)
     sym = mode_symbol(lap, 2)
-    w = sobolev_weights((2,), 2, 0.5)
-    fr = cauchy_frame_oracle(sym, "plus")
-    P = orthogonal_projector(fr, w).matrix
-    F = fr.matrix
-    W = np.diag(w.full(1))
-    G = F @ np.linalg.inv(F.conj().T @ W @ F) @ F.conj().T @ W
-    assert np.abs(P - G).max() < 1e-12
-    # weighted self-adjointness and idempotency
-    assert np.abs(W @ P - P.conj().T @ W).max() < 1e-10
-    assert np.abs(P @ P - P).max() < 1e-10
-    # same range as the parallel projector: P R = R and R P = P
-    R = calderon_projector(sym).matrix
-    assert np.abs(P @ R - R).max() < 1e-8
-    assert np.abs(R @ P - P).max() < 1e-8
+    W = np.diag(_full_weight((2,), lap, 0.5))
+    for side, kind in (("plus", "Pplus"), ("minus", "Pminus")):
+        P = orthogonal_projector(sym, side, 0.5)
+        assert P.kind == kind
+        P = P.matrix
+        F = cauchy_frame_oracle(sym, side).matrix
+        G = F @ np.linalg.inv(F.conj().T @ W @ F) @ F.conj().T @ W
+        assert np.abs(P - G).max() < 1e-12
+        # weighted self-adjointness and idempotency
+        assert np.abs(W @ P - P.conj().T @ W).max() < 1e-10
+        assert np.abs(P @ P - P).max() < 1e-10
+        # same range as the parallel projector: P R = R and R P = P
+        R = calderon_projector(sym, side).matrix
+        assert np.abs(P @ R - R).max() < 1e-8
+        assert np.abs(R @ P - P).max() < 1e-8
 
 
-def test_orthogonal_projector_takes_only_a_cauchy_frame():
+def test_orthogonal_projector_checks_side_and_alpha_before_the_split(monkeypatch):
     sym = mode_symbol(build_gallery("laplace_mass", mu=2), 2)
-    with pytest.raises(SpecError, match="expected a CauchyFrame"):
-        orthogonal_projector(calderon_projector(sym), sobolev_weights((2,), 2, 0.5))
 
+    def split(C):
+        raise AssertionError("spectral_split ran")
 
-def test_orthogonal_projector_rejects_a_weight_of_another_mode_or_size():
-    fr = cauchy_frame_oracle(mode_symbol(build_gallery("laplace_mass", mu=2), 2), "plus")
-    # a mode-7 weight weights the wrong mode; a k=3 weight has 0 entries, not 2
-    for weight in (sobolev_weights((7,), 2, 0.5), sobolev_weights((2,), 3, 0.5)):
-        with pytest.raises(SpecError, match=r"at mode \(2,\)"):
-            orthogonal_projector(fr, weight)
+    monkeypatch.setattr(projector, "spectral_split", split)
+    for side in ("up", "Plus", None):
+        with pytest.raises(SpecError, match="side must be plus or minus"):
+            orthogonal_projector(sym, side, 0.5)
+    for alpha in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(SpecError, match="alpha must be finite and positive"):
+            orthogonal_projector(sym, "plus", alpha)
+    with pytest.raises(AssertionError, match="spectral_split ran"):
+        orthogonal_projector(sym, "plus", 0.5)
 
 
 @pytest.mark.parametrize("name", [*sorted(GALLERY), "laplace_double"])
@@ -897,8 +908,7 @@ def test_schur_and_sign_frames_give_one_weighted_projector(name):
     for m, d, q, w in zip(point.modes, point.dims, point.ortho, point.weights):
         sqw = np.sqrt(w)
         want = (q[:, :d] @ q[:, :d].conj().T) * (sqw[None, :] / sqw[:, None])
-        frame = cauchy_frame_oracle(mode_symbol(spec, m), "plus")
-        got = orthogonal_projector(frame, sobolev_weights(m, spec.k, 0.5)).matrix
+        got = orthogonal_projector(mode_symbol(spec, m), "plus", 0.5).matrix
         assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
 
 
@@ -908,8 +918,7 @@ def test_mass_one_laplacian_weighted_projector_collapses_to_flat():
     lap = build_gallery("laplace_mass", mu=1)
     for m in (0, 2, 17):
         sym = mode_symbol(lap, m)
-        w = sobolev_weights((m,), 2, 0.5)
-        P = orthogonal_projector(cauchy_frame_oracle(sym, "plus"), w).matrix
+        P = orthogonal_projector(sym, "plus", 0.5).matrix
         R = calderon_projector(sym).matrix
         assert np.abs(P - R).max() < 1e-10
 
@@ -938,15 +947,15 @@ def _three_root_spec():
 
 def test_one_gram_gate_on_both_weighted_frame_routes():
     spec = _three_root_spec()
-    frame = lambda m: cauchy_frame_oracle(mode_symbol(spec, m), "plus")
+    weighted = lambda m: orthogonal_projector(mode_symbol(spec, m), "plus", 0.5)
     with pytest.raises(IllConditionedFrame, match="at mode -1000 ") as info:
         assemble_point(spec, 1000)
     assert info.value.index == 0
     with pytest.raises(IllConditionedFrame, match=r"at mode \(1000,\)"):
-        orthogonal_projector(frame(1000), sobolev_weights(1000, 4, 0.5))
+        weighted(1000)
     assert (assemble_point(spec, 300).dims == 3).all()
     for m in (-300, 300):
-        orthogonal_projector(frame(m), sobolev_weights(m, 4, 0.5))
+        weighted(m)
 
 
 def test_principal_symbol_dependence_decay():
@@ -955,10 +964,9 @@ def test_principal_symbol_dependence_decay():
     ms = np.unique(np.geomspace(16, 256, 15).astype(int))
     norms = []
     for m in ms:
-        w = sobolev_weights((int(m),), 1, 0.5)
-        pa = orthogonal_projector(cauchy_frame_oracle(mode_symbol(sa, int(m)), "plus"), w).matrix
-        pb = orthogonal_projector(cauchy_frame_oracle(mode_symbol(sb, int(m)), "plus"), w).matrix
-        sw = np.sqrt(w.full(2))
+        pa = orthogonal_projector(mode_symbol(sa, int(m)), "plus", 0.5).matrix
+        pb = orthogonal_projector(mode_symbol(sb, int(m)), "plus", 0.5).matrix
+        sw = np.sqrt(_full_weight((int(m),), sa, 0.5))
         norms.append(np.linalg.norm((pa - pb) * (sw[:, None] / sw[None, :]), 2))
     assert max(m * v for m, v in zip(ms, norms)) < 1.0  # C/|m| bound
     slope = np.polyfit(np.log(ms), np.log(norms), 1)[0]
