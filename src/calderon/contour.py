@@ -23,6 +23,7 @@ from .symbols import on_real_axis
 
 MAX_NODES = 2**16
 QUAD_TOL = 1e-10  # relative agreement of successive node doublings, per circle
+LINK_SHARE = 0.25  # points link within this share of their distance to the excluded set
 
 
 @dataclass(frozen=True)
@@ -242,58 +243,74 @@ def _mode_at(modes, i):
     return tuple(np.atleast_1d(modes[i]).tolist())
 
 
+def _linkage(gaps, far):
+    """Single-linkage clusters of points whose pairwise distances are
+    ``gaps`` ``(..., P, P)``, linked within ``LINK_SHARE * far`` (``far``
+    broadcasts against ``gaps``): the transitive closure of the links, by
+    repeated boolean squaring, True where two points share a cluster."""
+    reach = gaps <= LINK_SHARE * far
+    for _ in range(max(gaps.shape[-1] - 2, 0).bit_length()):
+        reach = reach @ reach
+    return reach
+
+
+def _root_clusters(lam, modes):
+    """:func:`root_table`, plus each root's cluster spread: mean to farthest member."""
+    xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
+    dist = np.abs(xi.imag)
+    real = on_real_axis(dist, np.asarray(modes, dtype=float)[:, None])
+    if np.count_nonzero(real):
+        i = int(real.any(axis=1).argmax())
+        mode, bad = _mode_at(modes, i), list(xi[i][real[i]])
+        raise DefectMode(f"mode {mode} has characteristic roots on the real axis: {bad}",
+                         mode=mode, roots=bad)
+    half = np.copysign(1.0, xi.imag)
+    gaps = np.abs(xi[:, :, None] - xi[:, None, :])
+    # the real axis bounds each half as the cut bounds matrix_power's
+    # spectrum.  A root's own |Im xi| is at least its half's least one, so
+    # if no root lies within LINK_SHARE of it from another, none links;
+    # a pair across the axis, at least both |Im xi| apart, never does
+    if np.count_nonzero(gaps <= LINK_SHARE * dist[:, :, None]) == xi.size:
+        return xi, np.ones(xi.shape, dtype=int), half, np.zeros(xi.shape)
+    up = half > 0
+    least = [dist.min(axis=1, where=w, initial=np.inf, keepdims=True) for w in (up, ~up)]
+    reach = _linkage(gaps, np.where(up, *least)[:, :, None])
+    size = reach.sum(axis=2)
+    mult = np.where(reach.argmax(axis=2) == np.arange(xi.shape[1]), size, 0)
+    roots = (reach * xi[:, None, :]).sum(axis=2) / size
+    spread = np.abs(xi[:, None, :] - roots[:, :, None]).max(axis=2, where=reach, initial=0.0)
+    return roots, mult, half, spread
+
+
 def root_table(lam, modes):
     """Characteristic roots of a mode stack, grouped by multiplicity.
 
     ``lam`` holds the companion eigenvalues ``lambda = i xi_n``, one row
     per mode of ``modes``.  Returns ``(roots, mult, half)``, each of
-    ``lam``'s shape, with the roots of a row in ascending (real, imag)
-    order.  A root within relative 1e-7 of an earlier one joins that
-    one's cluster: ``mult`` is the cluster size at its first root, which
-    holds the cluster mean, and 0 at its other members.  ``half`` is 1
-    above the real axis, -1 below and 0 on it (:func:`on_real_axis`).
+    ``lam``'s shape, over each row's roots in ascending (real, imag)
+    order.  Roots of one half-plane link within ``LINK_SHARE`` times
+    that half's least ``|Im xi|`` (:func:`_linkage`), so a k-fold root
+    that rounding splits about ``eps^(1/k)`` apart (Moro, Burke &
+    Overton, SIAM J. Matrix Anal. Appl. 18, 1997) is one cluster.
+    ``roots`` holds each root's cluster mean, ``mult`` the cluster size
+    at its first root and 0 at its other members; ``half`` is 1 above
+    the real axis and -1 below.
 
-    Raises DefectMode, naming the first mode with a real-axis root and
-    listing its real roots.
+    Raises DefectMode, naming the first mode with a root on the real
+    axis (:func:`on_real_axis`, as ``defect_screen`` judges the same
+    eigenvalues) and listing its real roots.
     """
-    tol = 1e-7 * (1.0 + np.abs(lam).max(axis=1))[:, None, None]
-    xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
-    close = np.abs(xi[:, :, None] - xi[:, None, :]) <= tol
-    roots, mult = xi, np.ones(xi.shape, dtype=int)
-    if np.count_nonzero(close) > xi.size:  # some roots lie within tol of another
-        # each root points at the first root within tol of it; following
-        # the pointers, which only go back, ends at its cluster's first root
-        rows = np.arange(len(xi))[:, None]
-        label = close.argmax(axis=2)
-        for _ in range(max(xi.shape[1] - 2, 0).bit_length()):
-            label = label[rows, label]
-        member = label[:, :, None] == np.arange(xi.shape[1])
-        mult = member.sum(axis=1)
-        roots = (member * xi[:, :, None]).sum(axis=1) / np.maximum(mult, 1)
-    real = on_real_axis(np.abs(roots.imag), np.asarray(modes, dtype=float)[:, None])
-    half = np.copysign(~real, roots.imag)
-    if np.count_nonzero(real):
-        bad = real & (mult > 0)  # clusters are judged by their means
-        if bad.any():
-            i = int(bad.any(axis=1).argmax())
-            mode = _mode_at(modes, i)
-            roots_bad = list(roots[i][bad[i]])
-            raise DefectMode(
-                f"mode {mode} has characteristic roots on the real axis: {roots_bad}",
-                mode=mode,
-                roots=roots_bad,
-            )
-    return roots, mult, half
+    return _root_clusters(lam, modes)[:3]
 
 
 def characteristic_roots(sym):
     """All rk roots of ``det a(m, xi_n) = 0`` grouped by multiplicity.
 
     Roots come from the eigenvalues ``lambda = i xi_n`` of the block
-    companion matrix of the mode ODE; clusters within relative 1e-7 are
-    merged into one root with a multiplicity (:func:`root_table`, whose
-    N=1 view this is).  Each entry is ``(root, multiplicity, halfplane)``
-    with halfplane ``upper`` or ``lower``.
+    companion matrix of the mode ODE; a linked cluster of them is one
+    root with a multiplicity (:func:`root_table`, whose N=1 view this
+    is).  Each entry is ``(root, multiplicity, halfplane)`` with
+    halfplane ``upper`` or ``lower``.
 
     Raises DefectMode on a real-axis root; its ``mode`` and ``roots``
     name the mode and its real roots.
@@ -312,17 +329,15 @@ def _cluster_circles(eigs, enclosed, far, ray=None):
     ``eigs[enclosed]``, each clear of the other eigenvalues and, given the
     unit vector ``ray``, of the cut along it, which enters
     :func:`_enclosing_circles` as its nearest point to the cluster mean.
-    Clusters link at a quarter of ``far``, the distance from the enclosed
-    eigenvalues to the excluded ones and the cut, so a split Jordan block
-    shares one circle (Hale, Higham & Trefethen, SIAM J. Numer. Anal. 46,
-    2008).  Returns the arrays of centers and radii and the shared start
-    that :func:`_stacked_quadrature` takes.  Raises EigenvalueOnContour
-    when a cluster cannot be isolated.
+    Clusters link (:func:`_linkage`) at ``far``, the distance from the
+    enclosed eigenvalues to the excluded ones and the cut, so a split
+    Jordan block shares one circle (Hale, Higham & Trefethen, SIAM J.
+    Numer. Anal. 46, 2008).  Returns the arrays of centers and radii and
+    the shared start that :func:`_stacked_quadrature` takes.  Raises
+    EigenvalueOnContour when a cluster cannot be isolated.
     """
     ins = eigs[enclosed]
-    reach = np.abs(ins[:, None] - ins) <= 0.25 * far
-    for _ in range(max(len(ins) - 2, 0).bit_length()):  # transitive closure
-        reach = reach @ reach
+    reach = _linkage(np.abs(ins[:, None] - ins), far)
     member = reach[reach.argmax(axis=1) == np.arange(len(ins))]  # a row per cluster
     inside = np.zeros((len(member), len(eigs)), dtype=bool)
     inside[:, enclosed] = member

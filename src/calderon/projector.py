@@ -18,13 +18,14 @@ from ._kernels import _padded_sines, eigvals_sweep, qr_range_sweep
 from .contour import (
     _enclosing_circles,
     _mode_at,
+    _root_clusters,
     _sized_nodes,
     _stacked_quadrature,
-    root_table,
     spectral_split,
 )
 from .errors import (
     ContourNotConverged,
+    EigenvalueOnContour,
     IllConditionedFrame,
     RoutesDisagree,
     SingularBlock,
@@ -42,7 +43,6 @@ from .symbols import (  # the stack builders and the defect scan are re-exported
 )
 
 __all__ = [
-    "CauchyFrame",
     "BlockProjector",
     "companion_matrix",
     "cauchy_frame_oracle",
@@ -60,35 +60,6 @@ _AGREEMENT_TOL = 1e-8  # residue route against contour quadrature, relative
 
 
 @dataclass
-class CauchyFrame:
-    """Frame whose columns span one side's Cauchy-data subspace.
-
-    Component blocks are ordered ``(u, d_n u, ..., d_n^{k-1} u)``.
-    """
-
-    m: tuple
-    matrix: np.ndarray  # (rk, d)
-    side: str
-
-    def __post_init__(self):
-        if self.side not in ("plus", "minus"):
-            raise SpecError(f"side must be plus or minus, got {self.side!r}")
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2:
-            raise SpecError(f"frame at mode {self.m} must be a 2-D matrix, got {self.matrix.shape}")
-        if self.matrix.shape[1]:
-            if not np.abs(self.matrix).max(axis=0).all():
-                raise IllConditionedFrame(f"frame at mode {self.m} has a zero column")
-            svals = np.linalg.svd(self.matrix / np.abs(self.matrix).max(), compute_uv=False)
-            if svals[-1] <= 1e-10:
-                raise IllConditionedFrame(f"frame columns at mode {self.m} are dependent")
-
-    @property
-    def dim(self):
-        return self.matrix.shape[1]
-
-
-@dataclass
 class BlockProjector:
     """rk x rk projector matrix attached to one mode."""
 
@@ -102,15 +73,19 @@ class BlockProjector:
 
 
 def cauchy_frame_oracle(sym, side):
-    """Cauchy-data frame of one side, straight from the companion split.
+    """Cauchy-data frame of one side, straight from the companion split:
+    the ``(rk, d)`` orthonormal Schur frame, in component blocks
+    ``(u, d_n u, ..., d_n^{k-1} u)``.
 
-    ``plus`` returns the stable invariant subspace (solutions decaying
-    as x_n grows), ``minus`` the unstable one; the two dimensions sum to
-    rk.  Raises DefectMode when the split does not exist.
+    ``plus`` spans the stable invariant subspace (solutions decaying as
+    x_n grows), ``minus`` the unstable one; the two dimensions sum to rk.
+    A side other than plus or minus raises SpecError before the split
+    runs; DefectMode is raised when the split does not exist.
     """
+    if side not in ("plus", "minus"):
+        raise SpecError(f"side must be plus or minus, got {side!r}")
     split = spectral_split(companion_matrix(sym))
-    frame = split.stable if side == "plus" else split.unstable
-    return CauchyFrame(m=sym.m, matrix=frame, side=side)
+    return split.stable if side == "plus" else split.unstable
 
 
 def jump_operator(sym):
@@ -195,17 +170,21 @@ def _adjugate(M):
     return sign * np.linalg.det(M[..., rows, cols])
 
 
-def _local_circles(roots, mult, rows, cols, share):
-    """Circles around the roots ``roots[rows, cols]``, each clear of the
-    other roots of its mode: radius ``share`` times the distance to the
-    nearest one, or ``max(0.5, |root| / 2)`` for a lone root.  Returns
-    the centers, the radii and each circle's ``rho`` (see
-    :func:`contour._sized_nodes`)."""
+def _local_circles(roots, mult, spread, rows, cols, share):
+    """Circles around the root clusters at ``roots[rows, cols]``: radius
+    ``share`` times the distance to the nearest other cluster mean of the
+    mode, or ``max(0.5, |root| / 2)`` for a lone cluster.  Returns the
+    centers, the radii and each circle's ``rho`` (see
+    :func:`contour._sized_nodes`), which counts every cluster's
+    ``spread``: below 1 only when the circle holds its cluster apart."""
     centers = roots[rows, cols]
     dist = np.abs(roots[rows] - centers[:, None])
-    gap = np.where((mult[rows] > 0) & (dist > 0), dist, np.inf).min(axis=1)
+    others = (mult[rows] > 0) & (dist > 0)
+    gap = np.where(others, dist, np.inf).min(axis=1)
     radii = np.where(np.isinf(gap), np.maximum(0.5, 0.5 * np.abs(centers)), share * gap)
-    return centers, radii, radii / gap
+    clear = np.where(others, dist - spread[rows], np.inf).min(axis=1)  # no other root is nearer
+    outer = np.divide(radii, clear, out=np.full(radii.shape, np.inf), where=clear > 0)
+    return centers, radii, np.maximum(spread[rows, cols] / radii, outer)
 
 
 def _layer_blocks(A, modes, lam, cross_check):
@@ -213,12 +192,13 @@ def _layer_blocks(A, modes, lam, cross_check):
     ``modes`` holds one mode per row and ``lam`` the eigenvalues of its
     companion matrices; see :func:`layer_potential_blocks`.
 
-    Every failure names its mode: DefectMode, ContourNotConverged and
+    Every failure names its mode: DefectMode, EigenvalueOnContour (a
+    root cluster no local circle holds apart), ContourNotConverged and
     RoutesDisagree, the residue/quadrature disagreement.
     """
     k = A.shape[0] - 1
     powers = np.arange(2 * k - 1)
-    roots, mult, half = root_table(lam, modes)
+    roots, mult, half, spread = _root_clusters(lam, modes)
     upper = mult * (half > 0)  # multiplicity of each upper root, 0 elsewhere
 
     # simple roots: residue adj a(xi_l) / (d/dxi det a)(xi_l), where
@@ -242,7 +222,7 @@ def _layer_blocks(A, modes, lam, cross_check):
     local, cols = np.nonzero(upper > 1)
     parts = []  # (centers, radii, rho, modes) of each kind of circle, local ones first
     if local.size:
-        parts.append((*_local_circles(roots, mult, local, cols, 0.45), local))
+        parts.append((*_local_circles(roots, mult, spread, local, cols, 0.45), local))
     checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
     rows = slice(None) if checked.size == len(upper) else checked  # every mode: a view, no copy
     slot = None  # each check circle's row of checked, once a mode has several
@@ -254,12 +234,18 @@ def _layer_blocks(A, modes, lam, cross_check):
             sep = np.flatnonzero(~stuck)
             row, col = np.nonzero((u > 0) & stuck[:, None])
             parts.append((center[sep], radius[sep], rho[sep], checked[sep]))
-            parts.append((*_local_circles(roots, mult, checked[row], col, 0.3), checked[row]))
+            fallback = _local_circles(roots, mult, spread, checked[row], col, 0.3)
+            parts.append((*fallback, checked[row]))
             slot = np.concatenate([sep, row])
         else:
             parts.append((center, radius, rho, checked))
     if parts:
         centers, radii, rho, owner = map(np.concatenate, zip(*parts)) if parts[1:] else parts[0]
+        wide = ~(rho < 1)  # NaN too: a local circle that cannot hold its cluster apart
+        if np.count_nonzero(wide):
+            i = owner[wide.argmax()]
+            msg = f"no circle separates a root cluster at mode {_mode_at(modes, i)}"
+            raise EigenvalueOnContour(msg, index=int(i))
         Ao = A[:, owner, None]  # the circles' symbols
 
         def integrand(z, idx):
@@ -374,10 +360,8 @@ def orthogonal_projector(sym, side, alpha):
     minus, or an alpha that is not finite and positive, raises SpecError
     before the Schur split runs.
     """
-    if side not in ("plus", "minus"):
-        raise SpecError(f"side must be plus or minus, got {side!r}")
     sqw = np.sqrt(np.repeat(mode_weights([sym.m], sym.k, alpha)[1][0], sym.r))
-    F = cauchy_frame_oracle(sym, side).matrix
+    F = cauchy_frame_oracle(sym, side)
     try:
         Q = qr_range_sweep((sqw[:, None] * F)[None], [F.shape[1]])[0]
     except IllConditionedFrame as exc:

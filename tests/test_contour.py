@@ -433,7 +433,7 @@ def test_riesz_projector_keeps_a_split_jordan_block_on_one_circle():
     M, V = _similar([lam, lam, lam, -1.0, 0.5 - 2j], seed=21, blocks=(0, 1))
     eigs = np.linalg.eigvals(M)
     block = eigs[np.abs(eigs - lam) < 0.1]
-    # rounding splits the block far beyond root_table's relative 1e-7
+    # rounding splits the triple block about eps^(1/3) apart, far beyond 1e-7
     assert np.abs(block[:, None] - block).max() > 1e-7 * (1 + abs(lam))
     P = riesz_projector(M, Contour.circle(lam, 1.0))
     want = V @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0]) @ np.linalg.inv(V)

@@ -130,7 +130,7 @@ ROOT_NAMES = {
     "grassmann": ["CompareReport", "GrassmannPoint", "IndexReport", "SchattenReport",
                   "assemble_point", "chiral_point", "compare_points", "fredholm_index",
                   "krichever_reference", "schatten_fit"],
-    "projector": ["CauchyFrame", "calderon_projector",
+    "projector": ["calderon_projector",
                   "calderon_projector_stack", "cauchy_frame_oracle", "entry_growth_fit",
                   "invert_jump_operator", "jump_operator", "layer_potential_blocks",
                   "orthogonal_projector", "principal_angles"],
@@ -192,6 +192,7 @@ SIGNATURES = {
     "contour.root_table": "(lam, modes)",
     "contour.spectral_split": "(C)",
     "projector.calderon_projector": "(sym, side='plus')",
+    "projector.cauchy_frame_oracle": "(sym, side)",
     "projector.layer_potential_blocks": "(sym, cross_check=True)",
     "projector.orthogonal_projector": "(sym, side, alpha)",
     "symbols.check_ellipticity": "(spec, samples=64)",

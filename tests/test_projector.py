@@ -17,7 +17,6 @@ from calderon.errors import (
     SpecError,
 )
 from calderon.projector import (
-    CauchyFrame,
     _adjugate,
     _jump,
     _jump_inverse,
@@ -107,15 +106,28 @@ def test_companion_matrix_matches_companion_stack(name):
 
 def test_oracle_frames():
     db = build_gallery("dbar", mu=0.5)
-    assert cauchy_frame_oracle(mode_symbol(db, 0), "plus").dim == 1
-    assert cauchy_frame_oracle(mode_symbol(db, 3), "plus").dim == 0
+    assert cauchy_frame_oracle(mode_symbol(db, 0), "plus").shape == (1, 1)
+    assert cauchy_frame_oracle(mode_symbol(db, 3), "plus").shape == (1, 0)
     lap = build_gallery("laplace_mass", mu=1)
     fr = cauchy_frame_oracle(mode_symbol(lap, 2), "plus")
-    v = fr.matrix[:, 0]
+    v = fr[:, 0]
     assert v[1] / v[0] == pytest.approx(-np.sqrt(5.0))
-    # plus and minus dimensions fill the Cauchy space
+    # plus and minus dimensions fill the Cauchy space, in orthonormal frames
     fm = cauchy_frame_oracle(mode_symbol(lap, 2), "minus")
-    assert fr.dim + fm.dim == 2
+    assert fr.shape[1] + fm.shape[1] == 2
+    for f in (fr, fm):
+        assert np.abs(f.conj().T @ f - np.eye(f.shape[1])).max() < 1e-14
+
+
+def test_oracle_frame_checks_its_side_before_the_split(monkeypatch):
+    def split(C):
+        raise AssertionError("spectral_split ran")
+
+    monkeypatch.setattr(projector, "spectral_split", split)
+    sym = mode_symbol(build_gallery("laplace_mass", mu=1), 2)
+    for side in ("up", "Plus", None):
+        with pytest.raises(SpecError, match="side must be plus or minus"):
+            cauchy_frame_oracle(sym, side)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +310,7 @@ def test_projector_algebra_and_oracle_range(name):
         assert np.abs(rp + rm - eye).max() < 1e-12
         oracle = cauchy_frame_oracle(sym, "plus")
         rank = int(round(float(np.trace(rp).real)))  # exact for idempotents
-        ang = principal_angles(orthonormal_range_sweep(rp[None], [rank])[0][:, :rank], oracle.matrix)
+        ang = principal_angles(orthonormal_range_sweep(rp[None], [rank])[0][:, :rank], oracle)
         if len(ang):
             assert ang[0] < 1e-7
         # R+ is the spectral projector of the companion matrix
@@ -436,10 +448,7 @@ def test_cross_check_leaves_multiple_root_blocks_bitwise_alone(zeros):
     # prod (d_n - c) over the zeros c has the roots xi = -i c; the local
     # circle at the double root i feeds the blocks, and the cross-check
     # circle must not move its node levels
-    coeffs = np.poly(zeros)  # highest order first
-    k = len(zeros)
-    terms = {(k - j, (0,)): [[float(c)]] for j, c in enumerate(coeffs)}
-    sym = mode_symbol(build_gallery("custom", n=2, r=1, k=k, terms=terms), 0)
+    sym = mode_symbol(_product_spec(zeros), 0)
     assert (2, "upper") in [(mult, half) for _, mult, half in characteristic_roots(sym)]
     checked = layer_potential_blocks(sym, cross_check=True)
     assert np.array_equal(checked, layer_potential_blocks(sym, cross_check=False))
@@ -717,39 +726,151 @@ def test_stack_names_the_mode_whose_circle_did_not_converge(monkeypatch):
     assert info.value.index == 1
 
 
-def _greedy_clusters(xi):
-    # reference: the grouping loop the root table replaced, which merges
-    # each root, in (real, imag) order, into the first cluster whose mean
-    # lies within 1e-7 (1 + max |xi|)
-    tol = 1e-7 * (1.0 + np.abs(xi).max())
-    clusters = []
-    for z in xi[np.lexsort((xi.imag, xi.real))]:
-        for c in clusters:
-            if abs(z - c[0] / c[1]) <= tol:
-                c[0] += z
-                c[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-    return [(total / mult, mult) for total, mult in clusters]
+def _product_spec(zeros, r=1, coupling=None):
+    """``prod (d_n - c)`` over the zeros ``c``, whose roots are ``xi = -i c``,
+    at every mode.  With ``r = 2`` the symbol is ``V diag(p, q) V^-1``, where
+    ``p`` is that product and ``q`` the one over the zeros ``coupling``, of
+    the same order; a fixed complex ``V`` couples the two components."""
+    k = len(zeros)
+    if r == 2:
+        V = np.array([[1.0, 0.5 - 1j], [0.3j, 2.0]])
+        diag = np.array([np.poly(zeros), np.poly(coupling)])
+        coeffs = np.einsum("ij,jq,jk->qik", V, diag, np.linalg.inv(V))
+    else:
+        coeffs = np.poly(zeros)[:, None, None]  # highest order first
+    terms = {(k - j, (0,)): c for j, c in enumerate(coeffs)}
+    return build_gallery("custom", n=2, r=r, k=k, terms=terms)
 
 
-def test_root_clusters_keep_the_greedy_grouping_at_its_edges():
-    rng = np.random.default_rng(12)
-    rows = []
-    for offset in (1e-9, 1e-6, 3e-8, 3e-7):
-        base = rng.normal(size=4) + 1j * rng.normal(size=4) + 0.5j
-        scale = 1.0 + np.abs(base).max()
-        rows.append(np.concatenate([base[:3], [base[0] + offset * scale]]))
-    rows.append(np.array([1j, 1j + 4e-8, 1j - 4e-8 * 1j, 2 + 1j]))  # a triple root
-    xi = np.array(rows)
-    roots, mult, half = root_table(1j * xi, np.zeros((len(xi), 1)))
-    for r, m, x in zip(roots, mult, xi):
-        ref = _greedy_clusters(x)
-        assert m[m > 0].tolist() == [c[1] for c in ref]
-        assert np.abs(r[m > 0] - [c[0] for c in ref]).max() <= 1e-15 * (1 + np.abs(x).max())
-    assert mult[0].max() == 2 and mult[1].max() == 1  # 1e-9 merges, 1e-6 does not
-    assert mult[4].max() == 3 and (half[mult > 0] != 0).all()
+def _roots_of(xi):
+    """:func:`root_table` of rows of roots, each row one mode 0."""
+    xi = np.array(xi)
+    return root_table(1j * xi, np.zeros((len(xi), 1)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_split_k_fold_root_is_one_cluster(k):
+    # rounding splits the k-fold root i about eps^(1/k) apart, wider than
+    # 1e-7 for k >= 3, and linkage joins the split roots again
+    lam = np.linalg.eigvals(companion_stack(_product_spec([-1.0] * k + [2.0]), np.zeros((1, 1))))
+    near = -1j * lam[0][np.abs(-1j * lam[0] - 1j) < 0.5]
+    assert len(near) == k and (np.abs(near[:, None] - near).max() > 1e-7 or k == 2)
+    roots, mult, half = root_table(lam, np.zeros((1, 1)))
+    first = mult[0] > 0
+    got = sorted(zip(mult[0][first].tolist(), roots[0][first], half[0][first].tolist()),
+                 key=lambda t: t[0])
+    assert [(m, h) for m, _, h in got] == [(1, -1.0), (k, 1.0)]
+    assert abs(got[0][1] + 2j) < 1e-12 and abs(got[1][1] - 1j) < 1e-12
+
+
+def test_a_chain_linked_only_through_its_middle_root_is_one_cluster():
+    # the nearest upper root to the real axis is at distance 1, so roots
+    # link within 0.25; the chain's ends lie 0.4 apart and link only
+    # through the middle one, which sorts after both
+    chain = [-0.2 + 1j, -0.1 + 1.2j, -0.2 + 1.4j]
+    roots, mult, _ = _roots_of([chain + [-3j]])
+    assert mult[0].tolist() == [3, 0, 0, 1]  # sorted: the ends, the middle, then -3i
+    assert abs(roots[0, 0] - sum(chain) / 3) < 1e-15
+    assert np.array_equal(roots[0, :3], np.full(3, roots[0, 0]))  # each root holds its mean
+
+
+def test_roots_in_different_half_planes_never_share_a_cluster():
+    # 2e-6 apart across the axis, each 1e-6 from it: far beyond 1e-10,
+    # so no defect, and a quarter of 1e-6 keeps the pair apart
+    roots, mult, half = _roots_of([[3 + 1e-6j, 3 - 1e-6j, 3 + 1e-6j + 2e-7]])
+    assert mult[0].tolist() == [1, 2, 0]
+    assert half[0].tolist() == [-1.0, 1.0, 1.0]
+    assert abs(roots[0, 1] - (3 + 1e-6j + 1e-7)) < 1e-15
+
+
+def test_same_half_roots_just_beyond_the_link_share_stay_single():
+    far = 1.0  # the upper roots' least distance to the real axis
+    for dx, want in ((0.25 * (1 + 1e-9), [1, 1, 1]), (0.25 * (1 - 1e-9), [1, 2, 0])):
+        _, mult, _ = _roots_of([[1j, 1j + dx * far, -2j]])
+        assert mult[0].tolist() == want, dx
+    # each half links at its own distance to the axis: the lower roots at
+    # 0.25 * 4, the upper ones at 0.25 * 1
+    _, mult, _ = _roots_of([[-4j, -4j + 0.9, 1j, 1j + 0.3]])
+    assert mult[0].tolist() == [2, 1, 1, 0]  # sorted: -4i, i, 0.3 + i, 0.9 - 4i
+
+
+def _route_and_schur(sym):
+    """The unchecked residue route's plus projector and the Schur one."""
+    return _unchecked_projector(sym), spectral_split(companion_matrix(sym)).projector
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("upper", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_roots_of_multiplicity_up_to_five_give_the_schur_projector(k, upper, r):
+    # a k-fold root i (or -i) and one simple root in the other half; with
+    # r = 2 a coupled component adds simple roots in both halves
+    sign = 1.0 if upper else -1.0
+    spec = _product_spec([-sign] * k + [2.0 * sign], r, [3.0, -4.0, 5.0, -6.0, 7.0, -8.0][: k + 1])
+    sym = mode_symbol(spec, 0)
+    found = characteristic_roots(sym)
+    assert (k, "upper" if upper else "lower") in [(mult, half) for _, mult, half in found]
+    R, P = _route_and_schur(sym)
+    assert np.abs(R - P).max() <= 1e-10 * (1.0 + np.abs(P).max())
+    checked = calderon_projector(sym).matrix  # the cross-check passes
+    assert np.abs(checked - P).max() <= 1e-10 * (1.0 + np.abs(P).max())
+
+
+def test_a_cluster_no_circle_holds_apart_raises_naming_its_mode():
+    # the upper roots 2i -+ 0.12 link (0.24 < 0.25 * 1, the root i being
+    # nearest the axis), and the simple root 2.26i lies 0.26 from their
+    # mean: a local circle of radius 0.45 * 0.26 cannot hold the pair
+    xi = np.array([1j, 2j - 0.12, 2j + 0.12, 2.26j, -2j])
+    spec = _product_spec(1j * xi)
+    assert (2, "upper") in [(m, h) for _, m, h in characteristic_roots(mode_symbol(spec, 0))]
+    for cross_check in (True, False):
+        with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)"):
+            layer_potential_blocks(mode_symbol(spec, 0), cross_check=cross_check)
+    # an order-0 term 30 i m moves the roots of every other mode apart
+    shifted = build_gallery("custom", n=2, r=1, k=5, terms={**spec.terms, (0, (1,)): [[30.0]]})
+    calderon_projector_stack(shifted, np.array([[3], [-1]]))
+    with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)") as info:
+        calderon_projector_stack(shifted, np.array([[3], [0], [-1]]))
+    assert info.value.index == 1
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_selfadjoint_doubles_give_the_schur_projector(name):
+    spec = selfadjoint_double(build_gallery(name, **GALLERY[name]))
+    modes = np.array(sample_modes(spec, 12, count=40, seed=5))
+    modes = modes[~defect_screen(spec, modes)[2]]
+    for m in modes:
+        sym = mode_symbol(spec, m)
+        R, P = _route_and_schur(sym)
+        assert np.abs(R - P).max() <= 1e-10 * (1.0 + np.abs(P).max()), m
+        calderon_projector(sym)  # the cross-check passes
+    R = calderon_projector_stack(spec, modes)
+    P = stable_projector_sweep(companion_stack(spec, modes))
+    assert (np.abs(R - P).max(axis=(1, 2)) <= 1e-10 * (1.0 + np.abs(P).max(axis=(1, 2)))).all()
+
+
+def test_root_table_flags_the_modes_defect_screen_flags():
+    # the same predicate on the same eigenvalues: per mode, root_table
+    # raises DefectMode exactly where defect_screen marks a defect
+    cases = [(spec, mode_lattice(spec.n, cutoff)) for spec, cutoff in _acceptance_specs()]
+    cases.append((build_gallery("dbar", mu=0.0), mode_lattice(2, 8)))  # a defect at m = 0
+    # a root pair 1e-8 above and below the real axis, one in each coupled
+    # component: no defect for either, though their mean is real
+    cases.append((_product_spec([2j - 1e-8], 2, [2j + 1e-8]), np.zeros((1, 1), dtype=int)))
+    flagged = 0
+    for spec, modes in cases:
+        _, lam, bad = defect_screen(spec, modes)
+        for row, mode, want in zip(lam, modes, bad):
+            try:
+                root_table(row[None], mode[None])
+            except DefectMode as exc:
+                assert want and exc.mode == tuple(mode.tolist())
+            else:
+                assert not want, mode
+        flagged += int(bad.sum())
+    assert flagged >= 1
+    xi = np.sort(-1j * defect_screen(*cases[-1])[1][0])
+    assert np.abs(xi - [2 - 1e-8j, 2 + 1e-8j]).max() < 1e-14
 
 
 def _cofactor_adjugate(M):
@@ -790,11 +911,11 @@ def test_transversality_uniform_in_weighted_metric(name):
         except DefectMode:
             continue
         fm = cauchy_frame_oracle(sym, "minus")
-        if fp.dim == 0 or fm.dim == 0:
+        if fp.shape[1] == 0 or fm.shape[1] == 0:
             continue
         w = _full_weight((m,), spec, 0.5)
-        qp = _weighted_angle_frames(fp.matrix, w)
-        qm = _weighted_angle_frames(fm.matrix, w)
+        qp = _weighted_angle_frames(fp, w)
+        qm = _weighted_angle_frames(fm, w)
         cosmax = np.linalg.svd(qp.conj().T @ qm, compute_uv=False).max()
         worst = min(worst, np.arccos(min(1.0, cosmax)))
     assert worst > 0.2
@@ -869,7 +990,7 @@ def test_orthogonal_projector_gram_formula_oracle():
         P = orthogonal_projector(sym, side, 0.5)
         assert P.kind == kind
         P = P.matrix
-        F = cauchy_frame_oracle(sym, side).matrix
+        F = cauchy_frame_oracle(sym, side)
         G = F @ np.linalg.inv(F.conj().T @ W @ F) @ F.conj().T @ W
         assert np.abs(P - G).max() < 1e-12
         # weighted self-adjointness and idempotency
@@ -921,20 +1042,6 @@ def test_mass_one_laplacian_weighted_projector_collapses_to_flat():
         P = orthogonal_projector(sym, "plus", 0.5).matrix
         R = calderon_projector(sym).matrix
         assert np.abs(P - R).max() < 1e-10
-
-
-def test_ill_conditioned_frame_rejected():
-    frame_matrix = np.array([[1.0, 1.0], [1e-13, 0.0], [0.0, 1e-13], [0.0, 0.0]])
-    with pytest.raises(IllConditionedFrame):
-        CauchyFrame(m=(0,), matrix=frame_matrix, side="plus")
-    for zero_column in (np.zeros((2, 1)), np.array([[1.0, 0.0], [2.0, 0.0]])):
-        with pytest.raises(IllConditionedFrame):
-            CauchyFrame(m=(0,), matrix=zero_column, side="plus")
-
-
-def test_frame_must_be_a_matrix():
-    with pytest.raises(SpecError):
-        CauchyFrame(m=(0,), matrix=np.ones(2), side="plus")
 
 
 def _three_root_spec():
