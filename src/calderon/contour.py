@@ -255,7 +255,8 @@ def _linkage(gaps, far):
 
 
 def _root_clusters(lam, modes):
-    """:func:`root_table`, plus each root's cluster spread: mean to farthest member."""
+    """:func:`root_table` before the means: ``(xi, reach, mult, half)``, ``xi``
+    the sorted roots and ``reach`` True where two roots share a cluster."""
     xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
     dist = np.abs(xi.imag)
     real = on_real_axis(dist, np.asarray(modes, dtype=float)[:, None])
@@ -271,15 +272,12 @@ def _root_clusters(lam, modes):
     # if no root lies within LINK_SHARE of it from another, none links;
     # a pair across the axis, at least both |Im xi| apart, never does
     if np.count_nonzero(gaps <= LINK_SHARE * dist[:, :, None]) == xi.size:
-        return xi, np.ones(xi.shape, dtype=int), half, np.zeros(xi.shape)
+        return xi, gaps == 0, np.ones(xi.shape, dtype=int), half  # no two roots coincide
     up = half > 0
     least = [dist.min(axis=1, where=w, initial=np.inf, keepdims=True) for w in (up, ~up)]
     reach = _linkage(gaps, np.where(up, *least)[:, :, None])
-    size = reach.sum(axis=2)
-    mult = np.where(reach.argmax(axis=2) == np.arange(xi.shape[1]), size, 0)
-    roots = (reach * xi[:, None, :]).sum(axis=2) / size
-    spread = np.abs(xi[:, None, :] - roots[:, :, None]).max(axis=2, where=reach, initial=0.0)
-    return roots, mult, half, spread
+    mult = np.where(reach.argmax(axis=2) == np.arange(xi.shape[1]), reach.sum(axis=2), 0)
+    return xi, reach, mult, half
 
 
 def root_table(lam, modes):
@@ -300,7 +298,10 @@ def root_table(lam, modes):
     axis (:func:`on_real_axis`, as ``defect_screen`` judges the same
     eigenvalues) and listing its real roots.
     """
-    return _root_clusters(lam, modes)[:3]
+    xi, reach, mult, half = _root_clusters(lam, modes)
+    if np.count_nonzero(mult) < mult.size:
+        xi = (reach * xi[:, None, :]).sum(axis=2) / reach.sum(axis=2)
+    return xi, mult, half
 
 
 def characteristic_roots(sym):

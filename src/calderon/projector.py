@@ -170,72 +170,61 @@ def _adjugate(M):
     return sign * np.linalg.det(M[..., rows, cols])
 
 
-def _local_circles(roots, mult, spread, rows, cols, share):
-    """Circles around the root clusters at ``roots[rows, cols]``: radius
-    ``share`` times the distance to the nearest other cluster mean of the
-    mode, or ``max(0.5, |root| / 2)`` for a lone cluster.  Returns the
-    centers, the radii and each circle's ``rho`` (see
-    :func:`contour._sized_nodes`), which counts every cluster's
-    ``spread``: below 1 only when the circle holds its cluster apart."""
-    centers = roots[rows, cols]
-    dist = np.abs(roots[rows] - centers[:, None])
-    others = (mult[rows] > 0) & (dist > 0)
-    gap = np.where(others, dist, np.inf).min(axis=1)
-    radii = np.where(np.isinf(gap), np.maximum(0.5, 0.5 * np.abs(centers)), share * gap)
-    clear = np.where(others, dist - spread[rows], np.inf).min(axis=1)  # no other root is nearer
-    outer = np.divide(radii, clear, out=np.full(radii.shape, np.inf), where=clear > 0)
-    return centers, radii, np.maximum(spread[rows, cols] / radii, outer)
-
-
 def _layer_blocks(A, modes, lam, cross_check):
     """Layer blocks of a mode stack: ``A`` is ``(k+1, N, r, r)``,
     ``modes`` holds one mode per row and ``lam`` the eigenvalues of its
     companion matrices; see :func:`layer_potential_blocks`.
 
     Every failure names its mode: DefectMode, EigenvalueOnContour (a
-    root cluster no local circle holds apart), ContourNotConverged and
-    RoutesDisagree, the residue/quadrature disagreement.
+    root cluster that no circle holds apart from the other roots),
+    ContourNotConverged and RoutesDisagree, the residue/quadrature
+    disagreement.
     """
     k = A.shape[0] - 1
     powers = np.arange(2 * k - 1)
-    roots, mult, half, spread = _root_clusters(lam, modes)
+    xi, reach, mult, half = _root_clusters(lam, modes)
     upper = mult * (half > 0)  # multiplicity of each upper root, 0 elsewhere
 
     # simple roots: residue adj a(xi_l) / (d/dxi det a)(xi_l), where
     # det a(xi) = det A_k * prod_j (i xi - lam_j), in a table over every
     # root whose sum over the root axis takes the simple upper ones
     simple = upper == 1
-    diff = 1j * roots[:, :, None] - lam[:, None, :]
+    diff = 1j * xi[:, :, None] - lam[:, None, :]
     diff[diff == 0] = 1.0  # a simple root's own factor: i root is its lam, exactly
-    denom = np.linalg.det(A[k])[:, None] * 1j * diff.prod(axis=2)
+    detk = np.linalg.det(A[k])
+    denom = detk[:, None] * 1j * diff.prod(axis=2)
     denom[~simple] = 1.0  # where the sum drops the term
-    res = (_adjugate(symbol_values(A[:, :, None], roots)) / denom[..., None, None])[:, :, None]
-    terms = res if k == 1 else (roots[:, :, None] ** powers)[..., None, None] * res  # xi^0 = 1
+    res = (_adjugate(symbol_values(A[:, :, None], xi)) / denom[..., None, None])[:, :, None]
+    terms = res if k == 1 else (xi[:, :, None] ** powers)[..., None, None] * res  # xi^0 = 1
     J = terms.sum(axis=1, where=simple[:, :, None, None, None])
 
-    # circles, integrated on one shared grid: a local one around each
-    # multiple upper root, and with cross_check one per mode around all
-    # its upper roots, clear of the rest; where no circle separates them,
-    # a local circle around each upper root, whose values the check sums.
-    # Those take a smaller radius than the residue route's local circles,
-    # so a multiple root's circle is checked against another circle
+    # circles on one shared grid, placed around raw roots by
+    # enclosing_circle's rule: a local one around each multiple upper
+    # root's cluster, clear of the mode's other roots, and with cross_check
+    # one per mode around its upper roots, clear of the lower ones, or,
+    # where none separates them, a wider one around each upper cluster
     local, cols = np.nonzero(upper > 1)
     parts = []  # (centers, radii, rho, modes) of each kind of circle, local ones first
     if local.size:
-        parts.append((*_local_circles(roots, mult, spread, local, cols, 0.45), local))
+        inside = reach[local, cols]
+        parts.append((*_enclosing_circles(xi[local], inside, ~inside), local))
     checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
     rows = slice(None) if checked.size == len(upper) else checked  # every mode: a view, no copy
     slot = None  # each check circle's row of checked, once a mode has several
     if checked.size:
-        u = upper[rows]
-        center, radius, rho = _enclosing_circles(roots[rows], u > 0, mult[rows] > u)
+        up = half[rows] > 0
+        center, radius, rho = _enclosing_circles(xi[rows], up, ~up)
         stuck = np.isinf(rho)
         if np.count_nonzero(stuck):
             sep = np.flatnonzero(~stuck)
-            row, col = np.nonzero((u > 0) & stuck[:, None])
+            row, col = np.nonzero((upper[rows] > 0) & stuck[:, None])
             parts.append((center[sep], radius[sep], rho[sep], checked[sep]))
-            fallback = _local_circles(roots, mult, spread, checked[row], col, 0.3)
-            parts.append((*fallback, checked[row]))
+            inside = reach[checked[row], col]
+            c, r, rate = _enclosing_circles(xi[checked[row]], inside, ~inside)
+            # spread <= rate r and gap >= r / rate, so r / sqrt(rate) lies
+            # between them at a rate <= sqrt(rate); lower roots make rate > 0
+            s = np.sqrt(rate)
+            parts.append((c, r / s, s, checked[row]))
             slot = np.concatenate([sep, row])
         else:
             parts.append((center, radius, rho, checked))
@@ -250,7 +239,17 @@ def _layer_blocks(A, modes, lam, cross_check):
 
         def integrand(z, idx):
             at = Ao if len(idx) == Ao.shape[1] else Ao[:, idx]  # the first call takes every circle
-            inv = np.linalg.inv(symbol_values(at, z))[..., None, :, :]
+            a = symbol_values(at, z)
+            inv = np.linalg.inv(a)
+            n = np.count_nonzero(idx < local.size)  # the local circles come first
+            if n:
+                # det a(z) factored over the computed roots, as the residues
+                # take it, not the LU one, which cancels near the roots: the
+                # circle sums residues at the poles the simple terms use
+                own = local[idx[:n]]  # their rows of the stack
+                det = detk[own, None] * (1j * z[:n, :, None] - lam[own, None]).prod(axis=2)
+                inv[:n] *= (np.linalg.det(a[:n]) / det)[..., None, None]
+            inv = inv[..., None, :, :]
             return inv if k == 1 else (z[..., None] ** powers)[..., None, None] * inv  # z^0 = 1
 
         # one start for the stack, sized from its slowest local circle
@@ -294,8 +293,8 @@ def layer_potential_blocks(sym, cross_check=True):
       over at multiple roots),
     * contour quadrature around the whole upper root group, or, where no
       circle separates it from the other roots, the sum over one local
-      circle per upper root, smaller than the residue route's local
-      circles so that none of them is compared with itself,
+      circle per upper root cluster, wider than the residue route's
+      local circles so that none of them is compared with itself,
 
     and with ``cross_check`` both must agree to 1e-8 relative to the
     block scale.  This is the N=1 call of the stacked route behind

@@ -816,21 +816,64 @@ def test_roots_of_multiplicity_up_to_five_give_the_schur_projector(k, upper, r):
     assert np.abs(checked - P).max() <= 1e-10 * (1.0 + np.abs(P).max())
 
 
-def test_a_cluster_no_circle_holds_apart_raises_naming_its_mode():
+def test_a_linked_pair_beside_a_simple_root_gives_the_schur_projector():
     # the upper roots 2i -+ 0.12 link (0.24 < 0.25 * 1, the root i being
     # nearest the axis), and the simple root 2.26i lies 0.26 from their
-    # mean: a local circle of radius 0.45 * 0.26 cannot hold the pair
+    # mean: the local circle takes a radius between 0.12 and 0.26
     xi = np.array([1j, 2j - 0.12, 2j + 0.12, 2.26j, -2j])
-    spec = _product_spec(1j * xi)
-    assert (2, "upper") in [(m, h) for _, m, h in characteristic_roots(mode_symbol(spec, 0))]
+    sym = mode_symbol(_product_spec(1j * xi), 0)
+    assert (2, "upper") in [(m, h) for _, m, h in characteristic_roots(sym)]
+    R, P = _route_and_schur(sym)
+    assert np.abs(R - P).max() <= 1e-10 * (1.0 + np.abs(P).max())
+    assert np.array_equal(calderon_projector(sym).matrix, R)  # the cross-check passes
+
+
+@pytest.mark.parametrize("size, lower", [(3, -0.5j), (4, -1j)])
+def test_a_chain_of_distinct_upper_roots_passes_the_cross_check(size, lower):
+    # upper roots 0.24 apart along Im xi = 1 link into one cluster whose
+    # ends lie 0.24 (three roots) or 0.36 (four) from its mean, so the
+    # check's circle must enclose the roots, not only their mean
+    xi = np.append(1j + 0.24 * np.arange(size), lower)
+    sym = mode_symbol(_product_spec(1j * xi), 0)
+    assert (size, "upper") in [(m, h) for _, m, h in characteristic_roots(sym)]
+    R, P = _route_and_schur(sym)
+    assert np.abs(R - P).max() <= 1e-10 * (1.0 + np.abs(P).max())
+    assert np.array_equal(calderon_projector(sym).matrix, R)
+
+
+def _ring_spec():
+    """Eight upper roots 0.38 apart on a circle of radius 0.5 around 2.25i,
+    which link within 0.25 * 1.75 (1.75 is the ring's distance to the
+    real axis), the upper root 2.25i + 0.5 m and the lower root -2i: at
+    mode m, ``a = q(i xi) (i xi + 2.25 - 0.5 i m)``, with ``q`` the
+    product over the ring and the lower root."""
+    ring = 2.25j + 0.5 * np.exp(1j * np.pi / 8 * np.arange(1, 16, 2))
+    spec = _product_spec(np.append(1j * ring, [-2.25, 2.0]))
+    q = np.poly(np.append(1j * ring, 2.0))
+    terms = {**spec.terms, **{(9 - j, (1,)): [[-0.5 * c]] for j, c in enumerate(q)}}
+    return build_gallery("custom", n=2, r=1, k=10, terms=terms)
+
+
+def test_a_cluster_around_another_root_raises_naming_its_mode():
+    # at m = 0 the ninth upper root sits at the ring's mean, 0.5 from the
+    # ring, so no circle around the ring excludes it
+    spec = _ring_spec()
+    sym = mode_symbol(spec, 0)
+    found = sorted((half, mult) for _, mult, half in characteristic_roots(sym))
+    assert found == [("lower", 1), ("upper", 1), ("upper", 8)]
     for cross_check in (True, False):
         with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)"):
-            layer_potential_blocks(mode_symbol(spec, 0), cross_check=cross_check)
-    # an order-0 term 30 i m moves the roots of every other mode apart
-    shifted = build_gallery("custom", n=2, r=1, k=5, terms={**spec.terms, (0, (1,)): [[30.0]]})
-    calderon_projector_stack(shifted, np.array([[3], [-1]]))
+            layer_potential_blocks(sym, cross_check=cross_check)
+    # at m = 1 the ninth root joins the ring's cluster, and at m = 2 it
+    # lies 1 from the ring's mean, outside the ring.  These roots are ill
+    # conditioned: against 60-digit residues, the routes are off by
+    # 7e-8 and 9e-8, the Schur projector by 1e-8 and 7e-9
+    modes = np.array([[1], [2]])
+    R = calderon_projector_stack(spec, modes)
+    P = stable_projector_sweep(companion_stack(spec, modes))
+    assert np.abs(R - P).max() <= 1e-6 * (1.0 + np.abs(P).max())
     with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)") as info:
-        calderon_projector_stack(shifted, np.array([[3], [0], [-1]]))
+        calderon_projector_stack(spec, np.array([[1], [0], [2]]))
     assert info.value.index == 1
 
 
