@@ -428,8 +428,18 @@ class SpectralSplit:
 
     stable: np.ndarray
     unstable: np.ndarray
-    projector: np.ndarray
     gap: float
+
+    @functools.cached_property
+    def projector(self):
+        """Built on first read: the frames alone need no inverse."""
+        d, ds = self.stable.shape
+        if ds == 0:
+            return np.zeros((d, d), dtype=complex)
+        if ds == d:
+            return np.eye(d, dtype=complex)
+        basis = np.hstack([self.stable, self.unstable])
+        return basis[:, :ds] @ np.linalg.inv(basis)[:ds, :]
 
 
 def spectral_split(C):
@@ -465,11 +475,4 @@ def spectral_split(C):
     ds = int(left.sum())
     stable = lapack.ztrsen(left, t, q, job="N")[1][:, :ds]
     unstable = lapack.ztrsen(~left, t, q, job="N")[1][:, : d - ds]
-    if ds == 0:
-        proj = np.zeros((d, d), dtype=complex)
-    elif ds == d:
-        proj = np.eye(d, dtype=complex)
-    else:
-        basis = np.hstack([stable, unstable])
-        proj = basis[:, :ds] @ np.linalg.inv(basis)[:ds, :]
-    return SpectralSplit(stable=stable, unstable=unstable, projector=proj, gap=gap)
+    return SpectralSplit(stable=stable, unstable=unstable, gap=gap)

@@ -588,6 +588,18 @@ def test_split_all_stable():
     assert sp.unstable.shape == (2, 0)
 
 
+def test_split_builds_its_projector_only_when_read(monkeypatch):
+    def inv(a):
+        raise AssertionError("projector built")
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    sp = spectral_split(np.diag([-1.0, 1.0]).astype(complex))
+    assert sp.stable.shape == sp.unstable.shape == (2, 1)
+    monkeypatch.undo()
+    assert np.abs(sp.projector - np.diag([1.0, 0.0])).max() < 1e-12
+    assert sp.projector is sp.projector
+
+
 def test_split_rejects_imaginary_axis():
     with pytest.raises(DefectMode):
         spectral_split(np.diag([1j, -1.0]).astype(complex))

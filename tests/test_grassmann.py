@@ -11,7 +11,7 @@ from calderon.errors import (
     SpecError,
     ThresholdAmbiguous,
 )
-from calderon._kernels import orthonormal_range_sweep, stable_projector_sweep, svdvals_sweep
+from calderon._kernels import stable_projector_sweep, svdvals_sweep
 from calderon.grassmann import (
     _common_indices,
     assemble_point,
@@ -31,6 +31,7 @@ from calderon.symbols import (
     mode_weights,
     selfadjoint_double,
 )
+from test_kernels import svd_range
 from test_symbols import GALLERY
 
 
@@ -80,15 +81,29 @@ def test_frames_are_weight_orthonormal():
         assert np.abs(gram - np.eye(d)).max() < 1e-10
 
 
-@pytest.mark.parametrize("name", sorted(GALLERY))
-def test_weighted_frames_span_the_svd_route_subspaces(name):
-    spec = build_gallery(name, **GALLERY[name])
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, GALLERY[name]) for name in sorted(GALLERY)] + [("dirac3", dict(mu=1, v=0.01))],
+    ids=sorted(GALLERY) + ["dirac3_v0.01"],  # |P| up to 100 at cutoff 16
+)
+def test_weighted_frames_span_the_svd_route_subspaces(name, params):
+    spec = build_gallery(name, **params)
     point = assemble_point(spec, 16)
     comp = companion_stack(spec, point.modes)
-    raw = orthonormal_range_sweep(stable_projector_sweep(comp), point.dims)
-    svd = orthonormal_range_sweep(np.sqrt(point.weights)[:, :, None] * raw, point.dims)
+    raw = svd_range(stable_projector_sweep(comp), point.dims)
+    svd = svd_range(np.sqrt(point.weights)[:, :, None] * raw, point.dims)
     span = lambda q: q @ np.conj(np.swapaxes(q, 1, 2))
     assert np.abs(span(point.ortho) - span(svd)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["dirac2", "dirac3"])
+def test_assemble_point_runs_no_svd(name, monkeypatch):
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd ran")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    point = assemble_point(build_gallery(name, **GALLERY[name]), 4)
+    assert (point.dims > 0).all()
 
 
 def test_defect_modes_excluded_and_listed():

@@ -74,6 +74,59 @@ def _range_projectors(frames):
     return frames @ np.conj(np.swapaxes(frames, 1, 2))
 
 
+def svd_range(mats, dims):
+    """The SVD reference for a range sweep: the leading ``dims[i]`` left
+    singular vectors of every stacked matrix, zero padded."""
+    u = np.linalg.svd(mats)[0]
+    return u * (np.arange(mats.shape[1]) < np.asarray(dims)[:, None])[:, None, :]
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    log_cond=st.floats(0.0, 6.0),
+    oblique=st.booleans(),
+    data=st.data(),
+)
+def test_range_sweep_matches_the_svd_range(seed, d, log_cond, oblique, data):
+    """Oblique projectors ``X diag(1_dims, 0) X^-1`` with cond(X) up to 1e6,
+    or rank-``dims`` matrices whose nonzero singular values lie in
+    [1, 1e6] (the ``chiral_point`` case): a clear gap below the rank."""
+    n = 8
+    dims = np.array(data.draw(st.lists(st.integers(0, d), min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    u, v = (
+        np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+        for _ in range(2)
+    )
+    s = 10.0 ** (log_cond * rng.uniform(size=(n, d)))
+    s[:, 0], s[:, -1] = 1.0, 10.0**log_cond
+    lead = np.arange(d) < dims[:, None]
+    if oblique:
+        x = (u * s[:, None, :]) @ v
+        mats = (x * lead[:, None, :]) @ np.linalg.inv(x)
+    else:
+        mats = (u * (s * lead)[:, None, :]) @ v
+
+    q = _kernels.orthonormal_range_sweep(mats, dims)
+    assert q.shape == (n, d, d)
+    norm = np.linalg.norm(mats, 2, axis=(1, 2))
+    resid = np.linalg.norm(mats - _range_projectors(q) @ mats, 2, axis=(1, 2))
+    gap = np.abs(_range_projectors(q) - _range_projectors(svd_range(mats, dims))).max(axis=(1, 2))
+    for i, k in enumerate(dims):
+        basis = q[i][:, :k]
+        assert np.abs(basis.conj().T @ basis - np.eye(k)).max(initial=0.0) <= 16 * EPS
+        assert np.all(q[i][:, k:] == 0)  # the whole row where dims[i] = 0
+    assert np.all(resid <= 16 * EPS * norm)
+    assert np.all(gap <= 64 * EPS * norm)
+    with pytest.raises(ValueError, match="rank exceeds"):
+        _kernels.orthonormal_range_sweep(mats, np.where(np.arange(n) == n - 1, d + 1, dims))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -98,8 +151,7 @@ def test_qr_sweep_spans_the_weighted_frame_as_the_svd_sweep_does(seed, d, log_ra
         lead = q[i][:, :k]
         assert np.abs(lead.conj().T @ lead - np.eye(k)).max(initial=0.0) <= 1e-14
         assert np.all(q[i][:, k:] == 0)
-    svd = _kernels.orthonormal_range_sweep(weighted, dims)
-    gap = np.abs(_range_projectors(q) - _range_projectors(svd)).max()
+    gap = np.abs(_range_projectors(q) - _range_projectors(svd_range(weighted, dims))).max()
     assert gap <= 1e-15 * d * np.sqrt(ratio)
 
 
