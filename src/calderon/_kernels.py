@@ -129,34 +129,36 @@ def orthonormal_range_sweep(mats, dims):
         taken = out[:, :, :j]
         col -= (taken * (taken.conj() * col[:, :, None]).sum(axis=1)[:, None, :]).sum(axis=2)
         norm = np.sqrt((col.real**2 + col.imag**2).sum(axis=1))
-        live = dims > j
-        col *= (live / np.where(live & (norm > 0), norm, 1.0))[:, None]
+        live = (dims > j) & (norm > 0)
+        # divide the real view by the norm itself, as times 1 / norm can be an
+        # ulp off; a row past its rank divides by inf, to zero
+        flat = col.view(np.float64)
+        flat /= np.where(live, norm, np.inf)[:, None]
         out[:, :, j] = col
         if j + 1 < steps:  # no column is taken after the last one
             res -= col[:, :, None] * (col.conj()[:, :, None] * res).sum(axis=1)[:, None, :]
     return out
 
 
-def qr_range_sweep(mats, dims):
+def weighted_range_sweep(mats, dims):
     """Orthonormal basis of the span of the leading ``dims[i]`` columns
-    of every stacked matrix, by one batched Householder QR.
+    of every stacked matrix, behind the one Gram gate.
 
-    Same shapes and zero padding as ``orthonormal_range_sweep``, for
-    stacks whose leading ``dims[i]`` columns are linearly independent:
-    no column is chosen, so the rank is neither revealed nor repaired.
-    It holds the one Gram gate: the first row whose leading
-    ``dims[i] >= 2`` columns have ``cond^2 > 1e12``, read from ``R``,
-    raises IllConditionedFrame with its ``index``.  A single column has
-    condition 1 and is never checked."""
-    q, r = np.linalg.qr(_as_stack(mats))
-    dims = np.asarray(dims)
+    The first row whose leading ``dims[i] >= 2`` columns have condition
+    number above ``1e12**0.5`` (a Gram condition number above 1e12)
+    raises IllConditionedFrame with its ``index``; a single column has
+    condition 1 and is never checked.  The leading columns are then
+    spanned by ``orthonormal_range_sweep``, with its shapes and zero
+    padding."""
+    mats = _as_stack(mats)
+    dims = np.asarray(dims, dtype=np.int64)
     ok = np.ones(dims.shape, dtype=bool)
     for k in set(dims[dims > 1].tolist()):  # np.unique would load numpy.ma, ~10 ms
-        ok[dims == k] = np.linalg.cond(r[dims == k, :k, :k]) <= 1e12**0.5  # NaN fails
+        ok[dims == k] = np.linalg.cond(mats[dims == k, :, :k]) <= 1e12**0.5  # NaN fails
     if not ok.all():
         raise IllConditionedFrame("weighted Gram matrix is singular", index=int(ok.argmin()))
-    mask = np.arange(q.shape[2])[None, :] < dims[:, None]
-    return q * mask[:, None, :]
+    lead = np.arange(mats.shape[2]) < dims[:, None]
+    return orthonormal_range_sweep(np.where(lead[:, None, :], mats, 0), dims)
 
 
 def _padded_sines(sines_a, da, db):

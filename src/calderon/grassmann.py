@@ -62,10 +62,11 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
     """Build the truncated decaying-side point of an operator.
 
     Frames are the stable invariant subspaces of the per-mode companion
-    matrices, rescaled by ``W^{1/2}`` and re-orthonormalized by QR, whose
-    Gram gate raises IllConditionedFrame.  Defect modes (real-axis roots)
-    are excluded and listed in ``excluded``.  A stalled sign iteration
-    raises DefectMode.  Every error names its mode.
+    matrices, rescaled by ``W^{1/2}`` and re-orthonormalized by
+    ``_kernels.weighted_range_sweep``, whose Gram gate raises
+    IllConditionedFrame.  Defect modes (real-axis roots) are excluded
+    and listed in ``excluded``.  A stalled sign iteration raises
+    DefectMode.  Every error names its mode.
     """
     if cutoff < 1:
         raise SpecError("cutoff must be at least 1")
@@ -81,7 +82,7 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
     try:
         proj = _kernels.stable_projector_sweep(comp)
         raw = _kernels.orthonormal_range_sweep(proj, dims)
-        ortho = _kernels.qr_range_sweep(np.sqrt(w)[:, :, None] * raw, dims)
+        ortho = _kernels.weighted_range_sweep(np.sqrt(w)[:, :, None] * raw, dims)
     except SignIterationStalled as exc:
         key = mode_key(modes[exc.index])
         raise DefectMode(
@@ -158,10 +159,10 @@ class CompareReport:
     operator norm of the projector difference per mode, which is the
     sine of its largest angle (0 where both frames are empty), and
     ``q_svals`` the singular values of the one-sided restriction
-    ``(I - P_B)|_A``, all from :func:`_complement_sines` (A is the side
-    complemented, as in ``projector.principal_angles``).  The global list
-    ``svals`` repeats the sine of every angle twice, the fixed counting
-    convention for projector differences used throughout.
+    ``(I - P_B)|_A``, all from :func:`_complement_sines`, which
+    complements A.  The global list ``svals`` repeats the sine of every
+    angle twice, the fixed counting convention for projector differences
+    used throughout.
     """
 
     modes: np.ndarray

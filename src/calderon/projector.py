@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _padded_sines, eigvals_sweep, qr_range_sweep
+from ._kernels import eigvals_sweep, weighted_range_sweep
 from .contour import (
     _enclosing_circles,
     _mode_at,
@@ -53,7 +53,6 @@ __all__ = [
     "calderon_projector_stack",
     "orthogonal_projector",
     "entry_growth_fit",
-    "principal_angles",
 ]
 
 _AGREEMENT_TOL = 1e-8  # residue route against contour quadrature, relative
@@ -354,40 +353,20 @@ def orthogonal_projector(sym, side, alpha):
     :func:`cauchy_frame_oracle` and the order-``alpha`` Sobolev weight W
     of the symbol's mode (``symbols.mode_weights``), as
     ``W^{-1/2} Q Q* W^{1/2}``, Q from ``assemble_point``'s weighted-frame
-    step (``_kernels.qr_range_sweep``) at N=1, whose Gram gate raises
-    IllConditionedFrame naming the mode.  A side other than plus or
-    minus, or an alpha that is not finite and positive, raises SpecError
-    before the Schur split runs.
+    step (``_kernels.weighted_range_sweep``) at N=1, whose Gram gate
+    raises IllConditionedFrame naming the mode.  A side other than plus
+    or minus, or an alpha that is not finite and positive, raises
+    SpecError before the Schur split runs.
     """
     sqw = np.sqrt(np.repeat(mode_weights([sym.m], sym.k, alpha)[1][0], sym.r))
     F = cauchy_frame_oracle(sym, side)
     try:
-        Q = qr_range_sweep((sqw[:, None] * F)[None], [F.shape[1]])[0]
+        Q = weighted_range_sweep((sqw[:, None] * F)[None], [F.shape[1]])[0]
     except IllConditionedFrame as exc:
         msg = f"weighted Gram matrix at mode {sym.m} is numerically singular"
         raise IllConditionedFrame(msg) from exc
     P = (Q @ Q.conj().T) * (sqw[None, :] / sqw[:, None])
     return BlockProjector(m=sym.m, matrix=P, kind="Pplus" if side == "plus" else "Pminus")
-
-
-def principal_angles(F, G):
-    """Principal angles between two column spaces, largest first.
-
-    Angles near zero are resolved through complement sines rather than
-    arccos of Gram singular values, so subspace agreement down to 1e-14
-    is measurable.  The first space is the one complemented, and a
-    dimension mismatch contributes right angles, as in ``compare_points``;
-    the returned list has length max(dim F, dim G).
-    """
-    F = np.asarray(F, dtype=complex)
-    G = np.asarray(G, dtype=complex)
-    qf = np.linalg.qr(F)[0] if F.shape[1] else F
-    qg = np.linalg.qr(G)[0] if G.shape[1] else G
-    df, dg = qf.shape[1], qg.shape[1]
-    sines = np.zeros((1, max(df, dg)))
-    sines[0, :df] = np.linalg.svd(qf - qg @ (qg.conj().T @ qf), compute_uv=False)
-    padded = _padded_sines(sines, np.array([df]), np.array([dg]))[0]
-    return np.arcsin(np.clip(padded, 0.0, 1.0))
 
 
 def entry_growth_fit(spec, side, modes):

@@ -98,10 +98,12 @@ def test_weighted_frames_span_the_svd_route_subspaces(name, params):
 
 @pytest.mark.parametrize("name", ["dirac2", "dirac3"])
 def test_assemble_point_runs_no_svd(name, monkeypatch):
-    def svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd ran")
+    for routine in ("svd", "qr"):
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
+        def ran(*args, routine=routine, **kwargs):
+            raise AssertionError(f"np.linalg.{routine} ran")
+
+        monkeypatch.setattr(np.linalg, routine, ran)
     point = assemble_point(build_gallery(name, **GALLERY[name]), 4)
     assert (point.dims > 0).all()
 
@@ -174,6 +176,16 @@ def test_identical_points_compare_to_zero():
     assert rep.svals.max() == 0.0
     assert rep.agreement == "full"
     assert rep.diff_norms.max() == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(set(GALLERY) - {"dbar"}))  # dbar: the test above
+def test_a_point_compares_to_itself_within_rounding(name):
+    # the 1 x 1 frames of twisted_dbar, as of dbar, normalize to exactly 1
+    pa = assemble_point(build_gallery(name, **GALLERY[name]), 16)
+    rep = compare_points(pa, pa)
+    bound = 0.0 if name == "twisted_dbar" else 4 * np.finfo(float).eps
+    assert rep.svals.max() <= bound
+    assert rep.diff_norms.max() <= bound
 
 
 def test_twist_comparison_is_finite_rank_six():

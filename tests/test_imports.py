@@ -114,7 +114,7 @@ def test_each_subcommand_loads_only_what_it_runs(specs, tmp_path, argv, modules)
     got = _fresh([argv + ["--cutoff", "8", "--out", "report"]], tmp_path)
     assert got["codes"] == [0]
     assert {m for m in got["loaded"] if m.split(".")[0] == "calderon"} == modules
-    if "--spec-a" in argv:  # nor scipy, nor numpy.ma, which qr_range_sweep keeps out
+    if "--spec-a" in argv:  # nor scipy, nor numpy.ma, which weighted_range_sweep keeps out
         assert [m for m in got["loaded"] if m.split(".")[0] != "calderon"] == []
 
 
@@ -133,7 +133,7 @@ ROOT_NAMES = {
     "projector": ["calderon_projector",
                   "calderon_projector_stack", "cauchy_frame_oracle", "entry_growth_fit",
                   "invert_jump_operator", "jump_operator", "layer_potential_blocks",
-                  "orthogonal_projector", "principal_angles"],
+                  "orthogonal_projector"],
     "symbols": ["EllipticityReport", "ModeSymbol", "OperatorSpec", "agree_up_to_order",
                 "build_gallery", "check_ellipticity", "companion_matrix", "dump_spec",
                 "from_document", "homogeneous_component", "load_spec", "mode_symbol",

@@ -127,6 +127,16 @@ def test_range_sweep_matches_the_svd_range(seed, d, log_cond, oblique, data):
         _kernels.orthonormal_range_sweep(mats, np.where(np.arange(n) == n - 1, d + 1, dims))
 
 
+def test_range_sweep_divides_each_column_by_its_norm():
+    # a column times the rounded reciprocal of its norm is an ulp off:
+    # 1 - 2**-53 for about one positive 1 x 1 entry in eight
+    x = np.random.default_rng(11).uniform(1e-3, 1e3, size=(1000, 1, 1))
+    assert np.all(_kernels.orthonormal_range_sweep(x, np.ones(1000, dtype=np.int64)) == 1.0)
+    y = np.random.default_rng(12).uniform(0.1, 10.0, size=(1000, 3, 1))
+    q = _kernels.orthonormal_range_sweep(y, np.ones(1000, dtype=np.int64))[:, :, 0]
+    assert np.array_equal(q, y[:, :, 0] / np.sqrt((y[:, :, 0] ** 2).sum(axis=1))[:, None])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -134,7 +144,7 @@ def test_range_sweep_matches_the_svd_range(seed, d, log_cond, oblique, data):
     log_ratio=st.floats(0.0, 6.0),
     data=st.data(),
 )
-def test_qr_sweep_spans_the_weighted_frame_as_the_svd_sweep_does(seed, d, log_ratio, data):
+def test_weighted_sweep_spans_the_weighted_frame_as_the_svd_sweep_does(seed, d, log_ratio, data):
     n = 8
     dims = np.array(data.draw(st.lists(st.integers(0, d), min_size=n, max_size=n)))
     rng = np.random.default_rng(seed)
@@ -145,7 +155,7 @@ def test_qr_sweep_spans_the_weighted_frame_as_the_svd_sweep_does(seed, d, log_ra
     w[:, 0], w[:, -1] = 1.0, ratio
     weighted = np.sqrt(w)[:, :, None] * raw
 
-    q = _kernels.qr_range_sweep(weighted, dims)
+    q = _kernels.weighted_range_sweep(weighted, dims)
     assert q.shape == (n, d, d)
     for i, k in enumerate(dims):
         lead = q[i][:, :k]
@@ -155,26 +165,28 @@ def test_qr_sweep_spans_the_weighted_frame_as_the_svd_sweep_does(seed, d, log_ra
     assert gap <= 1e-15 * d * np.sqrt(ratio)
 
 
-def test_qr_sweep_gate_names_the_first_ill_conditioned_row():
+def test_weighted_sweep_gate_names_the_first_ill_conditioned_row():
     rng = np.random.default_rng(5)
     frames = np.linalg.qr(rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4)))[0]
     dims = np.array([2, 1, 3, 2, 0, 2])
-    _kernels.qr_range_sweep(frames, dims)
+    q = _kernels.weighted_range_sweep(frames, dims)
+    lead = frames * (np.arange(4) < dims[:, None])[:, None, :]  # the later columns do not count
+    assert np.abs(_range_projectors(q) - _range_projectors(lead)).max() <= 1e-14
     bad = frames.copy()
     for i in (3, 5):  # two nearly parallel leading columns: cond^2 about 4e14
         bad[i, :, 1] = bad[i, :, 0] + 1e-7 * bad[i, :, 1]
     with pytest.raises(IllConditionedFrame) as info:
-        _kernels.qr_range_sweep(bad, dims)
+        _kernels.weighted_range_sweep(bad, dims)
     assert info.value.index == 3
 
 
-def test_qr_sweep_gate_never_checks_a_single_column():
+def test_weighted_sweep_gate_never_checks_a_single_column():
     rng = np.random.default_rng(6)
     frames = np.linalg.qr(rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4)))[0]
     w = np.array([1.0, 1e5, 1e10, 1e20])  # weight ratio 1e20
     weighted = np.sqrt(w)[None, :, None] * frames
-    q = _kernels.qr_range_sweep(weighted, np.ones(5, dtype=np.int64))
+    q = _kernels.weighted_range_sweep(weighted, np.ones(5, dtype=np.int64))
     assert np.all(q[:, :, 1:] == 0)
     with pytest.raises(IllConditionedFrame) as info:
-        _kernels.qr_range_sweep(weighted, np.full(5, 4))
+        _kernels.weighted_range_sweep(weighted, np.full(5, 4))
     assert info.value.index == 0

@@ -32,11 +32,10 @@ from calderon.projector import (
     mode_lattice,
     mode_matrix_stack,
     orthogonal_projector,
-    principal_angles,
     scan_defect_modes,
 )
 from calderon.contour import characteristic_roots, enclosing_circle, root_table, spectral_split
-from calderon.grassmann import assemble_point, compare_points
+from calderon.grassmann import _complement_sines, assemble_point, compare_points
 from calderon.symbols import (
     build_gallery,
     defect_screen,
@@ -310,9 +309,7 @@ def test_projector_algebra_and_oracle_range(name):
         assert np.abs(rp + rm - eye).max() < 1e-12
         oracle = cauchy_frame_oracle(sym, "plus")
         rank = int(round(float(np.trace(rp).real)))  # exact for idempotents
-        ang = principal_angles(orthonormal_range_sweep(rp[None], [rank])[0][:, :rank], oracle)
-        if len(ang):
-            assert ang[0] < 1e-7
+        assert _sweep_angles(rp, oracle, rank).max(initial=0.0) < 1e-7
         # R+ is the spectral projector of the companion matrix
         sp = spectral_split(companion_matrix(sym))
         assert np.abs(rp - sp.projector).max() < 1e-8
@@ -332,9 +329,22 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _sweep_angles(F, G, df=None):
+    """Principal angles between the range of F (of rank ``df``, by
+    default its column count) and the column space of G, largest first,
+    as compare_points and acceptance criterion 1 take them: complement
+    sines over range-sweep frames, the first frame complemented."""
+    da = np.array([F.shape[1] if df is None else df])
+    db = np.array([G.shape[1]])
+    QF = orthonormal_range_sweep(F[None], da)
+    QG = orthonormal_range_sweep(G[None], db)
+    sines = _complement_sines(QF, QG, da, db)[2][0, : max(da[0], db[0])]
+    return np.arcsin(np.clip(sines, 0.0, 1.0))
+
+
 def _principal_angles_smaller_side(F, G):
-    # reference: principal_angles before it complemented its first frame,
-    # as compare_points does; it complemented the smaller-dimensional one
+    # reference: QR frames, the smaller-dimensional one complemented, where
+    # compare_points complements its first frame
     F = np.asarray(F, dtype=complex)
     G = np.asarray(G, dtype=complex)
     qf = np.linalg.qr(F)[0] if F.shape[1] else F
@@ -359,16 +369,13 @@ def test_principal_angles_complement_the_first_frame():
         df, dg = (int(x) for x in rng.integers(0, rk + 1, size=2))
         F = rng.normal(size=(rk, df)) + 1j * rng.normal(size=(rk, df))
         G = rng.normal(size=(rk, dg)) + 1j * rng.normal(size=(rk, dg))
-        got, ref = principal_angles(F, G), _principal_angles_smaller_side(F, G)
+        got, ref = _sweep_angles(F, G), _principal_angles_smaller_side(F, G)
         assert got.shape == (max(df, dg),)
-        if df == dg:
-            counts["equal"] += 1
-            assert np.array_equal(got, ref)
-        else:
-            counts["unequal"] += 1
-            low = ref < 1.5
-            assert np.abs(got - ref)[low].max(initial=0.0) <= 1e-12
-            assert np.abs(got - ref)[~low].max(initial=0.0) <= 1e-7
+        counts["equal" if df == dg else "unequal"] += 1
+        # equal dimensions complement the same side: the frames differ by rounding only
+        low = ref < 1.5
+        assert np.abs(got - ref)[low].max(initial=0.0) <= (1e-14 if df == dg else 1e-12)
+        assert np.abs(got - ref)[~low].max(initial=0.0) <= 1e-7
     assert min(counts.values()) >= 50
 
 
@@ -1043,6 +1050,28 @@ def test_orthogonal_projector_gram_formula_oracle():
         R = calderon_projector(sym, side).matrix
         assert np.abs(P @ R - R).max() < 1e-8
         assert np.abs(R @ P - P).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "name, params, m, side, alpha",
+    [
+        ("laplace_mass", dict(mu=2), (3,), "plus", 0.5),  # the two golden reports
+        ("dirac3", dict(mu=1, v=0.3), (2, -3), "minus", 1.7),
+        ("laplace_mass", dict(mu=1), (-40,), "minus", 0.5),  # |P| = 20
+    ],
+    ids=["laplace2_m3", "dirac3_m2_-3_minus_a1.7", "laplace1_m-40_minus"],
+)
+def test_orthogonal_projector_matches_the_gram_formula_to_50_digits(name, params, m, side, alpha):
+    mpmath = pytest.importorskip("mpmath")
+    spec = build_gallery(name, **params)
+    sym = mode_symbol(spec, m)
+    F = cauchy_frame_oracle(sym, side)  # the frame both computations start from
+    with mpmath.workdps(50):
+        Fm = mpmath.matrix(F.tolist())
+        W = mpmath.diag([mpmath.mpf(float(x)) for x in _full_weight(m, spec, alpha)])
+        ref = np.array((Fm * mpmath.inverse(Fm.H * W * Fm) * Fm.H * W).tolist(), dtype=complex)
+    P = orthogonal_projector(sym, side, alpha).matrix
+    assert np.abs(P - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
 
 
 def test_orthogonal_projector_checks_side_and_alpha_before_the_split(monkeypatch):
