@@ -184,7 +184,9 @@ def _enclosing_circles(points, inside, outside):
     Returns the centers, the radii and each circle's ``rho`` (see
     :func:`_sized_nodes`).  A row whose group cannot be separated from
     its excluded points gets ``rho = inf``; :func:`_separating_circles`
-    raises on it.
+    and the layer route raise on it.  The layer route makes one call,
+    one row per upper root cluster clear of the mode's other roots, for
+    its local and its check circles alike.
     """
     center = points.sum(axis=1, where=inside) / inside.sum(axis=1)
     dist = np.abs(points - center[:, None])

@@ -58,10 +58,6 @@ class EigenvalueOnCut(CalderonError):
     separated from it by a circle."""
 
 
-class SingularBlock(CalderonError):
-    """The top-order coefficient block is singular."""
-
-
 class IllConditionedFrame(_StackError):
     """The weighted Gram matrix of a frame is numerically singular."""
 

@@ -28,7 +28,6 @@ from .errors import (
     EigenvalueOnContour,
     IllConditionedFrame,
     RoutesDisagree,
-    SingularBlock,
     SpecError,
 )
 from .symbols import (  # the stack builders and the defect scan are re-exported
@@ -47,7 +46,6 @@ __all__ = [
     "companion_matrix",
     "cauchy_frame_oracle",
     "jump_operator",
-    "invert_jump_operator",
     "layer_potential_blocks",
     "calderon_projector",
     "calderon_projector_stack",
@@ -114,27 +112,6 @@ def _jump(A):
     return _block_hankel(list(A[1:]) + [None] * (A.shape[0] - 2))
 
 
-def invert_jump_operator(a_op, block_size):
-    """Exact inverse of the anti-triangular block matrix from
-    :func:`jump_operator`: the N=1 call of :func:`_jump_inverse` on the
-    blocks ``A_1 .. A_k`` of its first block row.  It vanishes above the
-    anti-diagonal.  Raises SingularBlock when ``A_k`` is singular, and
-    SpecError on a block size that is a bool, not an int, or below 1.
-    """
-    a_op = np.asarray(a_op, dtype=complex)
-    r = block_size
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise SpecError(f"block size must be at least 1 and an int, got {r!r}")
-    if a_op.shape[0] % r:
-        raise SpecError("matrix size is not a multiple of the block size")
-    k = a_op.shape[0] // r
-    A = np.zeros((k + 1, 1, r, r), dtype=complex)
-    A[1:, 0] = a_op[:r].reshape(r, k, r).transpose(1, 0, 2)
-    if abs(np.linalg.det(A[k, 0])) < 1e-300:
-        raise SingularBlock("top-order block is singular")
-    return _jump_inverse(A)[0]
-
-
 def _jump_inverse(A):
     """Inverse jump operators ``(..., rk, rk)`` of an ``A`` stack ``(k+1, ..., r, r)``
     (``A_0`` unread).  With ``E`` the block reversal, ``J E`` is upper block-Toeplitz
@@ -174,10 +151,11 @@ def _layer_blocks(A, modes, lam, cross_check):
     ``modes`` holds one mode per row and ``lam`` the eigenvalues of its
     companion matrices; see :func:`layer_potential_blocks`.
 
-    Every failure names its mode: DefectMode, EigenvalueOnContour (a
-    root cluster that no circle holds apart from the other roots),
-    ContourNotConverged and RoutesDisagree, the residue/quadrature
-    disagreement.
+    Every circle, local or check, is placed by one ``_enclosing_circles``
+    call over the upper root clusters.  Every failure names its mode:
+    DefectMode, EigenvalueOnContour (a root cluster that no circle holds
+    apart from the other roots), ContourNotConverged and RoutesDisagree,
+    the residue/quadrature disagreement.
     """
     k = A.shape[0] - 1
     powers = np.arange(2 * k - 1)
@@ -197,39 +175,35 @@ def _layer_blocks(A, modes, lam, cross_check):
     terms = res if k == 1 else (xi[:, :, None] ** powers)[..., None, None] * res  # xi^0 = 1
     J = terms.sum(axis=1, where=simple[:, :, None, None, None])
 
-    # circles on one shared grid, placed around raw roots by
-    # enclosing_circle's rule: a local one around each multiple upper
-    # root's cluster, clear of the mode's other roots, and with cross_check
-    # one per mode around its upper roots, clear of the lower ones, or,
-    # where none separates them, a wider one around each upper cluster
-    local, cols = np.nonzero(upper > 1)
-    parts = []  # (centers, radii, rho, modes) of each kind of circle, local ones first
-    if local.size:
-        inside = reach[local, cols]
-        parts.append((*_enclosing_circles(xi[local], inside, ~inside), local))
-    checked = np.nonzero(upper.any(axis=1))[0] if cross_check else local[:0]
-    rows = slice(None) if checked.size == len(upper) else checked  # every mode: a view, no copy
-    slot = None  # each check circle's row of checked, once a mode has several
-    if checked.size:
-        up = half[rows] > 0
-        center, radius, rho = _enclosing_circles(xi[rows], up, ~up)
-        stuck = np.isinf(rho)
-        if np.count_nonzero(stuck):
-            sep = np.flatnonzero(~stuck)
-            row, col = np.nonzero((upper[rows] > 0) & stuck[:, None])
-            parts.append((center[sep], radius[sep], rho[sep], checked[sep]))
-            inside = reach[checked[row], col]
-            c, r, rate = _enclosing_circles(xi[checked[row]], inside, ~inside)
-            # spread <= rate r and gap >= r / rate, so r / sqrt(rate) lies
-            # between them at a rate <= sqrt(rate); lower roots make rate > 0
-            s = np.sqrt(rate)
-            parts.append((c, r / s, s, checked[row]))
-            slot = np.concatenate([sep, row])
-        else:
-            parts.append((center, radius, rho, checked))
-    if parts:
-        centers, radii, rho, owner = map(np.concatenate, zip(*parts)) if parts[1:] else parts[0]
-        wide = ~(rho < 1)  # NaN too: a local circle that cannot hold its cluster apart
+    # circles on one shared grid, one around each upper root cluster, clear
+    # of the mode's other roots, placed around raw roots by
+    # enclosing_circle's rule: the local circles of the multiple clusters,
+    # and with cross_check one check circle per cluster, the same circle
+    # at a simple root and a wider one at a multiple root, so that no
+    # local circle is compared with itself
+    row, col = np.nonzero(upper)  # each cluster at its first root
+    n_local = np.count_nonzero(upper > 1)
+    local = row[:0]  # the local circles' rows of the stack, which come first
+    owner = row if cross_check else local
+    if n_local or owner.size:
+        inside = reach[row, col]
+        centers, radii, rates = _enclosing_circles(xi[row], inside, ~inside)
+    if n_local:
+        multiple = upper[row, col] > 1
+        local = row[multiple]
+        circles = centers[multiple], radii[multiple], rates[multiple], local
+        if cross_check:
+            # with rho a circle's rate, spread <= rho r and gap >= r / rho,
+            # so r / s lies between them at a rate <= rho / s for any
+            # sqrt(rho) <= s < 1.  Where a root is excluded rho >= 1/8 and
+            # s = sqrt(rho); where none is, rho can be 0 (an exact multiple
+            # root alone), and s = 1/8
+            s = np.where(multiple, np.sqrt(np.maximum(rates, 1 / 64)), 1.0)
+            rate = np.where(multiple, np.minimum(s, 8 * rates), rates)
+            circles = map(np.concatenate, zip(circles, (centers, radii / s, rate, row)))
+        centers, radii, rates, owner = circles
+    if owner.size:
+        wide = ~(rates < 1)  # NaN too: a circle that cannot hold its cluster apart
         if np.count_nonzero(wide):
             i = owner[wide.argmax()]
             msg = f"no circle separates a root cluster at mode {_mode_at(modes, i)}"
@@ -253,7 +227,7 @@ def _layer_blocks(A, modes, lam, cross_check):
 
         # one start for the stack, sized from its slowest local circle
         # if it has any, so the cross-check never moves the blocks
-        slowest = rho[: local.size].max() if local.size else rho.max()
+        slowest = rates[: local.size].max() if local.size else rates.max()
         try:
             values, _ = _stacked_quadrature(integrand, centers, radii, _sized_nodes(slowest))
         except ContourNotConverged as exc:
@@ -263,11 +237,13 @@ def _layer_blocks(A, modes, lam, cross_check):
             np.add.at(J, local, values[: local.size])
 
     # the blocks scale J by powers of i, exactly, so comparing J compares them
-    if checked.size:
-        Jc, quad = J[rows], values[local.size :]
-        if slot is not None:  # the local circles of a mode add up to its check
-            quad = np.zeros_like(Jc)
+    if cross_check and row.size:
+        checked, quad = row, values[local.size :]
+        if np.count_nonzero(row[1:] == row[:-1]):  # a mode's check circles add up
+            checked, slot = np.unique(row, return_inverse=True)
+            quad = np.zeros((checked.size,) + quad.shape[1:], dtype=complex)
             np.add.at(quad, slot, values[local.size :])
+        Jc = J[checked]
         err = np.abs(Jc - quad).max(axis=(1, 2, 3))
         agree = err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3)))  # NaN fails
         if np.count_nonzero(agree) < agree.size:
@@ -290,10 +266,10 @@ def layer_potential_blocks(sym, cross_check=True):
 
     * residue algebra at the characteristic roots (local circles take
       over at multiple roots),
-    * contour quadrature around the whole upper root group, or, where no
-      circle separates it from the other roots, the sum over one local
-      circle per upper root cluster, wider than the residue route's
-      local circles so that none of them is compared with itself,
+    * contour quadrature, summed over one check circle per upper root
+      cluster: the residue route's circle at a simple root, and a wider
+      one at a multiple root, so that no local circle is compared with
+      itself,
 
     and with ``cross_check`` both must agree to 1e-8 relative to the
     block scale.  This is the N=1 call of the stacked route behind

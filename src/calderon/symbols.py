@@ -372,15 +372,6 @@ def mode_symbol(spec, m):
     return ModeSymbol(spec=spec, m=m, A=mode_matrix_stack(spec, [m])[:, 0])
 
 
-def homogeneous_component(spec, j, m, xi_n):
-    """Degree ``k - j`` homogeneous part of the symbol at ``(m, xi_n)``:
-    the N=1 call of :func:`symbol_values` on the degree ``k - j`` terms."""
-    if not 0 <= j <= spec.k:
-        raise SpecError(f"component index {j} outside 0..{spec.k}")
-    A = _term_stack(spec, [_as_mode(spec, m)], spec.k - j)
-    return symbol_values(A, np.asarray(complex(xi_n)))[0]
-
-
 def agree_up_to_order(a, b):
     """Largest q such that the homogeneous components of degree >= k - q
     coincide; ``"full"`` when the whole coefficient tables agree, ``None``

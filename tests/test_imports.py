@@ -132,11 +132,10 @@ ROOT_NAMES = {
                   "krichever_reference", "schatten_fit"],
     "projector": ["calderon_projector",
                   "calderon_projector_stack", "cauchy_frame_oracle", "entry_growth_fit",
-                  "invert_jump_operator", "jump_operator", "layer_potential_blocks",
-                  "orthogonal_projector"],
+                  "jump_operator", "layer_potential_blocks", "orthogonal_projector"],
     "symbols": ["EllipticityReport", "ModeSymbol", "OperatorSpec", "agree_up_to_order",
                 "build_gallery", "check_ellipticity", "companion_matrix", "dump_spec",
-                "from_document", "homogeneous_component", "load_spec", "mode_symbol",
+                "from_document", "load_spec", "mode_symbol",
                 "read_spec", "save_spec", "selfadjoint_double", "to_document"],
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calderon import contour, projector, symbols
-from calderon._kernels import orthonormal_range_sweep, stable_projector_sweep
+from calderon._kernels import eigvals_sweep, orthonormal_range_sweep, stable_projector_sweep
 from calderon.acceptance import _acceptance_specs
 from calderon.errors import (
     CalderonError,
@@ -13,7 +13,6 @@ from calderon.errors import (
     EigenvalueOnContour,
     IllConditionedFrame,
     RoutesDisagree,
-    SingularBlock,
     SpecError,
 )
 from calderon.projector import (
@@ -26,7 +25,6 @@ from calderon.projector import (
     companion_matrix,
     companion_stack,
     entry_growth_fit,
-    invert_jump_operator,
     jump_operator,
     layer_potential_blocks,
     mode_lattice,
@@ -144,46 +142,38 @@ def test_jump_operator_blocks():
     assert np.abs(jump_operator(mode_symbol(d2, 1)) - s1).max() < 1e-14
 
 
+def _one_mode_stack(*blocks):
+    """The ``A`` stack ``(k+1, 1, r, r)`` of one mode with the blocks
+    ``A_1 .. A_k`` (``A_0``, which the jump operator never reads, is zero)."""
+    blocks = [np.atleast_2d(b) for b in blocks]
+    return np.array([np.zeros_like(blocks[0])] + blocks, dtype=complex)[:, None]
+
+
 def test_jump_operator_inverse_pattern():
     # k = 2 scalar with blocks A_1 = c, A_2 = 1
     c = 3.7
-    A = np.array([[c, 1.0], [1.0, 0.0]], dtype=complex)
-    X = invert_jump_operator(A, 1)
+    A = _one_mode_stack(c, 1.0)
+    J, X = _jump(A)[0], _jump_inverse(A)[0]
+    assert np.abs(J - np.array([[c, 1.0], [1.0, 0.0]])).max() == 0
     assert np.abs(X - np.array([[0, 1], [1, -c]])).max() < 1e-14
-    assert np.abs(A @ X - np.eye(2)).max() < 1e-13
+    assert np.abs(J @ X - np.eye(2)).max() < 1e-13
 
 
 def test_jump_operator_self_inverse_case():
-    A = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-    assert np.abs(invert_jump_operator(A, 1) - A).max() < 1e-14
+    A = _one_mode_stack(0.0, -1.0)  # J = [[0, -1], [-1, 0]]
+    assert np.abs(_jump_inverse(A)[0] - _jump(A)[0]).max() < 1e-14
 
 
 def test_jump_operator_inverse_random_order_three():
     rng = np.random.default_rng(2)
-    blocks = {t: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for t in (1, 2, 3)}
-    A = np.zeros((6, 6), dtype=complex)
-    for q in range(3):
-        for p in range(3 - q):
-            A[2 * q : 2 * q + 2, 2 * p : 2 * p + 2] = blocks[q + p + 1]
-    X = invert_jump_operator(A, 2)
-    cond = np.linalg.cond(A)
-    assert np.abs(A @ X - np.eye(6)).max() < 1e-12 * cond
+    blocks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for t in (1, 2, 3)]
+    A = _one_mode_stack(*blocks)
+    J, X = _jump(A)[0], _jump_inverse(A)[0]
+    assert np.abs(J @ X - np.eye(6)).max() < 1e-12 * np.linalg.cond(J)
     # anti-triangular: vanishes above the anti-diagonal
     assert np.abs(X[:2, :2]).max() < 1e-14
     assert np.abs(X[:2, 2:4]).max() < 1e-14
     assert np.abs(X[2:4, :2]).max() < 1e-14
-
-
-def test_jump_inverse_needs_a_block_size_of_at_least_one():
-    for size in (0, True, 1.0, "1", None):  # a non-int used to fail inside numpy
-        with pytest.raises(SpecError, match="block size must be at least 1"):
-            invert_jump_operator(np.eye(2, dtype=complex), size)
-
-
-def test_singular_top_block_rejected():
-    A = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(SingularBlock):
-        invert_jump_operator(A, 1)
 
 
 def _jump_inverse_specs():
@@ -206,10 +196,9 @@ def test_stacked_jump_inverse(name):
     for p in range(k):
         for j in range(k - 1 - p):  # above the anti-diagonal
             assert not blocks[:, p, :, j].any()
-    for m in modes[::5]:
-        sym = mode_symbol(spec, m)
-        want = _jump_inverse(sym.A[:, None])[0]
-        assert invert_jump_operator(jump_operator(sym), r).tobytes() == want.tobytes()
+    for m in modes[::5]:  # a mode's own stack of one gives its row, bit for bit
+        want = _jump_inverse(mode_symbol(spec, m).A[:, None])[0]
+        assert X[(modes == m).all(axis=1)][0].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +500,14 @@ def test_cross_check_sums_local_circles_where_no_circle_separates_the_roots(monk
     unchecked = _unchecked_projector(sym)
     oracle = spectral_split(companion_matrix(sym)).projector
     assert np.abs(unchecked - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
-    # the check runs one local circle per upper root, on one grid, and
-    # never moves the residue blocks of these simple roots
+    # the check runs one circle per upper root, on one grid, and never
+    # moves the residue blocks of these simple roots
     calls = _counting(monkeypatch, "_stacked_quadrature")
     assert np.array_equal(calderon_projector(sym).matrix, unchecked)
     assert len(calls) == 1
-    # in a stack, modes whose upper roots a circle separates (here m > 0)
-    # and modes that take local circles share the one quadrature
+    # in a stack, the check circles of every mode share the one
+    # quadrature, whether or not a circle separates its upper roots (here
+    # at m > 0)
     mixed = _stuck_roots_spec(shift=30.0)[0]
     modes = np.arange(-3, 4)[:, None]
     R = calderon_projector_stack(mixed, modes)
@@ -534,22 +524,31 @@ def test_cross_check_sums_local_circles_where_no_circle_separates_the_roots(monk
         calderon_projector(mode_symbol(spec, -1))
 
 
-def test_cross_check_integrates_its_own_circle_at_a_stuck_double_root(monkeypatch):
-    spec, _ = _stuck_roots_spec(double=True)
+@pytest.mark.parametrize("case", ["stuck", "lone", "alone"])
+def test_cross_check_integrates_its_own_circle_at_a_double_root(case, monkeypatch):
+    # stuck: no circle holds both upper roots apart from the lower one;
+    # lone: the double root i is the only upper root, and -i the lower one;
+    # alone: (d_n + 1) on two components, whose exact double root i is the
+    # only root, so its circle excludes nothing
+    if case == "stuck":
+        spec = _stuck_roots_spec(double=True)[0]
+        want = [("lower", 1), ("upper", 1), ("upper", 2)]
+    elif case == "lone":
+        spec = _product_spec([-1.0, -1.0, 1.0])
+        want = [("lower", 1), ("upper", 2)]
+    else:
+        eye = np.eye(2)
+        spec = build_gallery("custom", n=2, r=2, k=1, terms={(1, (0,)): eye, (0, (0,)): eye})
+        want = [("upper", 2)]
     sym = mode_symbol(spec, 0)
     found = characteristic_roots(sym)
-    assert sorted((half, mult) for _, mult, half in found) == [
-        ("lower", 1), ("upper", 1), ("upper", 2)
-    ]
-    upper = [x for x, _, half in found if half == "upper"]
-    with pytest.raises(EigenvalueOnContour):
-        enclosing_circle(upper, excluded=[x for x, _, half in found if half == "lower"])
+    assert sorted((half, mult) for _, mult, half in found) == want
     unchecked = _unchecked_projector(sym)
     oracle = spectral_split(companion_matrix(sym)).projector
     assert np.abs(unchecked - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
     # one quadrature: the residue route's local circle at the double root,
-    # then the check's local circles at both upper roots, none of which
-    # is the residue route's circle
+    # then one check circle per upper cluster, none of which is the
+    # residue route's circle
     circles = []
     real = projector._stacked_quadrature
 
@@ -561,7 +560,7 @@ def test_cross_check_integrates_its_own_circle_at_a_stuck_double_root(monkeypatc
     assert np.array_equal(calderon_projector(sym).matrix, unchecked)
     assert len(circles) == 1
     centers, radii = circles[0]
-    assert len(centers) == 3
+    assert len(centers) == 1 + sum(half == "upper" for half, _ in want)
     check = list(zip(centers[1:], radii[1:]))
     assert all(
         abs(c - centers[0]) > radii[0] or abs(r - radii[0]) > 1e-3 * radii[0] for c, r in check
@@ -574,8 +573,36 @@ def test_cross_check_integrates_its_own_circle_at_a_stuck_double_root(monkeypatc
         return values, counts
 
     monkeypatch.setattr(projector, "_stacked_quadrature", wrong_local)
-    with pytest.raises(CalderonError, match=r"disagree at mode \(0,\)"):
+    with pytest.raises(RoutesDisagree, match=r"disagree at mode \(0,\)"):
         calderon_projector(mode_symbol(spec, 0))
+
+
+def test_each_check_circle_fails_the_mode_that_owns_it(monkeypatch):
+    # in a selfadjoint_double(dirac3) stack some modes have one upper root
+    # cluster and some two, whose check circles add up; a wrong value on
+    # one circle fails the mode that owns it, not a neighbour in the stack
+    spec = selfadjoint_double(build_gallery("dirac3", mu=1, v=0.3))
+    lattice = mode_lattice(3, 4)
+    modes = lattice[~defect_screen(spec, lattice)[2]]
+    _, mult, half = root_table(eigvals_sweep(companion_stack(spec, modes)), modes)
+    owner = np.nonzero(mult * (half > 0))[0]  # the check circles' modes: the last circles
+    two = np.flatnonzero(owner[1:] == owner[:-1])  # the first of a mode's two circles
+    assert 0 < two.size < len(modes)
+    real = projector._stacked_quadrature
+    c = two[two.size // 2]
+    assert owner[c - 1] < owner[c] < owner[c + 2]  # a neighbour on each side
+    for circle in (0, c - 1, c, c + 1, c + 2, len(owner) - 1):
+
+        def wrong(f, centers, radii, *args, circle=circle):
+            values, counts = real(f, centers, radii, *args)
+            values[len(values) - len(owner) + circle] *= 1.0 + 1e-6
+            return values, counts
+
+        monkeypatch.setattr(projector, "_stacked_quadrature", wrong)
+        with pytest.raises(RoutesDisagree) as info:
+            calderon_projector_stack(spec, modes)
+        assert info.value.index == owner[circle]
+        assert f"disagree at mode {tuple(modes[owner[circle]].tolist())}:" in str(info.value)
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
