@@ -23,7 +23,7 @@ def _as_stack(mats):
 
 
 def _sign(mats):
-    x = mats.copy()
+    x = mats
     n, d, _ = x.shape
     converged = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
@@ -31,7 +31,8 @@ def _sign(mats):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        xa = x[idx]
+        # while every row iterates, the stack itself is the active part
+        xa = x if idx.size == n else x[idx]
         det = np.linalg.det(xa)
         # a singular iterate means an eigenvalue hit zero: no sign exists
         bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
@@ -47,7 +48,12 @@ def _sign(mats):
         xn = 0.5 * (mu * xa + np.linalg.inv(xa) / mu)
         num = np.sqrt((np.abs(xn - xa) ** 2).sum(axis=(1, 2)))
         den = np.sqrt((np.abs(xn) ** 2).sum(axis=(1, 2)))
-        x[idx] = xn
+        if idx.size == n:
+            x = xn  # a new array: the caller's stack is never written
+        else:
+            if x is mats:
+                x = x.copy()
+            x[idx] = xn
         done = num <= _SIGN_TOL * den
         converged[idx[done]] = True
         active[idx[done]] = False

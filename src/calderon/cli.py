@@ -113,13 +113,27 @@ class ReportBundle:
 _NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _number_texts(a):
+def _float_texts(a, memo):
+    """``repr`` texts of the elements of a 1-D float64 array.  Each
+    distinct bit pattern is formatted once: ``memo`` maps the int64 view
+    of a value to its text, so ``-0.0`` keeps its own text, and it is
+    shared by every array of one report."""
+    keys = a.view(np.int64).tolist()
+    new = list(set(keys).difference(memo))
+    if new:
+        values = np.array(new, dtype=np.int64).view(np.float64).tolist()
+        memo.update(zip(new, map(float.__repr__, values)))
+    return list(map(memo.__getitem__, keys))
+
+
+def _number_texts(a, memo):
     """JSON texts of the elements of a 1-D numeric array, in one pass."""
     if a.dtype.kind == "b":
         return np.where(a, "true", "false").tolist()
     if a.dtype.kind in "iu":
         return list(map(int.__repr__, a.tolist()))
-    texts = list(map(float.__repr__, a.astype(np.float64).tolist()))
+    a = np.asarray(a, dtype=np.float64)
+    texts = _float_texts(a, memo)
     return texts if np.isfinite(a).all() else [_NONFINITE.get(t, t) for t in texts]
 
 
@@ -131,36 +145,55 @@ def _block(items, pad, brackets="[]"):
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
-def _json_text(obj, pad="\n"):
+def _rows(texts, widths, pad):
+    """JSON list of rows of ``widths`` elements, from the elements' texts
+    in row order.  Rows of one nonzero width are written by one join."""
+    inner = pad + "  "
+    if len(set(widths)) == 1 and widths[0]:
+        cell = "," + inner + "  "
+        row = inner + "]," + inner + "[" + inner + "  "
+        body = row.join(map(cell.join, zip(*[iter(texts)] * widths[0])))
+        return "[" + inner + "[" + inner + "  " + body + inner + "]" + pad + "]"
+    ends = np.cumsum(widths).tolist()
+    return _block([_block(texts[a:b], inner) for a, b in zip([0] + ends, ends)], pad)
+
+
+def _json_text(obj):
     """``json.dumps(obj, sort_keys=True, indent=2)`` of a report payload,
     with NaN as null and numpy arrays and scalars as their ``tolist()``.
     A 1-D or 2-D numeric array, or a list of 1-D arrays of one numeric
-    dtype, has its elements formatted in one pass."""
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        items = sorted({str(k): v for k, v in obj.items()}.items())
-        return _block([f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in items], pad, "{}")
-    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf" and obj.ndim in (1, 2):
-        return _block(_number_texts(obj), pad) if obj.ndim == 1 else _json_text(list(obj), pad)
-    if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), pad)
-    if isinstance(obj, (list, tuple)):
-        dtypes = {v.dtype if isinstance(v, np.ndarray) and v.ndim == 1 else None for v in obj}
-        if len(dtypes) == 1 and None not in dtypes and next(iter(dtypes)).kind in "biuf":
-            texts = _number_texts(np.concatenate(obj))
-            ends = np.cumsum([len(v) for v in obj]).tolist()
-            return _block([_block(texts[a:b], inner) for a, b in zip([0] + ends, ends)], pad)
-        return _block([_json_text(v, inner) for v in obj], pad)
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None or isinstance(obj, (bool, np.bool_)):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        text = float.__repr__(float(obj))
-        return _NONFINITE.get(text, text)
-    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
+    dtype, has its elements formatted in one pass, and each distinct
+    float of the payload is formatted once."""
+    memo = {}
+
+    def text(obj, pad):
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            items = sorted({str(k): v for k, v in obj.items()}.items())
+            return _block([f"{_encode_str(k)}: {text(v, inner)}" for k, v in items], pad, "{}")
+        if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf" and obj.ndim in (1, 2):
+            if obj.ndim == 1:
+                return _block(_number_texts(obj, memo), pad)
+            return _rows(_number_texts(obj.ravel(), memo), [obj.shape[1]] * len(obj), pad)
+        if isinstance(obj, np.ndarray):
+            return text(obj.tolist(), pad)
+        if isinstance(obj, (list, tuple)):
+            dtypes = {v.dtype if isinstance(v, np.ndarray) and v.ndim == 1 else None for v in obj}
+            if len(dtypes) == 1 and None not in dtypes and next(iter(dtypes)).kind in "biuf":
+                return _rows(_number_texts(np.concatenate(obj), memo), [len(v) for v in obj], pad)
+            return _block([text(v, inner) for v in obj], pad)
+        if isinstance(obj, str):
+            return _encode_str(obj)
+        if obj is None or isinstance(obj, (bool, np.bool_)):
+            return "null" if obj is None else "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return int.__repr__(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            out = float.__repr__(float(obj))
+            return _NONFINITE.get(out, out)
+        raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
+
+    return text(obj, "\n")
 
 
 def _mode_tuple(text, n):
@@ -377,12 +410,15 @@ def emit_csv(bundle, fh):
     svals = np.asarray(rep["svals"], dtype=float)
     target = rep.get("target_exponent")
     const = rep.get("bound_constant")
-    fh.write("j,s_j,bound\n")
-    for j, s in enumerate(svals, start=1):
-        if s <= 0.0:
-            continue
-        bound = "" if (target is None or const is None) else repr(float(const * j**target))
-        fh.write(f"{j},{float(s)!r},{bound}\n")
+    kept = ~(svals <= 0.0)  # only s_j <= 0 is skipped: a NaN row is written
+    texts = _float_texts(svals[kept], {})
+    js = (np.flatnonzero(kept) + 1).tolist()
+    if target is None or const is None:
+        bounds = [""] * len(js)
+    else:
+        bounds = [repr(float(const * j**target)) for j in js]
+    rows = [f"{j},{s},{b}\n" for j, s, b in zip(js, texts, bounds)]
+    fh.write("j,s_j,bound\n" + "".join(rows))
 
 
 def _write_bundle(bundle, cfg):

@@ -154,10 +154,13 @@ class CompareReport:
     (dimension jumps count as right angles); row ``i`` of ``cos_rows``
     holds the cross-Gram singular values in its leading
     ``min(dims_a[i], dims_b[i])`` entries.  Both are zero past the mask.
-    ``angles`` is the per-mode list of the ``angle_rows`` prefixes,
-    made as views on first read.  ``diff_norms`` holds the
-    operator norm of the projector difference per mode, which is the
-    sine of its largest angle (0 where both frames are empty), and
+    ``cos_rows`` is built on first read from ``cross``, the cross-Gram
+    stack ``QA* QB`` cut to its widest live block; only
+    :func:`fredholm_index` reads it, so ``compare`` and ``schatten`` run
+    no cosine SVD.  ``angles`` is the per-mode list of the
+    ``angle_rows`` prefixes, made as views on first read.  ``diff_norms``
+    holds the operator norm of the projector difference per mode, which
+    is the sine of its largest angle (0 where both frames are empty), and
     ``q_svals`` the singular values of the one-sided restriction
     ``(I - P_B)|_A``, all from :func:`_complement_sines`, which
     complements A.  The global list ``svals`` repeats the sine of every
@@ -169,7 +172,7 @@ class CompareReport:
     dims_a: np.ndarray
     dims_b: np.ndarray
     angle_rows: np.ndarray = field(repr=False)
-    cos_rows: np.ndarray = field(repr=False)
+    cross: np.ndarray = field(repr=False)
     diff_norms: np.ndarray
     svals: np.ndarray
     q_svals: np.ndarray
@@ -182,6 +185,14 @@ class CompareReport:
     def angles(self):
         lengths = np.maximum(self.dims_a, self.dims_b).tolist()
         return [row[:k] for row, k in zip(self.angle_rows, lengths)]
+
+    @functools.cached_property
+    def cos_rows(self):
+        w = self.cross.shape[1]
+        cos = np.zeros(self.angle_rows.shape)
+        live = np.arange(w) < np.minimum(self.dims_a, self.dims_b)[:, None]
+        cos[:, :w] = np.where(live, _kernels.svdvals_sweep(self.cross), 0.0)
+        return cos
 
 
 def _common_indices(a, b):
@@ -232,16 +243,17 @@ def compare_points(a, b):
     da, db = a.dims[ia], b.dims[ib]
 
     cross, sines_a, sines = _complement_sines(QA, QB, da, db)
-    cos_sv = _kernels.svdvals_sweep(cross)
     j = np.arange(a.ambient_dim)
-    live = j < np.maximum(da, db)[:, None]
+    wide = np.maximum(da, db)
+    live = j < wide[:, None]
+    w = int(wide.max(initial=0))  # every entry of cross past w is zero
     same_shape = (a.spec.n, a.spec.r, a.spec.k) == (b.spec.n, b.spec.r, b.spec.k)
     return CompareReport(
         modes=rows,
         dims_a=da,
         dims_b=db,
         angle_rows=np.arcsin(np.clip(sines, 0.0, 1.0)),
-        cos_rows=np.where(j < np.minimum(da, db)[:, None], cos_sv, 0.0),
+        cross=cross[:, :w, :w].copy(),
         diff_norms=np.clip(sines[:, 0], 0.0, 1.0),
         svals=np.sort(np.repeat(sines[live], 2))[::-1],
         q_svals=np.sort(sines_a[j < da[:, None]])[::-1],

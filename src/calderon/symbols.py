@@ -135,15 +135,27 @@ def symbol_values(A, xi):
 
 def _companion(A):
     """Block companion matrices from an ``A`` stack of shape
-    ``(k+1, ..., r, r)``: shape ``(..., rk, rk)``."""
+    ``(k+1, r, r)`` or ``(k+1, N, r, r)``: shape ``(rk, rk)`` or
+    ``(N, rk, rk)``.
+
+    The top coefficient ``A[k]`` must be the same matrix for every mode,
+    as ``mode_matrix_stack`` guarantees (``q + |beta| <= k`` leaves the
+    ``d_n^k`` term no tangential factor): its first mode's matrix is
+    factored once for the whole stack.
+    """
     k, r = A.shape[0] - 1, A.shape[-1]
-    C = np.zeros(A.shape[1:-2] + (r * k, r * k), dtype=complex)
+    shape = A.shape[1:-2] + (r * k, r * k)
+    if math.prod(shape) == 0:
+        return np.zeros(shape, dtype=complex)
+    # bottom block row: -A_k^{-1} A_q for q = 0..k-1, from one solve with
+    # every mode's blocks as right-hand-side columns, laid out (r, N, k, r);
+    # C is made after the solve, so it never sits beside the solve's buffers
+    B = A[:k].swapaxes(0, -2)
+    X = np.linalg.solve(A[(k,) + (0,) * (A.ndim - 3)], B.reshape(r, -1))
+    C = np.zeros(shape, dtype=complex)
     for j in range(k - 1):
         C[..., j * r : (j + 1) * r, (j + 1) * r : (j + 2) * r] = np.eye(r)
-    # bottom block row: -A_k^{-1} A_q for q = 0..k-1, from one stacked solve
-    X = np.linalg.solve(A[k], A[:k])
-    for q in range(k):
-        C[..., (k - 1) * r :, q * r : (q + 1) * r] = -X[q]
+    np.negative(X.reshape(B.shape[:-2] + (-1,)).swapaxes(0, -2), out=C[..., (k - 1) * r :, :])
     return C
 
 

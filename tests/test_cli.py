@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -241,6 +242,22 @@ def test_acceptance_subcommand_exit_code(tmp_path):
     assert "growth_fit" in payload["reports"]
 
 
+def test_only_index_reads_the_cosines(tmp_path, monkeypatch):
+    from calderon.cli import run
+    from test_grassmann import counted_svdvals
+
+    paths = []
+    for v in ("0.3", "0"):
+        out = tmp_path / f"dirac2_v{v}.spec"
+        assert main(["write-spec", "dirac2", "-p", "mu=1", "-p", f"v={v}", "--out", str(out)]) == 0
+        paths.append(str(out))
+    calls = counted_svdvals(monkeypatch)
+    for sub, want in (("compare", 1), ("schatten", 1), ("index", 2)):
+        calls.clear()
+        run(ExperimentConfig(sub, spec_a=paths[0], spec_b=paths[1], cutoff=64))
+        assert len(calls) == want, sub
+
+
 def test_timing_flag_controls_payload(specs, tmp_path):
     out = tmp_path / "t.json"
     args = ["ellipticity", "--spec", specs["laplace1"], "--out", str(out)]
@@ -292,6 +309,48 @@ def test_writer_array_fast_path_matches_json_dumps(shape):
         got = _json_text({"a": arr, "list": [arr], "rows": rows}) + "\n"
         plain = {"a": arr.tolist(), "list": [arr.tolist()], "rows": [r.tolist() for r in rows]}
         assert got == json.dumps(_plain(plain), sort_keys=True, indent=2) + "\n"
+
+    # one payload whose arrays share values across keys: each distinct
+    # float64 bit pattern is formatted once, and the memo keeps 0.0 apart
+    # from -0.0 and prints every NaN, whatever its payload bits, as null
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000 - 2**64], dtype=np.int64)
+    base = np.concatenate([np.array([0.0, 0.1, 1.5, -2.0, np.inf, 1e-300]), nans.view(np.float64)])
+    ints = np.arange(-3, 9).reshape(4, 3)
+    shared = {
+        "a": base,
+        "b": np.concatenate([[-0.0, np.nan], base[::-1]]),
+        "c": base.astype(np.float32),
+        "d": np.repeat(base, 2)[::-1],
+        "e": np.stack([base, -base]),
+        "f": ints,
+        "g": [base[:0], base[:2], base[:0], base[2:5]],
+        "h": [base[:1], base[3:4], base[7:8]],
+        "i": [base[:0], base[:0]],
+        "j": np.zeros((2, 0)),
+        "k": 0.1,
+    }
+    plain = {k: [r.tolist() for r in v] if isinstance(v, list) else v for k, v in shared.items()}
+    assert _json_text(shared) == json.dumps(_plain(plain), sort_keys=True, indent=2)
+
+
+def test_csv_rows_match_the_per_row_writer():
+    from calderon.cli import ReportBundle, emit_csv
+
+    def per_row(svals, const, target):  # the writer's former loop
+        lines = ["j,s_j,bound\n"]
+        for j, s in enumerate(svals, start=1):
+            if s <= 0.0:
+                continue
+            bound = "" if (target is None or const is None) else repr(float(const * j**target))
+            lines.append(f"{j},{float(s)!r},{bound}\n")
+        return "".join(lines)
+
+    svals = np.array([1.0, 0.7, 0.7, np.nan, 0.3, 1e-17, 0.0, -0.0, 0.3, -1e-3, 2.5e-300])
+    for const, target in ((4.67, -0.5), (None, -1.0), (1.25, None)):
+        rep = {"svals": svals, "bound_constant": const, "target_exponent": target}
+        fh = io.StringIO()
+        emit_csv(ReportBundle({}, {}, {"schatten": rep}, "v", True), fh)
+        assert fh.getvalue() == per_row(svals, const, target)
 
 
 def _bundles(specs):

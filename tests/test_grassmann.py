@@ -252,6 +252,37 @@ def test_q_svals_are_one_sided_sines():
     assert len(rep.q_svals) == int(rep.dims_a.sum())
 
 
+def counted_svdvals(monkeypatch):
+    """Patch ``_kernels.svdvals_sweep`` to record the shape of every call."""
+    from calderon import _kernels
+
+    calls, real = [], _kernels.svdvals_sweep
+
+    def counted(mats):
+        calls.append(np.shape(mats))
+        return real(mats)
+
+    monkeypatch.setattr(_kernels, "svdvals_sweep", counted)
+    return calls
+
+
+def test_cosine_svd_runs_on_the_first_read_of_cos_rows(monkeypatch):
+    pa, pb = (assemble_point(build_gallery("dirac2", mu=1, v=v), 64) for v in (0.3, 0))
+    calls = counted_svdvals(monkeypatch)
+    rep = compare_points(pa, pb)
+    assert len(calls) == 1  # the complement sines
+    cos = rep.cos_rows
+    assert len(calls) == 2
+    assert rep.cos_rows is cos and len(calls) == 2
+    # the stored cross-Gram stack, cut to its widest live block, gives the
+    # cosines of the full padded stack bit for bit
+    ia, ib, _ = _common_indices(pa, pb)
+    full = svdvals_sweep(np.einsum("nij,nik->njk", pa.ortho[ia].conj(), pb.ortho[ib]))
+    assert rep.cross.shape[1:] == (1, 1) and full.shape[1] == 2
+    live = np.arange(cos.shape[1]) < np.minimum(rep.dims_a, rep.dims_b)[:, None]
+    assert np.array_equal(cos, np.where(live, full, 0.0))
+
+
 def test_compactness_trend_over_doublings():
     shells = []
     for cutoff in (8, 16, 32, 64):

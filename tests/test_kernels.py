@@ -63,6 +63,22 @@ def test_range_sweep_spans_and_is_orthonormal():
             assert np.abs(frames[i][:, d:]).max() == 0.0
 
 
+def test_sign_iteration_never_writes_its_input():
+    good = off_axis(stack(n=40, seed=7))
+    want = _kernels._sign(good.copy())[0]
+    # a singular row stops at the first step, an imaginary-axis row never
+    # converges: both leave the rest of the stack to iterate without them
+    bad = np.array([np.zeros((4, 4)), np.diag([1j, -1.0, 2.0, -3.0])], dtype=complex)
+    for mats in (good, np.concatenate([bad[:1], good, bad[1:]])):
+        before = mats.copy()
+        sign, ok = _kernels._sign(mats)
+        assert np.array_equal(mats, before)
+        assert ok.sum() == len(good) and np.array_equal(sign[ok], want)
+    before = good.copy()
+    _kernels.stable_projector_sweep(good)
+    assert np.array_equal(good, before)
+
+
 def test_sign_iteration_rejects_imaginary_spectrum():
     bad = np.array([[[1.0, 0.0], [0.0, -1.0]], [[1j, 0.0], [0.0, -1.0]]], dtype=complex)
     with pytest.raises(SignIterationStalled) as info:

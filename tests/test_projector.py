@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calderon import contour, projector, symbols
 from calderon._kernels import eigvals_sweep, orthonormal_range_sweep, stable_projector_sweep
@@ -99,6 +101,50 @@ def test_companion_matrix_matches_companion_stack(name):
     for m, row in zip(modes, stacked):
         assert np.array_equal(companion_matrix(mode_symbol(spec, m)), row)
         assert np.array_equal(companion_stack(spec, np.array([m]))[0], row)
+
+
+def _companion_by_mode(A):
+    """Reference companion stack: one ``np.linalg.solve(A_k, A_q)`` per
+    mode and block, for an ``A`` stack of shape ``(k+1, N, r, r)``."""
+    k, r = A.shape[0] - 1, A.shape[-1]
+    C = np.zeros((A.shape[1], r * k, r * k), dtype=complex)
+    for i in range(A.shape[1]):
+        C[i, : (k - 1) * r, r:] = np.eye((k - 1) * r)
+        for q in range(k):
+            C[i, (k - 1) * r :, q * r : (q + 1) * r] = -np.linalg.solve(A[k, i], A[q, i])
+    return C
+
+
+# the operators and cutoffs of the command-line benchmark pipelines
+CLI_STACKS = {"dirac2": 4096, "laplace_mass": 512, "dirac3": 48, "twisted_dbar": 16, "dbar": 16}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_STACKS))
+def test_companion_stack_solves_each_mode_bit_for_bit(name):
+    spec = build_gallery(name, **GALLERY[name])
+    A = mode_matrix_stack(spec, mode_lattice(spec.n, CLI_STACKS[name]))
+    got = symbols._companion(A)
+    assert np.array_equal(got.view(float), _companion_by_mode(A).view(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 4),
+    k=st.integers(1, 3),
+    n=st.integers(0, 40),
+    scale=st.integers(-4, 4),
+)
+def test_companion_of_a_shared_top_coefficient_solves_each_mode_bit_for_bit(seed, r, k, n, scale):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(k + 1, n, r, r)) + 1j * rng.normal(size=(k + 1, n, r, r))
+    A *= 10.0 ** (scale * rng.uniform(-1, 1, size=(k + 1, n, 1, 1)))
+    A[k] = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    got = symbols._companion(A)
+    assert got.shape == (n, r * k, r * k)
+    assert np.array_equal(got.view(float), _companion_by_mode(A).view(float))
+    if n:  # the unbatched form of one mode gives that mode's row
+        assert np.array_equal(symbols._companion(A[:, -1]), got[-1])
 
 
 def test_oracle_frames():
