@@ -196,14 +196,12 @@ def _json_text(obj):
     return text(obj, "\n")
 
 
-def _mode_tuple(text, n):
+def _mode_tuple(text):
+    """A ``--mode`` value as a tuple of ints; ``mode_symbol`` checks its length."""
     try:
-        parts = tuple(int(x) for x in str(text).split(","))
+        return tuple(int(x) for x in str(text).split(","))
     except ValueError:
-        parts = ()
-    if len(parts) != n - 1:
-        raise SpecError(f"mode needs {n - 1} integer component(s), got {text!r}")
-    return parts
+        raise SpecError(f"mode needs comma-separated integer components, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +506,7 @@ def _config_from_args(args):
             raise SpecError(f"bad --p list {ptext!r}: {exc}") from exc
     cfg = ExperimentConfig(**kwargs)
     if mode is not None:
-        cfg.mode = _mode_tuple(mode, read_spec(cfg.spec).n)
+        cfg.mode = _mode_tuple(mode)
     return cfg
 
 

@@ -181,19 +181,21 @@ def _enclosing_circles(points, inside, outside):
     """The :func:`enclosing_circle` rule for a stack of groups: row ``i``
     encloses ``points[i][inside[i]]`` clear of ``points[i][outside[i]]``.
 
-    Returns the centers, the radii and each circle's ``rho`` (see
-    :func:`_sized_nodes`).  A row whose group cannot be separated from
-    its excluded points gets ``rho = inf``; :func:`_separating_circles`
-    and the layer route raise on it.  The layer route makes one call,
-    one row per upper root cluster clear of the mode's other roots, for
-    its local and its check circles alike.
+    Returns the centers, the radii and each circle's ``rho < 1``
+    (:func:`_sized_nodes`).  The one stuck test: an excluded point within
+    a group's spread of its mean raises EigenvalueOnContour, ``index`` the
+    first such row (a NaN group is not stuck; Contour rejects its circle).
+    The layer route makes one call, one row per upper root cluster clear
+    of the mode's other roots, for its local and its check circles alike.
     """
     center = points.sum(axis=1, where=inside) / inside.sum(axis=1)
     dist = np.abs(points - center[:, None])
     spread = dist.max(axis=1, where=inside, initial=0.0)
     gap = dist.min(axis=1, where=outside, initial=np.inf)
     stuck = gap <= spread * (1 + 1e-12) + 1e-300
-    gap[stuck] = np.inf  # sized as if free, so no 0 / 0, then marked below
+    if np.count_nonzero(stuck):
+        msg = "cannot separate the enclosed group from excluded eigenvalues"
+        raise EigenvalueOnContour(msg, index=int(stuck.argmax()))
     # rho = max(spread / r, r / gap) is least at the geometric mean; the
     # floor gap / 8 keeps a lone point or a tight group at rho <= 1/8
     free = np.isinf(gap)  # nothing to exclude: a margin set by the group
@@ -202,22 +204,7 @@ def _enclosing_circles(points, inside, outside):
     if np.count_nonzero(free):
         margin = np.maximum(1.0, 0.5 * np.maximum(np.abs(center), spread))
         radius = np.where(free, spread + margin, radius)
-    rho = np.where(stuck, np.inf, np.maximum(spread / radius, radius / gap))
-    return center, radius, rho
-
-
-def _separating_circles(points, inside, outside):
-    """:func:`_enclosing_circles`, raising EigenvalueOnContour, with the
-    ``index`` of the first row, when a group cannot be separated from its
-    excluded points."""
-    center, radius, rho = _enclosing_circles(points, inside, outside)
-    stuck = np.isinf(rho)
-    if stuck.any():
-        raise EigenvalueOnContour(
-            "cannot separate the enclosed group from excluded eigenvalues",
-            index=int(stuck.argmax()),
-        )
-    return center, radius, rho
+    return center, radius, np.maximum(spread / radius, radius / gap)
 
 
 def enclosing_circle(group, excluded=()):
@@ -236,7 +223,7 @@ def enclosing_circle(group, excluded=()):
         raise CalderonError("cannot build a contour around an empty group")
     points = np.concatenate([group, np.asarray(excluded, dtype=complex).ravel()])[None]
     inside = np.arange(points.shape[1])[None] < group.size
-    center, radius, rho = _separating_circles(points, inside, ~inside)
+    center, radius, rho = _enclosing_circles(points, inside, ~inside)
     return Contour.circle(center[0], radius[0], _sized_nodes(rho[0]))
 
 
@@ -257,8 +244,14 @@ def _linkage(gaps, far):
 
 
 def _root_clusters(lam, modes):
-    """:func:`root_table` before the means: ``(xi, reach, mult, half)``, ``xi``
-    the sorted roots and ``reach`` True where two roots share a cluster."""
+    """The root table of a mode stack, ``lam = i xi`` its companion
+    eigenvalues: ``(xi, reach, mult, half)``, the roots sorted by (real,
+    imag), True where two share a cluster, the cluster size at its first
+    root (0 at the rest), and 1 above the real axis, -1 below.  Roots of
+    a half-plane link within ``LINK_SHARE`` of its least ``|Im xi|``, so
+    a k-fold root that rounding splits ``eps^(1/k)`` apart is one cluster
+    (Moro, Burke & Overton, SIAM J. Matrix Anal. Appl. 18, 1997).  Raises
+    DefectMode naming the first mode with a root on the real axis."""
     xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
     dist = np.abs(xi.imag)
     real = on_real_axis(dist, np.asarray(modes, dtype=float)[:, None])
@@ -282,47 +275,25 @@ def _root_clusters(lam, modes):
     return xi, reach, mult, half
 
 
-def root_table(lam, modes):
-    """Characteristic roots of a mode stack, grouped by multiplicity.
-
-    ``lam`` holds the companion eigenvalues ``lambda = i xi_n``, one row
-    per mode of ``modes``.  Returns ``(roots, mult, half)``, each of
-    ``lam``'s shape, over each row's roots in ascending (real, imag)
-    order.  Roots of one half-plane link within ``LINK_SHARE`` times
-    that half's least ``|Im xi|`` (:func:`_linkage`), so a k-fold root
-    that rounding splits about ``eps^(1/k)`` apart (Moro, Burke &
-    Overton, SIAM J. Matrix Anal. Appl. 18, 1997) is one cluster.
-    ``roots`` holds each root's cluster mean, ``mult`` the cluster size
-    at its first root and 0 at its other members; ``half`` is 1 above
-    the real axis and -1 below.
-
-    Raises DefectMode, naming the first mode with a root on the real
-    axis (:func:`on_real_axis`, as ``defect_screen`` judges the same
-    eigenvalues) and listing its real roots.
-    """
-    xi, reach, mult, half = _root_clusters(lam, modes)
-    if np.count_nonzero(mult) < mult.size:
-        xi = (reach * xi[:, None, :]).sum(axis=2) / reach.sum(axis=2)
-    return xi, mult, half
-
-
 def characteristic_roots(sym):
     """All rk roots of ``det a(m, xi_n) = 0`` grouped by multiplicity.
 
     Roots come from the eigenvalues ``lambda = i xi_n`` of the block
     companion matrix of the mode ODE; a linked cluster of them is one
-    root with a multiplicity (:func:`root_table`, whose N=1 view this
-    is).  Each entry is ``(root, multiplicity, halfplane)`` with
-    halfplane ``upper`` or ``lower``.
+    root, the cluster mean, with a multiplicity: the N=1 view of
+    :func:`_root_clusters`.  Each entry is ``(root, multiplicity,
+    halfplane)`` with halfplane ``upper`` or ``lower``.
 
     Raises DefectMode on a real-axis root; its ``mode`` and ``roots``
     name the mode and its real roots.
     """
     lam = eigvals_sweep(sym._comp[None])
-    roots, mult, half = root_table(lam, [sym.m])
+    xi, reach, mult, half = _root_clusters(lam, [sym.m])
+    if np.count_nonzero(mult) < mult.size:  # some cluster links: its mean
+        xi = (reach * xi[:, None, :]).sum(axis=2) / reach.sum(axis=2)
     return [
         (root, int(m), "upper" if h > 0 else "lower")
-        for root, m, h in zip(roots[0], mult[0], half[0])
+        for root, m, h in zip(xi[0], mult[0], half[0])
         if m
     ]
 
@@ -349,7 +320,7 @@ def _cluster_circles(eigs, enclosed, far, ray=None):
         mean = member @ ins / member.sum(axis=1)
         points = np.column_stack([points, np.maximum((mean / ray).real, 0.0) * ray])
         inside = np.column_stack([inside, np.zeros(len(member), dtype=bool)])
-    center, radius, rho = _separating_circles(points, inside, ~inside)
+    center, radius, rho = _enclosing_circles(points, inside, ~inside)
     return center, radius, _sized_nodes(rho.max())
 
 

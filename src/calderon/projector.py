@@ -151,11 +151,10 @@ def _layer_blocks(A, modes, lam, cross_check):
     ``modes`` holds one mode per row and ``lam`` the eigenvalues of its
     companion matrices; see :func:`layer_potential_blocks`.
 
-    Every circle, local or check, is placed by one ``_enclosing_circles``
-    call over the upper root clusters.  Every failure names its mode:
-    DefectMode, EigenvalueOnContour (a root cluster that no circle holds
-    apart from the other roots), ContourNotConverged and RoutesDisagree,
-    the residue/quadrature disagreement.
+    One ``_enclosing_circles`` call over the upper root clusters places
+    every circle, local or check, and raises where none holds a cluster
+    apart; the check circles add up per mode.  Every failure names its
+    mode: DefectMode, EigenvalueOnContour, ContourNotConverged, RoutesDisagree.
     """
     k = A.shape[0] - 1
     powers = np.arange(2 * k - 1)
@@ -187,7 +186,12 @@ def _layer_blocks(A, modes, lam, cross_check):
     owner = row if cross_check else local
     if n_local or owner.size:
         inside = reach[row, col]
-        centers, radii, rates = _enclosing_circles(xi[row], inside, ~inside)
+        try:
+            centers, radii, rates = _enclosing_circles(xi[row], inside, ~inside)
+        except EigenvalueOnContour as exc:
+            i = int(row[exc.index])
+            msg = f"no circle separates a root cluster at mode {_mode_at(modes, i)}"
+            raise EigenvalueOnContour(msg, index=i) from exc
     if n_local:
         multiple = upper[row, col] > 1
         local = row[multiple]
@@ -203,11 +207,6 @@ def _layer_blocks(A, modes, lam, cross_check):
             circles = map(np.concatenate, zip(circles, (centers, radii / s, rate, row)))
         centers, radii, rates, owner = circles
     if owner.size:
-        wide = ~(rates < 1)  # NaN too: a circle that cannot hold its cluster apart
-        if np.count_nonzero(wide):
-            i = owner[wide.argmax()]
-            msg = f"no circle separates a root cluster at mode {_mode_at(modes, i)}"
-            raise EigenvalueOnContour(msg, index=int(i))
         Ao = A[:, owner, None]  # the circles' symbols
 
         def integrand(z, idx):
@@ -238,20 +237,15 @@ def _layer_blocks(A, modes, lam, cross_check):
 
     # the blocks scale J by powers of i, exactly, so comparing J compares them
     if cross_check and row.size:
-        checked, quad = row, values[local.size :]
-        if np.count_nonzero(row[1:] == row[:-1]):  # a mode's check circles add up
-            checked, slot = np.unique(row, return_inverse=True)
-            quad = np.zeros((checked.size,) + quad.shape[1:], dtype=complex)
-            np.add.at(quad, slot, values[local.size :])
-        Jc = J[checked]
-        err = np.abs(Jc - quad).max(axis=(1, 2, 3))
-        agree = err <= _AGREEMENT_TOL * (1.0 + np.abs(Jc).max(axis=(1, 2, 3)))  # NaN fails
+        quad = np.zeros_like(J)  # a mode's check circles add up; no upper root: 0
+        np.add.at(quad, row, values[local.size :])
+        err = np.abs(J - quad).max(axis=(1, 2, 3))
+        agree = err <= _AGREEMENT_TOL * (1.0 + np.abs(J).max(axis=(1, 2, 3)))  # NaN fails
         if np.count_nonzero(agree) < agree.size:
             i = int(agree.argmin())
             raise RoutesDisagree(
-                f"layer-potential routes disagree at mode {_mode_at(modes, checked[i])}: "
-                f"{err[i]:.3e}",
-                index=int(checked[i]),
+                f"layer-potential routes disagree at mode {_mode_at(modes, i)}: {err[i]:.3e}",
+                index=i,
             )
     # block (q, p) is i^{p+q+1} times the integral of power p + q
     return _block_hankel([(1j) ** (s + 1) * J[:, s] for s in range(2 * k - 1)])

@@ -216,6 +216,24 @@ def test_out_of_range_numbers_give_a_spec_error_record(specs, capsys, sub, optio
     assert message in record["error"]["message"]
 
 
+def test_projector_reads_its_spec_once(specs, tmp_path, monkeypatch, capsys):
+    # --mode is parsed as integers alone; mode_symbol checks its length
+    # against the spec that the pipeline reads, so the spec is read once
+    from calderon import cli
+
+    calls = []
+    real = cli.read_spec
+    monkeypatch.setattr(cli, "read_spec", lambda path: calls.append(path) or real(path))
+    argv = ["projector", "--spec", specs["laplace1"], "--out", str(tmp_path / "p.json")]
+    assert main(argv + ["--mode", "2"]) == 0
+    assert calls == [specs["laplace1"]]
+    calls.clear()
+    assert main(argv + ["--mode", "1,2"]) == 2  # n = 2: one component
+    assert calls == [specs["laplace1"]]
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "SpecError", "message": "mode (1, 2) has length != n-1 = 1"}
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["ellipticity", "--spec", "does-not-exist.spec"]) == 2
     record = json.loads(capsys.readouterr().out)

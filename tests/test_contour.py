@@ -312,6 +312,52 @@ def test_enclosing_circle_radius_is_rate_optimal(group, excluded):
     assert rho <= max(np.sqrt(spread / gap), 0.125) * (1 + 1e-12)
 
 
+def test_enclosing_circles_raise_at_the_first_stuck_row():
+    # rows 1 and 2 cannot hold their group apart: an excluded point lies
+    # within the group's spread of its mean (0.1 from the mean 0.5 of
+    # {0, 1}; 0.5 from the mean 0 of {i, -i}); rows 0 and 3 can, row 3
+    # around an exact double point
+    points = np.array([[0, 0.1, 2], [0, 1, 0.4], [1j, -1j, 0.5], [5, 5, 9]], dtype=complex)
+    inside = np.array([[True, True, False]] * 4)
+    for rows, first in (([0, 1, 2, 3], 1), ([2, 3, 0], 0), ([0, 3, 2], 2)):
+        with pytest.raises(EigenvalueOnContour) as info:
+            _enclosing_circles(points[rows], inside[rows], ~inside[rows])
+        assert info.value.index == first
+    rho = _enclosing_circles(points[[0, 3]], inside[[0, 3]], ~inside[[0, 3]])[2]
+    assert (rho < 1).all()
+    # a NaN group is not stuck: its circle is NaN, which Contour rejects
+    with pytest.raises(SpecError):
+        enclosing_circle([np.nan, 1.0], excluded=[3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_POINTS, _POINTS), min_size=1, max_size=6))
+def test_enclosing_circles_name_the_first_stuck_row_or_give_rates_below_one(rows):
+    # a stack of groups, each clear of its own excluded points or not;
+    # padding points are neither enclosed nor excluded
+    width = max(len(group) + len(excluded) for group, excluded in rows)
+    points = np.zeros((len(rows), width), dtype=complex)
+    inside = np.zeros(points.shape, dtype=bool)
+    outside = np.zeros(points.shape, dtype=bool)
+    stuck = []
+    for i, (group, excluded) in enumerate(rows):
+        g = len(group)
+        points[i, : g + len(excluded)] = group + excluded
+        inside[i, :g] = outside[i, g : g + len(excluded)] = True
+        center = np.mean(group)
+        spread = np.abs(np.array(group) - center).max()
+        gap = np.abs(np.array(excluded) - center).min()
+        assume(abs(gap - spread) > 1e-9 * (1.0 + spread))
+        stuck.append(bool(gap < spread))
+    if any(stuck):
+        with pytest.raises(EigenvalueOnContour) as info:
+            _enclosing_circles(points, inside, outside)
+        assert info.value.index == stuck.index(True)
+    else:
+        center, radius, rho = _enclosing_circles(points, inside, outside)
+        assert (rho < 1).all() and (radius > 0).all()
+
+
 # ---------------------------------------------------------------------------
 # characteristic roots
 

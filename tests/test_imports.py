@@ -188,7 +188,6 @@ SIGNATURES = {
     "contour.matrix_power": "(a, t, cut_angle=3.141592653589793)",
     "contour.enclosing_circle": "(group, excluded=())",
     "contour.characteristic_roots": "(sym)",
-    "contour.root_table": "(lam, modes)",
     "contour.spectral_split": "(C)",
     "projector.calderon_projector": "(sym, side='plus')",
     "projector.cauchy_frame_oracle": "(sym, side)",

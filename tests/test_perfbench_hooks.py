@@ -2,12 +2,19 @@
 function is gone is silently listed as absent (``Tracer.find``); a name
 it imports that is gone fails it at import.  These tests read the
 benchmark's sources, without changing them, and resolve every calderon
-name they hook or import."""
+name they hook or import; the last one makes the benchmark's calls and
+reads their results as it does."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
+
+import numpy as np
+
+import calderon as cal
+from calderon.contour import characteristic_roots, contour_quadrature, enclosing_circle
+from calderon.projector import layer_potential_blocks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -80,3 +87,38 @@ def test_every_imported_name_resolves():
     assert {"calderon.projector.scan_defect_modes", "calderon.mode_symbol",
             "calderon.cli.ExperimentConfig"} <= paths
     assert [p for p in sorted(paths) if not _resolves(p)] == []
+
+
+def test_the_benchmarks_call_shapes_hold():
+    # single_mode's calls on toy symbols, each read as the benchmark reads
+    # it: a change here would pass the name checks above and then fail a
+    # benchmark run
+    for spec in (cal.build_gallery("dbar", mu=0.5), cal.build_gallery("laplace_mass", mu=1.0)):
+        powers = np.arange(2 * spec.k - 1)
+        for m in (-2, 0, 3):
+            sym = cal.mode_symbol(spec, np.array([m]))
+            rp = cal.calderon_projector(sym, "plus").matrix
+            rm = cal.calderon_projector(sym, "minus").matrix
+            oracle = cal.spectral_split(cal.companion_matrix(sym)).projector
+            assert rp.shape == rm.shape == oracle.shape == (spec.r * spec.k,) * 2
+            assert layer_potential_blocks(sym, cross_check=False).shape == rp.shape
+            roots = characteristic_roots(sym)
+            assert all(half in ("upper", "lower") for _, _, half in roots)
+            assert sum(mult for _, mult, _ in roots) == spec.r * spec.k
+            upper = [r for r, _, half in roots if half == "upper"]
+            if not upper:
+                continue
+            circle = enclosing_circle(upper, excluded=[r for r, _, half in roots if half != "upper"])
+
+            def integrand(z, sym=sym):
+                inv = np.linalg.inv(sym(z))
+                return (z[:, None] ** powers)[:, :, None, None] * inv[:, None, :, :]
+
+            value, nodes = contour_quadrature(integrand, circle)
+            assert value.shape == (len(powers), spec.r, spec.r)
+            assert isinstance(nodes, int) and nodes >= circle.nodes  # counted by the stage
+    # the Riesz and power calls ride along on small matrices
+    M = np.diag([1.0, 2.0, 5.0]).astype(complex)
+    circle = cal.enclosing_circle(np.array([1.0, 2.0]), excluded=np.array([5.0]))
+    assert cal.riesz_projector(M, circle).shape == (3, 3)
+    assert cal.matrix_power(M, 0.5).shape == (3, 3)

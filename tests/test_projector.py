@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from calderon.projector import (
     orthogonal_projector,
     scan_defect_modes,
 )
-from calderon.contour import characteristic_roots, enclosing_circle, root_table, spectral_split
+from calderon.contour import _root_clusters, characteristic_roots, enclosing_circle, spectral_split
 from calderon.grassmann import _complement_sines, assemble_point, compare_points
 from calderon.symbols import (
     build_gallery,
@@ -630,7 +631,7 @@ def test_each_check_circle_fails_the_mode_that_owns_it(monkeypatch):
     spec = selfadjoint_double(build_gallery("dirac3", mu=1, v=0.3))
     lattice = mode_lattice(3, 4)
     modes = lattice[~defect_screen(spec, lattice)[2]]
-    _, mult, half = root_table(eigvals_sweep(companion_stack(spec, modes)), modes)
+    _, _, mult, half = _root_clusters(eigvals_sweep(companion_stack(spec, modes)), modes)
     owner = np.nonzero(mult * (half > 0))[0]  # the check circles' modes: the last circles
     two = np.flatnonzero(owner[1:] == owner[:-1])  # the first of a mode's two circles
     assert 0 < two.size < len(modes)
@@ -748,7 +749,7 @@ def _double_root_family():
 def test_stack_takes_the_local_circle_at_a_double_root(monkeypatch):
     spec = _double_root_family()
     modes = np.arange(-3, 4)[:, None]
-    _, mult, _ = root_table(np.linalg.eigvals(companion_stack(spec, modes)), modes)
+    _, _, mult, _ = _root_clusters(np.linalg.eigvals(companion_stack(spec, modes)), modes)
     assert mult.max(axis=1).tolist() == [1, 1, 1, 2, 1, 1, 1]
     R = calderon_projector_stack(spec, modes)
     assert np.abs(R - np.eye(2)).max() < 1e-8  # every solution decays
@@ -823,24 +824,33 @@ def _product_spec(zeros, r=1, coupling=None):
 
 
 def _roots_of(xi):
-    """:func:`root_table` of rows of roots, each row one mode 0."""
+    """:func:`_root_clusters` of rows of roots, each row one mode 0."""
     xi = np.array(xi)
-    return root_table(1j * xi, np.zeros((len(xi), 1)))
+    return _root_clusters(1j * xi, np.zeros((len(xi), 1)))
+
+
+def _means_of(xi):
+    """:func:`characteristic_roots` at mode 0 of a stand-in symbol whose
+    companion matrix is ``diag(i xi)``, so its eigenvalues are ``i xi``
+    exactly."""
+    return characteristic_roots(SimpleNamespace(_comp=np.diag(1j * np.array(xi)), m=(0,)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_a_split_k_fold_root_is_one_cluster(k):
     # rounding splits the k-fold root i about eps^(1/k) apart, wider than
     # 1e-7 for k >= 3, and linkage joins the split roots again
-    lam = np.linalg.eigvals(companion_stack(_product_spec([-1.0] * k + [2.0]), np.zeros((1, 1))))
+    sym = mode_symbol(_product_spec([-1.0] * k + [2.0]), 0)
+    lam = eigvals_sweep(sym._comp[None])  # the eigenvalues characteristic_roots sees
     near = -1j * lam[0][np.abs(-1j * lam[0] - 1j) < 0.5]
     assert len(near) == k and (np.abs(near[:, None] - near).max() > 1e-7 or k == 2)
-    roots, mult, half = root_table(lam, np.zeros((1, 1)))
+    got = sorted(characteristic_roots(sym), key=lambda t: t[1])
+    assert [(m, h) for _, m, h in got] == [(1, "lower"), (k, "upper")]
+    assert abs(got[0][0] + 2j) < 1e-12 and abs(got[1][0] - 1j) < 1e-12
+    _, reach, mult, half = _root_clusters(lam, np.zeros((1, 1)))
     first = mult[0] > 0
-    got = sorted(zip(mult[0][first].tolist(), roots[0][first], half[0][first].tolist()),
-                 key=lambda t: t[0])
-    assert [(m, h) for m, _, h in got] == [(1, -1.0), (k, 1.0)]
-    assert abs(got[0][1] + 2j) < 1e-12 and abs(got[1][1] - 1j) < 1e-12
+    assert sorted(zip(mult[0][first].tolist(), half[0][first].tolist())) == [(1, -1.0), (k, 1.0)]
+    assert reach[0].sum() == k * k + 1  # the k split roots share one cluster
 
 
 def test_a_chain_linked_only_through_its_middle_root_is_one_cluster():
@@ -848,29 +858,34 @@ def test_a_chain_linked_only_through_its_middle_root_is_one_cluster():
     # link within 0.25; the chain's ends lie 0.4 apart and link only
     # through the middle one, which sorts after both
     chain = [-0.2 + 1j, -0.1 + 1.2j, -0.2 + 1.4j]
-    roots, mult, _ = _roots_of([chain + [-3j]])
+    _, reach, mult, _ = _roots_of([chain + [-3j]])
     assert mult[0].tolist() == [3, 0, 0, 1]  # sorted: the ends, the middle, then -3i
-    assert abs(roots[0, 0] - sum(chain) / 3) < 1e-15
-    assert np.array_equal(roots[0, :3], np.full(3, roots[0, 0]))  # each root holds its mean
+    assert reach[0, :3, :3].all() and not reach[0, :3, 3].any()  # each root in the cluster
+    (mean, three, upper), (lone, one, lower) = _means_of(chain + [-3j])
+    assert (three, upper, lone, one, lower) == (3, "upper", -3j, 1, "lower")
+    assert abs(mean - sum(chain) / 3) < 1e-15
 
 
 def test_roots_in_different_half_planes_never_share_a_cluster():
     # 2e-6 apart across the axis, each 1e-6 from it: far beyond 1e-10,
     # so no defect, and a quarter of 1e-6 keeps the pair apart
-    roots, mult, half = _roots_of([[3 + 1e-6j, 3 - 1e-6j, 3 + 1e-6j + 2e-7]])
+    xi = [3 + 1e-6j, 3 - 1e-6j, 3 + 1e-6j + 2e-7]
+    _, _, mult, half = _roots_of([xi])
     assert mult[0].tolist() == [1, 2, 0]
     assert half[0].tolist() == [-1.0, 1.0, 1.0]
-    assert abs(roots[0, 1] - (3 + 1e-6j + 1e-7)) < 1e-15
+    (lone, one, lower), (mean, two, upper) = _means_of(xi)
+    assert (lone, one, lower, two, upper) == (3 - 1e-6j, 1, "lower", 2, "upper")
+    assert abs(mean - (3 + 1e-6j + 1e-7)) < 1e-15
 
 
 def test_same_half_roots_just_beyond_the_link_share_stay_single():
     far = 1.0  # the upper roots' least distance to the real axis
     for dx, want in ((0.25 * (1 + 1e-9), [1, 1, 1]), (0.25 * (1 - 1e-9), [1, 2, 0])):
-        _, mult, _ = _roots_of([[1j, 1j + dx * far, -2j]])
+        _, _, mult, _ = _roots_of([[1j, 1j + dx * far, -2j]])
         assert mult[0].tolist() == want, dx
     # each half links at its own distance to the axis: the lower roots at
     # 0.25 * 4, the upper ones at 0.25 * 1
-    _, mult, _ = _roots_of([[-4j, -4j + 0.9, 1j, 1j + 0.3]])
+    _, _, mult, _ = _roots_of([[-4j, -4j + 0.9, 1j, 1j + 0.3]])
     assert mult[0].tolist() == [2, 1, 1, 0]  # sorted: -4i, i, 0.3 + i, 0.9 - 4i
 
 
@@ -955,6 +970,11 @@ def test_a_cluster_around_another_root_raises_naming_its_mode():
     with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)") as info:
         calderon_projector_stack(spec, np.array([[1], [0], [2]]))
     assert info.value.index == 1
+    # two upper clusters at m = 2 and one at m = 1 come first, so the
+    # stuck cluster's row among all clusters is not its mode's row
+    with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)") as info:
+        calderon_projector_stack(spec, np.array([[2], [1], [0]]))
+    assert info.value.index == 2
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -973,8 +993,8 @@ def test_selfadjoint_doubles_give_the_schur_projector(name):
 
 
 def test_root_table_flags_the_modes_defect_screen_flags():
-    # the same predicate on the same eigenvalues: per mode, root_table
-    # raises DefectMode exactly where defect_screen marks a defect
+    # the same predicate on the same eigenvalues: per mode, the root table
+    # (_root_clusters) raises DefectMode exactly where defect_screen marks a defect
     cases = [(spec, mode_lattice(spec.n, cutoff)) for spec, cutoff in _acceptance_specs()]
     cases.append((build_gallery("dbar", mu=0.0), mode_lattice(2, 8)))  # a defect at m = 0
     # a root pair 1e-8 above and below the real axis, one in each coupled
@@ -985,7 +1005,7 @@ def test_root_table_flags_the_modes_defect_screen_flags():
         _, lam, bad = defect_screen(spec, modes)
         for row, mode, want in zip(lam, modes, bad):
             try:
-                root_table(row[None], mode[None])
+                _root_clusters(row[None], mode[None])
             except DefectMode as exc:
                 assert want and exc.mode == tuple(mode.tolist())
             else:
