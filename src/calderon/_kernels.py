@@ -5,6 +5,17 @@ tangential mode, because the mode sweep is where this package spends its
 time (up to ~10^5 modes of dense linear algebra per experiment).  Each
 sweep is a handful of numpy calls over the full stack, so the per-mode
 Python overhead is paid once per sweep, not once per mode.
+
+Every gallery companion matrix is 2x2, and on such stacks LAPACK's
+per-matrix dispatch costs more than the arithmetic.  So the determinant,
+inverse and eigenvalue helpers below take a closed form when the
+trailing size is exactly 2 and LAPACK at every other size: Cramer's rule,
+forward stable for n = 2, and the quadratic formula without cancellation
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+2002, sections 14.6 and 1.8).  The Gram gate of two-column frames takes
+its condition number in closed form too.  The layer-potential route in
+``projector`` and ``contour`` calls LAPACK itself, so it stays
+independent of the sign route these sweeps serve.
 """
 
 import numpy as np
@@ -13,6 +24,8 @@ from .errors import IllConditionedFrame, SignIterationStalled
 
 _SIGN_TOL = 1e-13
 _SIGN_MAXIT = 100
+_GATE = 1e12**0.5  # largest condition number of a weighted frame
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _as_stack(mats):
@@ -20,6 +33,32 @@ def _as_stack(mats):
     if a.ndim != 3:
         raise ValueError("expected a stack of matrices with shape (n, p, q)")
     return a
+
+
+def _row_scale(a):
+    """A power of two per row of a stack, above the largest real or
+    imaginary part in the row (1 for a zero or NaN row): dividing a row
+    by it is exact and brings every part below 1."""
+    m = np.abs(a.reshape(a.shape[0], a.shape[1] * a.shape[2]).view(np.float64))
+    while m.shape[1] > 1 and m.shape[1] % 2 == 0:  # pairwise, as a short-axis max is slow
+        m = np.maximum(m[:, ::2], m[:, 1::2])
+    return np.ldexp(1.0, np.frexp(m.max(axis=1, initial=0.0))[1])
+
+
+def _det(a):
+    """Determinants of a stack: ``a00 a11 - a01 a10`` at 2x2, LAPACK
+    otherwise."""
+    if a.shape[-1] != 2:
+        return np.linalg.det(a)
+    return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+
+
+def _inv(a, det):
+    """Inverses of a stack whose determinants are ``det``: the adjugate
+    over ``det`` (Cramer's rule) at 2x2, LAPACK otherwise."""
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    return a[:, ::-1, ::-1].swapaxes(1, 2) * _COFACTOR_SIGNS / det[:, None, None]
 
 
 def _sign(mats):
@@ -33,7 +72,7 @@ def _sign(mats):
             break
         # while every row iterates, the stack itself is the active part
         xa = x if idx.size == n else x[idx]
-        det = np.linalg.det(xa)
+        det = _det(xa)
         # a singular iterate means an eigenvalue hit zero: no sign exists
         bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
         if bad.any():
@@ -45,7 +84,7 @@ def _sign(mats):
             det = det[~bad]
         # determinant scaling keeps the spectral radius near 1 uniformly in m
         mu = np.clip(np.abs(det) ** (-1.0 / d), 1e-8, 1e8)[:, None, None]
-        xn = 0.5 * (mu * xa + np.linalg.inv(xa) / mu)
+        xn = 0.5 * (mu * xa + _inv(xa, det) / mu)
         num = np.sqrt((np.abs(xn - xa) ** 2).sum(axis=(1, 2)))
         den = np.sqrt((np.abs(xn) ** 2).sum(axis=(1, 2)))
         if idx.size == n:
@@ -61,8 +100,33 @@ def _sign(mats):
 
 
 def eigvals_sweep(mats):
-    """Eigenvalues of every matrix in a ``(n, d, d)`` stack."""
-    return np.linalg.eigvals(_as_stack(mats))
+    """Eigenvalues of every matrix in a ``(n, d, d)`` stack.
+
+    At ``d = 2`` each row is scaled by ``_row_scale``, so no product can
+    overflow or lose a row's scale, and its eigenvalues are the roots
+    ``h +- sqrt(g^2 + bc)`` of ``[[a, b], [c, d]]`` with ``h = (a + d)/2``
+    and ``g = (a - d)/2``: the larger one on the sign of the root that
+    does not cancel against ``h``, first, and the smaller one as
+    ``det / larger``.  A zero row gives zeros and a row with a NaN gives
+    NaNs, without a warning.  Other sizes go to LAPACK, which orders
+    them its own way.  ``symbols.defect_screen`` calls it; the layer
+    route takes its eigenvalues from LAPACK at every size.
+    """
+    a = _as_stack(mats)
+    if a.shape[-1] != 2:
+        return np.linalg.eigvals(a)
+    s = _row_scale(a)
+    t = a / s[:, None, None]
+    p, q, r, u = t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1]
+    with np.errstate(invalid="ignore"):  # a NaN row stays NaN
+        h = 0.5 * (p + u)
+        g = 0.5 * (p - u)
+        root = np.sqrt(g * g + q * r)
+        root = np.where(h.real * root.real + h.imag * root.imag < 0, -root, root)
+        big = h + root
+        zero = big == 0  # then h = root = 0, and both eigenvalues are 0
+        small = np.where(zero, 0, (p * u - q * r) / np.where(zero, 1, big))
+    return np.stack((big, small), axis=1) * s[:, None]
 
 
 def svdvals_sweep(mats):
@@ -78,7 +142,10 @@ def stable_projector_sweep(mats):
     structure.  Matrices with eigenvalues on the imaginary axis must be
     screened out beforehand; the iteration cannot converge for them.  It
     stops once the relative step is at most 1e-13 and gives up after 100
-    steps.
+    steps.  Each step takes the determinant and inverse of the active
+    rows: in closed form at ``d = 2`` (``_det``, ``_inv``), by LAPACK
+    otherwise.  A row whose determinant is not finite or below 1e-280 in
+    modulus leaves the iteration unconverged.
     """
     mats = _as_stack(mats)
     n, d, _ = mats.shape
@@ -146,6 +213,32 @@ def orthonormal_range_sweep(mats, dims):
     return out
 
 
+def _frames_pass(cols):
+    """Whether each frame of a ``(n, p, k)`` stack has condition number
+    at most ``_GATE``; a NaN or rank-deficient frame fails.
+
+    Two columns ``c0, c1`` take it in closed form from
+    ``s1 s2 = |c0| |c1 - c0 (c0^H c1) / |c0|^2|`` and
+    ``s1^2 + s2^2 = |c0|^2 + |c1|^2``, on rows scaled by ``_row_scale``:
+    ``s1^2`` is the larger root of ``t^2 - (s1^2 + s2^2) t + (s1 s2)^2``
+    and the condition number is ``s1^2 / (s1 s2)``.  The projected column
+    keeps the relative error near ``eps`` times the condition number; the
+    Gram matrix's eigenvalues would square it.  Other widths take
+    ``np.linalg.cond``, a batched SVD.
+    """
+    if cols.shape[2] != 2:
+        return np.linalg.cond(cols) <= _GATE  # NaN fails
+    t = cols / _row_scale(cols)[:, None, None]
+    c0, c1 = t[:, :, 0], t[:, :, 1]
+    with np.errstate(invalid="ignore"):  # a NaN frame stays NaN, and fails
+        n0 = (c0.real**2 + c0.imag**2).sum(axis=1)
+        tot = n0 + (c1.real**2 + c1.imag**2).sum(axis=1)
+        res = c1 - c0 * ((c0.conj() * c1).sum(axis=1) * (1 / np.where(n0 > 0, n0, 1)))[:, None]
+        prod = np.sqrt(n0 * (res.real**2 + res.imag**2).sum(axis=1))
+        big = 0.5 * (tot + np.sqrt(np.maximum(tot - 2 * prod, 0) * (tot + 2 * prod)))
+        return (big <= _GATE * prod) & (prod > 0)
+
+
 def weighted_range_sweep(mats, dims):
     """Orthonormal basis of the span of the leading ``dims[i]`` columns
     of every stacked matrix, behind the one Gram gate.
@@ -153,14 +246,14 @@ def weighted_range_sweep(mats, dims):
     The first row whose leading ``dims[i] >= 2`` columns have condition
     number above ``1e12**0.5`` (a Gram condition number above 1e12)
     raises IllConditionedFrame with its ``index``; a single column has
-    condition 1 and is never checked.  The leading columns are then
-    spanned by ``orthonormal_range_sweep``, with its shapes and zero
-    padding."""
+    condition 1 and is never checked (``_frames_pass``).  The leading
+    columns are then spanned by ``orthonormal_range_sweep``, with its
+    shapes and zero padding."""
     mats = _as_stack(mats)
     dims = np.asarray(dims, dtype=np.int64)
     ok = np.ones(dims.shape, dtype=bool)
     for k in set(dims[dims > 1].tolist()):  # np.unique would load numpy.ma, ~10 ms
-        ok[dims == k] = np.linalg.cond(mats[dims == k, :, :k]) <= 1e12**0.5  # NaN fails
+        ok[dims == k] = _frames_pass(mats[dims == k, :, :k])
     if not ok.all():
         raise IllConditionedFrame("weighted Gram matrix is singular", index=int(ok.argmin()))
     lead = np.arange(mats.shape[2]) < dims[:, None]

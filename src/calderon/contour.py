@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import eigvals_sweep
 from .errors import (
     CalderonError,
     ContourNotConverged,
@@ -287,7 +286,7 @@ def characteristic_roots(sym):
     Raises DefectMode on a real-axis root; its ``mode`` and ``roots``
     name the mode and its real roots.
     """
-    lam = eigvals_sweep(sym._comp[None])
+    lam = np.linalg.eigvals(sym._comp[None])
     xi, reach, mult, half = _root_clusters(lam, [sym.m])
     if np.count_nonzero(mult) < mult.size:  # some cluster links: its mean
         xi = (reach * xi[:, None, :]).sum(axis=2) / reach.sum(axis=2)

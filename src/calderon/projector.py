@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import eigvals_sweep, weighted_range_sweep
+from ._kernels import weighted_range_sweep
 from .contour import (
     _enclosing_circles,
     _mode_at,
@@ -270,7 +270,7 @@ def layer_potential_blocks(sym, cross_check=True):
     :func:`calderon_projector_stack`, on the companion matrix the symbol
     keeps (:func:`companion_matrix`).
     """
-    lam = eigvals_sweep(sym._comp[None])
+    lam = np.linalg.eigvals(sym._comp[None])
     return _layer_blocks(sym.A[:, None], [sym.m], lam, cross_check)[0]
 
 
@@ -310,7 +310,8 @@ def calderon_projector_stack(spec, modes, side="plus"):
     if modes.ndim != 2 or modes.shape[1] != spec.n - 1:
         raise SpecError(f"modes must have shape (N, {spec.n - 1}), got {modes.shape}")
     A = mode_matrix_stack(spec, modes)
-    R = _layer_blocks(A, modes, eigvals_sweep(_companion(A)), True) @ _jump(A)
+    # LAPACK at every N, as the N=1 calls take it, keeps each row bit for bit
+    R = _layer_blocks(A, modes, np.linalg.eigvals(_companion(A)), True) @ _jump(A)
     if side == "minus":
         return np.eye(R.shape[-1], dtype=complex) - R
     return R

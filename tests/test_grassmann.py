@@ -99,8 +99,9 @@ def test_weighted_frames_span_the_svd_route_subspaces(name, params):
 @pytest.mark.parametrize("name", ["dirac2", "dirac3", "dirac2_double", "dirac3_double"])
 def test_assemble_point_runs_no_svd(name, monkeypatch):
     # np.linalg.cond runs numpy's own svd, which patching np.linalg.svd
-    # does not reach, so it is counted on its own: the Gram gate takes it
-    # on frames of two or more columns only
+    # does not reach, so it is counted on its own: the Gram gate takes
+    # the condition number of two columns in closed form, so no spec here
+    # reaches it
     base = name.removesuffix("_double")
     spec, dims = build_gallery(base, **GALLERY[base]), 1
     if name != base:
@@ -120,7 +121,24 @@ def test_assemble_point_runs_no_svd(name, monkeypatch):
         monkeypatch.setattr(np.linalg, routine, ran)
     point = assemble_point(spec, 4)
     assert (point.dims == dims).all()
-    assert len(conds) == (dims > 1)
+    assert not conds
+
+
+@pytest.mark.parametrize("name", ["dirac2", "dirac3", "laplace_mass"])
+def test_assemble_point_takes_the_closed_forms_on_two_by_two_stacks(name, monkeypatch):
+    # every companion matrix of these specs is 2x2: the defect screen's
+    # eigenvalues and the sign iteration's determinants and inverses are
+    # all closed forms, and no LAPACK eigvals, det or inv runs
+    spec = build_gallery(name, **GALLERY[name])
+    want = assemble_point(spec, 16)
+    for routine in ("eigvals", "det", "inv"):
+
+        def ran(*args, routine=routine, **kwargs):
+            raise AssertionError(f"np.linalg.{routine} ran")
+
+        monkeypatch.setattr(np.linalg, routine, ran)
+    point = assemble_point(spec, 16)
+    assert np.array_equal(point.ortho, want.ortho) and point.excluded == want.excluded
 
 
 def test_defect_modes_excluded_and_listed():
@@ -130,12 +148,39 @@ def test_defect_modes_excluded_and_listed():
 
 
 def test_sign_iteration_stall_names_the_mode():
-    # the spectrum at mode (-1, 0) sits close enough to the imaginary
-    # axis that the sign iteration stalls, although it passes the
-    # defect screen
+    # the spectrum at mode (-1, 0) of the self-adjoint double (4x4
+    # companions, inverted by LAPACK) sits close enough to the imaginary
+    # axis that the sign iteration stalls, although it passes the defect
+    # screen
     with pytest.raises(DefectMode) as info:
-        assemble_point(build_gallery("dirac3", mu=1, v=0.005), 16)
+        assemble_point(selfadjoint_double(build_gallery("dirac3", mu=1, v=0.005)), 16)
     assert info.value.mode == (-1, 0)
+
+
+@pytest.mark.parametrize("v", [0.005, 0.0133])
+def test_near_defect_dirac3_assembles_and_its_sign_projector_is_the_eigenprojector(v):
+    # companion eigenvalues +-v at mode (-1, 0): the 2x2 sign iteration,
+    # on Cramer's inverse, converges there, and its projector is the
+    # stable eigenprojector P of C to first-order perturbation accuracy,
+    # |dP|_2 <= eps |P|_2^2 |C|_2 / gap (a perturbation eps |C|_2 of C
+    # moves a rank-one spectral projector by at most |P| |I - P| / gap
+    # times it, and |I - P|_2 = |P|_2 at 2x2)
+    mpmath = pytest.importorskip("mpmath")
+    spec = build_gallery("dirac3", mu=1, v=v)
+    point = assemble_point(spec, 16)
+    assert (-1, 0) in [mode_key(m) for m in point.modes] and point.excluded == [(0, 0)]
+    C = companion_stack(spec, np.array([[-1, 0]]))
+    P = stable_projector_sweep(C)[0]
+    with mpmath.workdps(50):
+        E, V = mpmath.eig(mpmath.matrix(C[0].tolist()))
+        stable = [i for i in range(2) if mpmath.re(E[i]) < 0]
+        Vi = mpmath.inverse(V)
+        ref = V[:, stable[0]] * Vi[stable[0], :]
+        ref = np.array(ref.tolist(), dtype=complex)
+        gap = float(abs(E[0] - E[1]))
+    norm_p, norm_c = np.linalg.norm(ref, 2), np.linalg.norm(C[0], 2)
+    assert len(stable) == 1
+    assert np.linalg.norm(P - ref, 2) <= np.finfo(float).eps * norm_p**2 * norm_c / gap
 
 
 def test_assembly_validation():

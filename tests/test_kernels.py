@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from calderon import _kernels
 from calderon.errors import IllConditionedFrame, SignIterationStalled
+from calderon.symbols import on_real_axis
 
 
 def stack(n=300, d=4, seed=0, shift=3.0):
@@ -206,3 +207,239 @@ def test_weighted_sweep_gate_never_checks_a_single_column():
     with pytest.raises(IllConditionedFrame) as info:
         _kernels.weighted_range_sweep(weighted, np.full(5, 4))
     assert info.value.index == 0
+
+
+# -- closed-form 2x2 kernels ----------------------------------------------
+
+U = float(EPS) / 2  # unit roundoff, a Python float so that it multiplies mpmath numbers as one
+
+try:
+    import mpmath
+except ImportError:  # the test extra installs it
+    mpmath = None
+needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath for the 50-digit references")
+
+
+def _mp_sigma_min(m):
+    """Smallest singular value of a 2x2 mpmath matrix, from its Frobenius
+    norm and determinant."""
+    fro2 = sum(abs(m[i, j]) ** 2 for i in range(2) for j in range(2))
+    det = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    big2 = (fro2 + mpmath.sqrt(max(fro2**2 - 4 * det**2, 0))) / 2
+    return det / mpmath.sqrt(big2) if big2 > 0 else mpmath.mpf(0)
+
+
+def _mp_eigvals(a):
+    """The two eigenvalues of a 2x2 float matrix, to 50 digits."""
+    p, q, r, u = (mpmath.mpc(complex(x)) for x in a.ravel())
+    h, root = (p + u) / 2, mpmath.sqrt(((p - u) / 2) ** 2 + q * r)
+    return h + root, h - root
+
+
+def _two_by_two(kind, rng, n):
+    """``n`` complex 2x2 matrices of one kind, entries of order 1."""
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    if kind == "general":
+        return z
+    if kind == "singular":  # rank one
+        return z[:, :, :1] * z[:, :1, :].conj()
+    x = z @ np.linalg.inv(z[::-1] + 3 * np.eye(2))  # a similarity, mostly well-conditioned
+    lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "equal":  # a Jordan block
+        d = lam[:, None, None] * np.eye(2) + np.array([[0, 1], [0, 0]]) * z[:, :1, :1]
+    else:  # eigenvalues 1e-12 to 1e-4 apart, relatively
+        d = np.zeros((n, 2, 2), dtype=complex)
+        d[:, 0, 0], d[:, 1, 1] = lam, lam * (1 + 10.0 ** rng.uniform(-12, -4, size=n))
+    return x @ d @ np.linalg.inv(x)
+
+
+@needs_mpmath
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["general", "equal", "near", "singular"]),
+    log_scale=st.integers(-150, 150),
+    log_spread=st.integers(0, 12),
+)
+def test_two_by_two_eigenvalues_are_backward_stable(seed, kind, log_scale, log_spread):
+    """Every eigenvalue ``z`` the closed form returns is an exact
+    eigenvalue of a matrix within ``8 u |A|_F`` of ``A``: the smallest
+    singular value of ``A - z I``, to 50 digits, is at most that.  (On
+    1,200 unscaled stacks of these kinds LAPACK's eigenvalues read up to 9.2 u |A|_F and
+    the closed form's up to 2.7 u |A|_F.)  The pair is a pair: its
+    product is ``det A`` to ``8 u (|ad| + |bc|)``.  Rows are scaled over
+    1e+-150, and their entries spread over up to 12 decades within a
+    row."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    spread = 10.0 ** (log_spread * rng.uniform(-0.5, 0.5, size=(n, 2, 2)))
+    a = np.ascontiguousarray(_two_by_two(kind, rng, n) * spread * 10.0**log_scale)
+    got = _kernels.eigvals_sweep(a)
+    assert got.shape == (n, 2) and np.isfinite(got).all()
+    with mpmath.workdps(50):
+        for i in range(n):
+            m = mpmath.matrix(a[i].tolist())
+            norm = mpmath.sqrt(sum(abs(m[j, k]) ** 2 for j in range(2) for k in range(2)))
+            for z in got[i]:
+                assert _mp_sigma_min(m - complex(z) * mpmath.eye(2)) <= 8 * U * norm
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            cross = abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])
+            prod = mpmath.mpc(complex(got[i, 0])) * mpmath.mpc(complex(got[i, 1]))
+            assert abs(prod - det) <= 8 * U * cross + 8 * U * abs(prod)
+
+
+def test_two_by_two_eigenvalues_of_equal_singular_zero_and_nan_rows():
+    a = np.array(
+        [
+            [[2.0, 0.0], [0.0, 2.0]],  # a scalar matrix: 2, twice
+            [[3.0, 1.0], [0.0, 3.0]],  # a Jordan block
+            [[1.0, 2.0], [2.0, 4.0]],  # singular: 5 and 0
+            [[3.0, -6.0], [1.0, -2.0]],  # singular: 1 and 0
+            [[0.0, 1.0], [0.0, 0.0]],  # nilpotent
+            np.zeros((2, 2)),
+            [[np.nan, 1.0], [0.0, 1.0]],
+            [[1e-300, 0.0], [0.0, 0.0]],  # a row below the float range's square root
+            [[0.0, 1e300], [1e300, 0.0]],  # and one above it: +-1e300
+        ],
+        dtype=complex,
+    )
+    got = _kernels.eigvals_sweep(a)  # a NaN or zero row warns of nothing
+    keep = np.isfinite(a).all(axis=(1, 2))
+    want = np.sort_complex(np.array(
+        [[2, 2], [3, 3], [5, 0], [1, 0], [0, 0], [0, 0], [1e-300, 0], [1e300, -1e300]], dtype=complex
+    ))
+    # to a few ulps, and a singular row's zero eigenvalue exactly (LAPACK
+    # reads 1.2e-32 for the first one)
+    assert (np.abs(np.sort_complex(got[keep]) - want) <= 4 * EPS * np.abs(want)).all()
+    assert np.isnan(got[~keep]).all()
+    assert _kernels.eigvals_sweep(np.zeros((0, 2, 2))).shape == (0, 2)
+
+
+def test_sign_iteration_stops_a_singular_two_by_two_row_at_its_determinant():
+    # det = 0 exactly: the row leaves at the |det| < 1e-280 test, before
+    # Cramer's rule would divide by it (a RuntimeWarning, an error here)
+    good = off_axis(stack(n=20, d=2, seed=13))
+    mats = np.concatenate([good, [[[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2))]])
+    sign, ok = _kernels._sign(mats)
+    assert ok.tolist() == [True] * len(good) + [False, False]
+    assert np.array_equal(sign[-2:], mats[-2:])
+    with pytest.raises(SignIterationStalled) as info:
+        _kernels.stable_projector_sweep(mats)
+    assert info.value.index == len(good)
+
+
+def test_two_by_two_sign_matches_lapack_sign_to_rounding():
+    mats = off_axis(stack(n=400, d=2, seed=17), margin=0.05)
+    got = _kernels.stable_projector_sweep(mats)
+    with_lapack = []
+    for x in mats:
+        lam, vec = np.linalg.eig(x)
+        stable = vec[:, lam.real < 0]
+        left = np.linalg.inv(vec)[lam.real < 0]
+        with_lapack.append(stable @ left)
+    ref = np.array(with_lapack)
+    scale = (1 + np.abs(ref).max(axis=(1, 2))) * np.linalg.cond(mats)
+    assert (np.abs(got - ref).max(axis=(1, 2)) <= 64 * EPS * scale).all()
+
+
+@needs_mpmath
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ulps=st.integers(-512, 512),
+    mode=st.integers(0, 4096),
+    side=st.sampled_from([-1.0, 1.0]),
+    normal=st.booleans(),
+    log2_scale=st.sampled_from([0, -480, 480]),
+)
+def test_closed_form_crosses_the_defect_screen_only_where_lapack_may(
+    seed, ulps, mode, side, normal, log2_scale
+):
+    """Matrices ``V diag(near, far) V^-1`` whose eigenvalue nearest the
+    imaginary axis has a real part within 512 ulps of ``on_real_axis``'s
+    threshold ``t`` and an imaginary part within ``t``; the other
+    eigenvalue has modulus in ``[t/2, 2t]``.  Each solver's eigenvalues
+    lie within ``8 u |A|_F cond(V)`` of the exact ones (backward
+    stability, as the test above pins for the closed form, and
+    Bauer-Fike), a band of about ``13 cond(V)`` ulps of ``t``.  Outside
+    that band around ``t`` the closed form decides as the exact
+    eigenvalues do, and as LAPACK does; inside it no solver can tell.
+    Scaling by ``2**+-480`` (about 1e+-144) changes nothing."""
+    rng = np.random.default_rng(seed)
+    modes = np.array([[mode]])
+    t = 1e-10 * (1.0 + np.sqrt(float(mode) ** 2))  # on_real_axis's threshold
+    near = side * t * (1.0 + ulps * EPS) + 1j * t * rng.uniform(-1, 1)
+    far = t * rng.uniform(0.5, 2) * np.exp(2j * np.pi * rng.uniform())
+    if normal:
+        v = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    else:
+        v = np.eye(2) + 0.5 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    a = (v * [near, far]) @ np.linalg.inv(v)
+    scale = 2.0**log2_scale
+    with mpmath.workdps(50):
+        exact = min(abs(mpmath.re(z)) for z in _mp_eigvals(a))
+        certain = abs(exact - t) > 8 * U * np.linalg.norm(a) * np.linalg.cond(v)
+        want = bool(exact <= t)
+    decide = {
+        name: bool(on_real_axis(np.abs(lam.real / scale).min(axis=1), modes)[0])
+        for name, lam in (
+            ("closed", _kernels.eigvals_sweep(a[None] * scale)),
+            ("lapack", np.linalg.eigvals(a[None] * scale)),
+        )
+    }
+    if certain:
+        assert decide == {"closed": want, "lapack": want}
+
+
+def _frames_with_cond(cond, p, rng):
+    """Complex ``(p, 2)`` frames ``U diag(1, 1/cond) W^H`` with orthonormal
+    ``U`` and unitary ``W``: condition number ``cond``."""
+    n = len(cond)
+    u = np.linalg.qr(rng.normal(size=(n, p, 2)) + 1j * rng.normal(size=(n, p, 2)))[0]
+    w = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))[0]
+    s = np.stack([np.ones(n), 1 / cond], axis=1)
+    return (u * s[:, None, :]) @ np.conj(np.swapaxes(w, 1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 5),
+    log_scale=st.integers(-150, 150),
+)
+def test_two_column_gate_decides_as_cond_does(seed, p, log_scale):
+    """The closed-form gate against ``np.linalg.cond``, on frames whose
+    condition numbers lie in [0.9e6, 1.1e6], most of them within 1e-4 of
+    the gate's 1e6, and on Gaussian frames, some with a nearly parallel
+    second column, all scaled over 1e+-150.  Both condition numbers carry
+    a relative error of a few ``eps`` times the condition number, about
+    1e-9 at the gate, so only a frame whose SVD condition number lies
+    within 1e-8 of 1e6 may be decided either way."""
+    rng = np.random.default_rng(seed)
+    # 1e6 (1 +- 10^x), x uniform in [-8, -1]: the Gram route's relative
+    # error, near 1e-4 here, would flip some of these decisions
+    off = rng.choice([-1.0, 1.0], size=32) * 10.0 ** rng.uniform(-8, -1, size=32)
+    near = _frames_with_cond(1e6 * (1 + off), p, rng)
+    gauss = rng.normal(size=(32, p, 2)) + 1j * rng.normal(size=(32, p, 2))
+    tilt = 10.0 ** rng.uniform(-9, -3, size=16)
+    gauss[:16, :, 1] = gauss[:16, :, 0] + tilt[:, None] * gauss[:16, :, 1]
+    frames = np.concatenate([near, gauss]) * 10.0**log_scale
+    ref = np.linalg.cond(frames)
+    decided = np.abs(ref / 1e6 - 1) > 1e-8
+    got = _kernels._frames_pass(frames)
+    assert np.array_equal(got[decided], ref[decided] <= 1e6)
+    assert 0 < got[:32].sum() < 32
+
+
+def test_two_column_gate_fails_zero_parallel_and_nan_frames():
+    rng = np.random.default_rng(21)
+    good = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    frames = np.array([good, good, good, good, good])
+    frames[1, :, 0] = 0  # a zero first column
+    frames[2] = 0  # no column at all
+    frames[3, :, 1] = (2 - 1j) * frames[3, :, 0]  # parallel columns
+    frames[4, 1, 1] = np.nan
+    assert _kernels._frames_pass(frames).tolist() == [True, False, False, False, False]
+    with pytest.raises(IllConditionedFrame) as info:
+        _kernels.weighted_range_sweep(np.concatenate([frames, frames[:1]], axis=0), np.full(6, 2))
+    assert info.value.index == 1

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calderon import contour, projector, symbols
-from calderon._kernels import eigvals_sweep, orthonormal_range_sweep, stable_projector_sweep
+from calderon import _kernels, contour, projector, symbols
+from calderon._kernels import orthonormal_range_sweep, stable_projector_sweep
 from calderon.acceptance import _acceptance_specs
 from calderon.errors import (
     CalderonError,
@@ -631,7 +631,7 @@ def test_each_check_circle_fails_the_mode_that_owns_it(monkeypatch):
     spec = selfadjoint_double(build_gallery("dirac3", mu=1, v=0.3))
     lattice = mode_lattice(3, 4)
     modes = lattice[~defect_screen(spec, lattice)[2]]
-    _, _, mult, half = _root_clusters(eigvals_sweep(companion_stack(spec, modes)), modes)
+    _, _, mult, half = _root_clusters(np.linalg.eigvals(companion_stack(spec, modes)), modes)
     owner = np.nonzero(mult * (half > 0))[0]  # the check circles' modes: the last circles
     two = np.flatnonzero(owner[1:] == owner[:-1])  # the first of a mode's two circles
     assert 0 < two.size < len(modes)
@@ -675,6 +675,39 @@ def test_one_checked_call_makes_one_linalg_call_per_stage(name, monkeypatch):
     calderon_projector(sym, "plus")
     calderon_projector(sym, "minus")
     assert calls == {"eigvals": 1, "solve": 1, "det": 2 if spec.r > 1 else 1, "inv": 1}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_the_layer_route_takes_its_eigenvalues_from_lapack(name, monkeypatch):
+    # the sign route's closed-form 2x2 eigenvalues never reach the layer
+    # route: one checked N=1 call, the unchecked blocks, the root table
+    # and the stack each run one LAPACK eigvals and no _kernels sweep
+    spec = build_gallery(name, **GALLERY[name])
+    m = next(
+        sym.m for sym in _simple_upper_modes(name, 4)
+        if any(half == "upper" for _, _, half in characteristic_roots(sym))
+    )
+    calls, real = [], np.linalg.eigvals
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    def closed(*args, **kw):
+        raise AssertionError("a closed-form eigenvalue sweep ran")
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(_kernels, "eigvals_sweep", closed)
+    runs = (
+        lambda: calderon_projector(mode_symbol(spec, m)),
+        lambda: layer_potential_blocks(mode_symbol(spec, m), cross_check=False),
+        lambda: characteristic_roots(mode_symbol(spec, m)),
+        lambda: calderon_projector_stack(spec, np.atleast_1d(m)[None]),
+    )
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -841,7 +874,7 @@ def test_a_split_k_fold_root_is_one_cluster(k):
     # rounding splits the k-fold root i about eps^(1/k) apart, wider than
     # 1e-7 for k >= 3, and linkage joins the split roots again
     sym = mode_symbol(_product_spec([-1.0] * k + [2.0]), 0)
-    lam = eigvals_sweep(sym._comp[None])  # the eigenvalues characteristic_roots sees
+    lam = np.linalg.eigvals(sym._comp[None])  # the eigenvalues characteristic_roots sees
     near = -1j * lam[0][np.abs(-1j * lam[0] - 1j) < 0.5]
     assert len(near) == k and (np.abs(near[:, None] - near).max() > 1e-7 or k == 2)
     got = sorted(characteristic_roots(sym), key=lambda t: t[1])
@@ -1012,7 +1045,8 @@ def test_root_table_flags_the_modes_defect_screen_flags():
                 assert not want, mode
         flagged += int(bad.sum())
     assert flagged >= 1
-    xi = np.sort(-1j * defect_screen(*cases[-1])[1][0])
+    xi = -1j * defect_screen(*cases[-1])[1][0]
+    xi = xi[np.argsort(xi.imag)]  # their real parts are 2 to rounding, in either order
     assert np.abs(xi - [2 - 1e-8j, 2 + 1e-8j]).max() < 1e-14
 
 

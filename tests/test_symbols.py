@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calderon.acceptance import _acceptance_specs
 from calderon.errors import SpecError
 from calderon.symbols import (
     ModeSymbol,
@@ -14,10 +15,12 @@ from calderon.symbols import (
     agree_up_to_order,
     build_gallery,
     check_ellipticity,
+    defect_screen,
     dump_spec,
     load_spec,
     mode_lattice,
     mode_symbol,
+    on_real_axis,
     scan_defect_modes,
     selfadjoint_double,
     symbol_values,
@@ -259,6 +262,31 @@ def test_dirac_defect_modes():
     rep = check_ellipticity(build_gallery("dirac2", mu=1, v=0), 64)
     assert rep.defect_modes == [-1, 0, 1]
     assert scan_defect_modes(build_gallery("dirac3", mu=1, v=0.3), 8) == [(0, 0)]
+
+
+# the lattices acceptance and the CLI pipeline benchmark sweep, with the
+# benchmark's parameters at the ends and middle of the ranges it draws
+# from, and gallery parameters that put modes on the defect screen
+_SCREENED = (
+    [(spec, cutoff) for spec, cutoff in _acceptance_specs()]
+    + [(build_gallery("dirac2", mu=1, v=v), 4096) for v in (0.0, 0.05, 0.3, 0.5)]
+    + [(build_gallery("laplace_mass", mu=mu), 512) for mu in (0.0, 0.5, 1.0, 2.0)]
+    + [(build_gallery("dirac3", mu=1, v=v), c) for v in (0.0, 0.05, 0.5) for c in (48, 128)]
+    + [(build_gallery("twisted_dbar", mu=mu, d=d), 16) for mu in (0.0, 0.2, 0.8) for d in (1, 2, 3)]
+    + [(build_gallery("dbar", mu=mu), 16) for mu in (0.0, 0.2, 0.8)]
+)
+
+
+@pytest.mark.parametrize("case", range(len(_SCREENED)))
+def test_defect_screen_excludes_what_lapack_eigenvalues_exclude(case):
+    # the closed-form 2x2 eigenvalues move no lattice mode across the
+    # defect screen, and give every retained mode its LAPACK dimension
+    spec, cutoff = _SCREENED[case]
+    modes = mode_lattice(spec.n, cutoff)
+    comp, lam, bad = defect_screen(spec, modes)
+    ref = np.linalg.eigvals(comp)
+    assert np.array_equal(bad, on_real_axis(np.abs(ref.real).min(axis=1), modes))
+    assert np.array_equal((lam[~bad].real < 0).sum(axis=1), (ref[~bad].real < 0).sum(axis=1))
 
 
 def test_sample_count_validation():
