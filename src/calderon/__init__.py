@@ -14,8 +14,8 @@ _PUBLIC = {
     "matrix_power riesz_projector spectral_split",
     "grassmann": "CompareReport GrassmannPoint IndexReport SchattenReport assemble_point "
     "chiral_point compare_points fredholm_index krichever_reference schatten_fit",
-    "projector": "calderon_projector calderon_projector_stack cauchy_frame_oracle "
-    "entry_growth_fit jump_operator layer_potential_blocks orthogonal_projector",
+    "projector": "calderon_projector calderon_projector_stack entry_growth_fit jump_operator "
+    "layer_potential_blocks orthogonal_projector",
     "symbols": "EllipticityReport ModeSymbol OperatorSpec agree_up_to_order build_gallery "
     "check_ellipticity companion_matrix dump_spec from_document load_spec mode_symbol "
     "read_spec save_spec selfadjoint_double to_document",

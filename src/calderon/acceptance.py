@@ -6,6 +6,7 @@ the criterion.  ``run_acceptance`` executes all ten in order and prints
 one line per criterion.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +44,25 @@ class CriterionResult:
         )
 
 
+def _criterion(number, title, budget):
+    """Make a check into a criterion: the check returns ``(ok, detail)``
+    or ``(ok, detail, data)``, and the criterion times it and passes when
+    ``ok`` holds within ``budget`` seconds."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion():
+            t0 = time.time()
+            ok, detail, *data = check()
+            elapsed = time.time() - t0
+            return CriterionResult(number, title, ok and elapsed < budget, elapsed, budget,
+                                   detail, *data)
+
+        return criterion
+
+    return wrap
+
+
 def _acceptance_specs():
     return [
         (build_gallery("dbar", mu=0.5), 64),
@@ -53,9 +73,9 @@ def _acceptance_specs():
     ]
 
 
+@_criterion(1, "projector algebra", 30)
 def criterion_1():
     """Projector algebra for every gallery spec and retained mode."""
-    t0 = time.time()
     worst_idem = worst_gap = worst_schur = 0.0
     checked = 0
     for spec, cutoff in _acceptance_specs():
@@ -70,11 +90,9 @@ def criterion_1():
         schur = np.array([spectral_split(c).projector for c in comp])
         worst_schur = max(worst_schur, _relative_gap(rps, schur))
         checked += len(modes)
-    elapsed = time.time() - t0
     ok = worst_idem <= 1e-8 and worst_gap <= 1e-10 and worst_schur <= 1e-10
-    return CriterionResult(
-        1, "projector algebra", ok and elapsed < 30, elapsed, 30,
-        f"{checked} modes, idem {worst_idem:.1e}, gap {worst_gap:.1e}, schur {worst_schur:.1e}",
+    return ok, (
+        f"{checked} modes, idem {worst_idem:.1e}, gap {worst_gap:.1e}, schur {worst_schur:.1e}"
     )
 
 
@@ -83,9 +101,9 @@ def _relative_gap(R, P):
     return float((np.abs(R - P).max(axis=(1, 2)) / (1.0 + np.abs(P).max(axis=(1, 2)))).max())
 
 
+@_criterion(2, "closed-form projector", 5)
 def criterion_2():
     """Closed-form projector for the massive Laplacian."""
-    t0 = time.time()
     spec = build_gallery("laplace_mass", mu=1)
     m = np.arange(-64, 65)
     s = np.sqrt(m * m + 1.0)
@@ -95,40 +113,26 @@ def criterion_2():
     expected[:, 1, 0] = -s / 2
     got = calderon_projector_stack(spec, m[:, None])
     worst = float(np.abs(got - expected).max())
-    elapsed = time.time() - t0
-    return CriterionResult(
-        2, "closed-form projector", worst <= 1e-10 and elapsed < 5, elapsed, 5,
-        f"max deviation {worst:.1e}",
-    )
+    return worst <= 1e-10, f"max deviation {worst:.1e}"
 
 
+@_criterion(3, "symbol orders", 5)
 def criterion_3():
     """Block growth exponents of the projector match q - j."""
-    t0 = time.time()
     spec = build_gallery("laplace_mass", mu=1)
     ms = np.unique(np.geomspace(16, 256, 25).astype(int))
     slopes = entry_growth_fit(spec, "plus", ms)
     target = np.array([[0.0, -1.0], [1.0, 0.0]])
     dev = float(np.abs(slopes - target).max())
-    elapsed = time.time() - t0
-    return CriterionResult(
-        3, "symbol orders", dev <= 0.1 and elapsed < 5, elapsed, 5,
-        f"slopes {np.round(slopes, 3).tolist()}, max deviation {dev:.3f}",
-        data={"growth_slopes": slopes},
-    )
+    detail = f"slopes {np.round(slopes, 3).tolist()}, max deviation {dev:.3f}"
+    return dev <= 0.1, detail, {"growth_slopes": slopes}
 
 
+@_criterion(4, "Hardy point", 1)
 def criterion_4():
     """Hardy half: nontrivial frames exactly at m <= 0."""
-    t0 = time.time()
-    point = krichever_reference(8)
-    got = set(point.nontrivial_modes())
-    expected = set(range(-8, 1))
-    elapsed = time.time() - t0
-    return CriterionResult(
-        4, "Hardy point", got == expected and elapsed < 1, elapsed, 1,
-        f"nontrivial modes {sorted(got)}",
-    )
+    got = set(krichever_reference(8).nontrivial_modes())
+    return got == set(range(-8, 1)), f"nontrivial modes {sorted(got)}"
 
 
 def _no_slope(fit):
@@ -137,59 +141,56 @@ def _no_slope(fit):
     return "" if fit.slope is not None else f"finite rank {fit.finite_rank}, no tail slope"
 
 
+@_criterion(5, "Schatten decay n=2 q=0", 60)
 def criterion_5():
     """Hilbert-Schmidt decay for the order-0 planar Dirac pair."""
-    t0 = time.time()
     pa = assemble_point(build_gallery("dirac2", mu=1, v=0), 512)
     pb = assemble_point(build_gallery("dirac2", mu=1, v=0.3), 512)
     fit = schatten_fit(compare_points(pa, pb), n=2, q=0, p_list=(2.0,))
-    elapsed = time.time() - t0
     ok = (
         fit.slope is not None
         and -1.15 <= fit.slope <= -0.85
         and fit.tail_increase[2.0] < 0.01
     )
-    return CriterionResult(
-        5, "Schatten decay n=2 q=0", ok and elapsed < 60, elapsed, 60,
+    return (
+        ok,
         _no_slope(fit) or f"slope {fit.slope:.3f}, HS tail increase {fit.tail_increase[2.0]:.2%}",
-        data={"schatten": fit},
+        {"schatten": fit},
     )
 
 
+@_criterion(6, "Schatten decay n=2 q=1", 60)
 def criterion_6():
     """Quadratic decay for the mass-shifted Laplacian pair."""
-    t0 = time.time()
     pa = assemble_point(build_gallery("laplace_mass", mu=1), 512)
     pb = assemble_point(build_gallery("laplace_mass", mu=2), 512)
     fit = schatten_fit(compare_points(pa, pb), n=2, q=1, p_list=(1.0, 2.0))
-    elapsed = time.time() - t0
     ok = fit.slope is not None and -2.2 <= fit.slope <= -1.8 and fit.bound_holds
-    return CriterionResult(
-        6, "Schatten decay n=2 q=1", ok and elapsed < 60, elapsed, 60,
+    return (
+        ok,
         _no_slope(fit)
         or f"slope {fit.slope:.3f}, bound C={fit.bound_constant:.3g} holds={fit.bound_holds}",
-        data={"schatten": fit},
+        {"schatten": fit},
     )
 
 
+@_criterion(7, "Schatten decay n=3 q=0", 600)
 def criterion_7():
     """Square-root decay for the three-dimensional Dirac pair."""
-    t0 = time.time()
     pa = assemble_point(build_gallery("dirac3", mu=1, v=0), 48)
     pb = assemble_point(build_gallery("dirac3", mu=1, v=0.3), 48)
     fit = schatten_fit(compare_points(pa, pb), n=3, q=0, p_list=(2.0,))
-    elapsed = time.time() - t0
     ok = fit.slope is not None and -0.7 <= fit.slope <= -0.3
-    return CriterionResult(
-        7, "Schatten decay n=3 q=0", ok and elapsed < 600, elapsed, 600,
+    return (
+        ok,
         _no_slope(fit) or f"slope {fit.slope:.3f} over {fit.count} values",
-        data={"schatten": fit},
+        {"schatten": fit},
     )
 
 
+@_criterion(8, "Fredholm indices", 10)
 def criterion_8():
     """Fredholm index of the twist family, doubling, and cocycle laws."""
-    t0 = time.time()
     cutoff = 16
     db = build_gallery("dbar", mu=0.5)
     twists = {d: build_gallery("twisted_dbar", mu=0.5, d=d) for d in (0, 1, 3)}
@@ -211,17 +212,15 @@ def criterion_8():
     i13 = fredholm_index(points[1], points[3]).index
     i03 = fredholm_index(points[0], points[3]).index
     ok = ok and (i01 + i13 == i03)
-    elapsed = time.time() - t0
-    return CriterionResult(
-        8, "Fredholm indices", ok and elapsed < 10, elapsed, 10,
+    return ok, (
         f"twist3 {idx3.index} (safe={idx3.tail_safe}), doubled {idx0.index}, "
-        f"antisym {anti.index}, additivity {i01}+{i13}={i03}",
+        f"antisym {anti.index}, additivity {i01}+{i13}={i03}"
     )
 
 
+@_criterion(9, "functional calculus", 10)
 def criterion_9():
     """Functional calculus: powers and spectral projectors."""
-    t0 = time.time()
     a = np.diag([4.0, 9.0]).astype(complex)
     err_half = float(np.abs(matrix_power(a, 0.5) - np.diag([2.0, 3.0])).max())
     rng = np.random.default_rng(3)
@@ -242,16 +241,14 @@ def criterion_9():
         worst_idem = max(worst_idem, float(np.abs(P @ P - P).max()))
         worst_comm = max(worst_comm, float(np.abs(P @ M - M @ P).max()))
         count += 1
-    elapsed = time.time() - t0
     ok = (
         max(err_half, err_id, err_one) <= 1e-10
         and worst_idem <= 1e-9
         and worst_comm <= 1e-9
     )
-    return CriterionResult(
-        9, "functional calculus", ok and elapsed < 10, elapsed, 10,
+    return ok, (
         f"powers {max(err_half, err_id, err_one):.1e}, riesz idem {worst_idem:.1e}, "
-        f"comm {worst_comm:.1e}",
+        f"comm {worst_comm:.1e}"
     )
 
 
@@ -270,9 +267,9 @@ def _separable_group(eigs, seed):
     return best
 
 
+@_criterion(10, "principal-symbol dependence", 10)
 def criterion_10():
     """Shared principal parts force 1/|m| decay of the weighted projectors."""
-    t0 = time.time()
     sa = build_gallery("dirac2", mu=1, v=0)
     sb = build_gallery("dirac2", mu=1, v=0.3)
     ms = np.unique(np.geomspace(16, 256, 25).astype(int))
@@ -280,11 +277,7 @@ def criterion_10():
     norms = rep.diff_norms[np.isin(rep.modes[:, 0], ms)]
     slope = float(np.polyfit(np.log(ms), np.log(norms), 1)[0])
     bound_c = max(m * v for m, v in zip(ms, norms))
-    elapsed = time.time() - t0
-    return CriterionResult(
-        10, "principal-symbol dependence", slope <= -0.9 and elapsed < 10, elapsed, 10,
-        f"slope {slope:.3f}, C = max m*norm = {bound_c:.3f}",
-    )
+    return slope <= -0.9, f"slope {slope:.3f}, C = max m*norm = {bound_c:.3f}"
 
 
 CRITERIA = (

@@ -353,36 +353,29 @@ def riesz_projector(M, contour):
     return _stacked_quadrature(resolvent, *circles)[0].sum(axis=0)
 
 
-def matrix_power(a, t, cut_angle=np.pi):
-    """Fractional power ``a^t`` with the branch of ``z^t`` cut along
-    the ray ``r e^{i cut_angle}``.
+def matrix_power(a, t):
+    """Fractional power ``a^t`` on the principal branch of ``z^t``, cut
+    along the negative real axis.
 
     The spectrum must stay off the cut (and off the origin).  The
     Cauchy integral of ``z^t (z - a)^{-1}`` runs on one small circle per
     eigenvalue cluster, clear of the cut (:func:`_cluster_circles`).
-    Eigenvalues of the result are the t-th powers, same branch, of the
-    eigenvalues of ``a``.  A non-finite ``t`` or ``cut_angle`` raises
-    SpecError.
+    Eigenvalues of the result are the principal t-th powers of the
+    eigenvalues of ``a``.  A non-finite ``t`` raises SpecError.
     """
-    if not (np.isfinite(t) and np.isfinite(cut_angle)):
-        raise SpecError("the power and the cut angle must be finite")
+    if not np.isfinite(t):
+        raise SpecError("the power must be finite")
     a = np.asarray(a, dtype=complex)
     eigs = np.linalg.eigvals(a)
     scale = 1.0 + float(np.abs(eigs).max())
-    ray = np.exp(1j * cut_angle)
-    rotated = eigs / ray
-    dist_ray = np.where(rotated.real > 0, np.abs(rotated.imag), np.abs(rotated))
-    if dist_ray.min() < 1e-8 * scale or np.abs(eigs).min() < 1e-12 * scale:
+    dist_cut = np.where(eigs.real < 0, np.abs(eigs.imag), np.abs(eigs))
+    if dist_cut.min() < 1e-8 * scale or np.abs(eigs).min() < 1e-12 * scale:
         raise EigenvalueOnCut("an eigenvalue lies on the branch cut or at 0")
-    circles = _cluster_circles(eigs, np.ones(eigs.shape, dtype=bool), dist_ray.min(), ray)
+    circles = _cluster_circles(eigs, np.ones(eigs.shape, dtype=bool), dist_cut.min(), -1.0)
     eye = np.eye(a.shape[0], dtype=complex)
 
     def integrand(z, rows):
-        # branch: arg(z) in (cut_angle - 2 pi, cut_angle)
-        psi = np.angle(z / ray)
-        delta = np.where(psi > 0, psi - 2 * np.pi, psi)
-        logz = np.log(np.abs(z)) + 1j * (cut_angle + delta)
-        powz = np.exp(t * logz)
+        powz = np.exp(t * np.log(z))  # principal branch: arg z in (-pi, pi]
         return powz[..., None, None] * np.linalg.inv(z[..., None, None] * eye - a)
 
     return _stacked_quadrature(integrand, *circles)[0].sum(axis=0)

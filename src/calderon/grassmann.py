@@ -58,21 +58,26 @@ class GrassmannPoint:
         return [mode_key(m) for m in self.modes[self.dims > 0]]
 
 
-def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
-    """Build the truncated decaying-side point of an operator.
+def _side_frames(spec, modes, side, alpha):
+    """Weighted frames of one side's Cauchy-data space over a stack of
+    modes, one mode per row: ``(bad, dims, ortho, weights)``, with
+    ``bad`` the defect mask of ``modes`` (a real characteristic root:
+    no frame exists) and the rest over the modes it leaves.
 
-    Frames are the stable invariant subspaces of the per-mode companion
-    matrices, rescaled by ``W^{1/2}`` and re-orthonormalized by
-    ``_kernels.weighted_range_sweep``, whose Gram gate raises
-    IllConditionedFrame.  Defect modes (real-axis roots) are excluded
-    and listed in ``excluded``.  A stalled sign iteration raises
-    DefectMode.  Every error names its mode.
+    ``plus`` spans the stable invariant subspace of each companion
+    matrix (solutions decaying as x_n grows), ``minus`` the unstable
+    one, which is the stable subspace of the negated matrix.  Frames are
+    the ranges of the sign sweep's projectors, rescaled by ``W^{1/2}``
+    and re-orthonormalized by ``_kernels.weighted_range_sweep``, whose
+    Gram gate raises IllConditionedFrame.  A stalled sign iteration
+    raises DefectMode.  Both errors name their mode.  A side other than
+    plus or minus raises SpecError before any sweep runs.
     """
-    if cutoff < 1:
-        raise SpecError("cutoff must be at least 1")
-    modes = mode_lattice(spec.n, cutoff)
+    if side not in ("plus", "minus"):
+        raise SpecError(f"side must be plus or minus, got {side!r}")
     comp, lam, bad = defect_screen(spec, modes)
-    excluded = [mode_key(m) for m in modes[bad]]
+    if side == "minus":
+        comp, lam = -comp, -lam
     keep = ~bad
     modes = modes[keep]
     comp = comp[keep]
@@ -93,15 +98,31 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
     except IllConditionedFrame as exc:
         msg = f"weighted Gram matrix at mode {mode_key(modes[exc.index])} is numerically singular"
         raise IllConditionedFrame(msg, index=exc.index) from exc
+    return bad, dims, ortho, w
+
+
+def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
+    """Build the truncated decaying-side point of an operator: the plus
+    frames of :func:`_side_frames` over the lattice.
+
+    Defect modes (real-axis roots) are excluded and listed in
+    ``excluded``.  A stalled sign iteration raises DefectMode, and an
+    ill-conditioned weighted frame IllConditionedFrame.  Every error
+    names its mode.
+    """
+    if cutoff < 1:
+        raise SpecError("cutoff must be at least 1")
+    modes = mode_lattice(spec.n, cutoff)
+    bad, dims, ortho, w = _side_frames(spec, modes, "plus", alpha)
     return GrassmannPoint(
         spec=spec,
         cutoff=int(cutoff),
         alpha=float(alpha),
-        modes=modes,
+        modes=modes[~bad],
         dims=dims,
         ortho=ortho,
         weights=w,
-        excluded=excluded,
+        excluded=[mode_key(m) for m in modes[bad]],
     )
 
 

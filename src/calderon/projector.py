@@ -3,10 +3,12 @@
 For one tangential mode the operator is an ODE system in the normal
 variable; its Cauchy-data space splits into the data of solutions
 decaying to the right (side ``plus``) and to the left (side ``minus``).
-Two independent constructions of the projector onto the plus space are
-implemented: the layer-potential route (boundary values of the decaying
-inverse applied to delta layers) and the companion spectral-split
-oracle.  They must agree, and tests hold them to that.
+The projector onto one side along the other comes from the
+layer-potential route (boundary values of the decaying inverse applied
+to delta layers), the weighted-orthogonal one from the sign-iteration
+frames that ``assemble_point`` builds.  The companion spectral split
+(``contour.spectral_split``) is an independent oracle for both, and
+tests hold them to it.
 """
 
 import functools
@@ -14,19 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import weighted_range_sweep
 from .contour import (
     _enclosing_circles,
     _mode_at,
     _root_clusters,
     _sized_nodes,
     _stacked_quadrature,
-    spectral_split,
 )
 from .errors import (
     ContourNotConverged,
+    DefectMode,
     EigenvalueOnContour,
-    IllConditionedFrame,
     RoutesDisagree,
     SpecError,
 )
@@ -34,9 +34,9 @@ from .symbols import (  # the stack builders and the defect scan are re-exported
     _companion,
     companion_matrix,
     companion_stack,
+    mode_key,
     mode_lattice,
     mode_matrix_stack,
-    mode_weights,
     scan_defect_modes,
     symbol_values,
 )
@@ -44,7 +44,6 @@ from .symbols import (  # the stack builders and the defect scan are re-exported
 __all__ = [
     "BlockProjector",
     "companion_matrix",
-    "cauchy_frame_oracle",
     "jump_operator",
     "layer_potential_blocks",
     "calderon_projector",
@@ -67,22 +66,6 @@ class BlockProjector:
 
 # ---------------------------------------------------------------------------
 # single-mode operations
-
-
-def cauchy_frame_oracle(sym, side):
-    """Cauchy-data frame of one side, straight from the companion split:
-    the ``(rk, d)`` orthonormal Schur frame, in component blocks
-    ``(u, d_n u, ..., d_n^{k-1} u)``.
-
-    ``plus`` spans the stable invariant subspace (solutions decaying as
-    x_n grows), ``minus`` the unstable one; the two dimensions sum to rk.
-    A side other than plus or minus raises SpecError before the split
-    runs; DefectMode is raised when the split does not exist.
-    """
-    if side not in ("plus", "minus"):
-        raise SpecError(f"side must be plus or minus, got {side!r}")
-    split = spectral_split(companion_matrix(sym))
-    return split.stable if side == "plus" else split.unstable
 
 
 def jump_operator(sym):
@@ -320,23 +303,24 @@ def calderon_projector_stack(spec, modes, side="plus"):
 def orthogonal_projector(sym, side, alpha):
     """Weighted-orthogonal projector onto one side's Cauchy-data space.
 
-    Computes ``F (F* W F)^{-1} F* W`` for the frame F of
-    :func:`cauchy_frame_oracle` and the order-``alpha`` Sobolev weight W
-    of the symbol's mode (``symbols.mode_weights``), as
-    ``W^{-1/2} Q Q* W^{1/2}``, Q from ``assemble_point``'s weighted-frame
-    step (``_kernels.weighted_range_sweep``) at N=1, whose Gram gate
-    raises IllConditionedFrame naming the mode.  A side other than plus
-    or minus, or an alpha that is not finite and positive, raises
-    SpecError before the Schur split runs.
+    Computes ``F (F* W F)^{-1} F* W`` for a frame F of the side and the
+    order-``alpha`` Sobolev weight W of the symbol's mode
+    (``symbols.mode_weights``), as ``W^{-1/2} Q Q* W^{1/2}`` with Q the
+    weighted frame of ``assemble_point``'s frame steps
+    (``grassmann._side_frames``) on the one-row stack of the mode.  A
+    defect mode or a stalled sign iteration raises DefectMode, and the
+    Gram gate IllConditionedFrame, each naming the mode.  A side other
+    than plus or minus, or an alpha that is not finite and positive,
+    raises SpecError before the sign sweep runs.
     """
-    sqw = np.sqrt(np.repeat(mode_weights([sym.m], sym.k, alpha)[1][0], sym.r))
-    F = cauchy_frame_oracle(sym, side)
-    try:
-        Q = weighted_range_sweep((sqw[:, None] * F)[None], [F.shape[1]])[0]
-    except IllConditionedFrame as exc:
-        msg = f"weighted Gram matrix at mode {sym.m} is numerically singular"
-        raise IllConditionedFrame(msg) from exc
-    P = (Q @ Q.conj().T) * (sqw[None, :] / sqw[:, None])
+    from .grassmann import _side_frames  # deferred: the layer route never loads grassmann
+
+    bad, _, Q, w = _side_frames(sym.spec, np.array([sym.m]), side, alpha)
+    if bad[0]:
+        key = mode_key(sym.m)
+        raise DefectMode(f"mode {key} has a characteristic root on the real axis", mode=key)
+    sqw = np.sqrt(w[0])
+    P = (Q[0] @ Q[0].conj().T) * (sqw[None, :] / sqw[:, None])
     return BlockProjector(m=sym.m, matrix=P, kind="Pplus" if side == "plus" else "Pminus")
 
 

@@ -198,11 +198,11 @@ def mode_weights(modes, k, alpha):
 
 
 def mode_key(vec):
-    """A mode row as reported: an int for n = 2, else a tuple of ints."""
-    vec = np.atleast_1d(vec)
-    if len(vec) == 1:
-        return int(vec[0])
-    return tuple(int(x) for x in vec)
+    """A mode row as reported: a number for n = 2, else a tuple, with
+    ints where integral (a non-integer mode of ``mode_symbol`` keeps its
+    value)."""
+    key = tuple(int(x) if float(x).is_integer() else x for x in np.atleast_1d(vec).tolist())
+    return key[0] if len(key) == 1 else key
 
 
 def _term_stack(spec, modes, degree=None):

@@ -537,15 +537,10 @@ def test_power_semigroup_on_hermitian_positive():
         assert np.abs(lhs - rhs).max() < 1e-8
 
 
-def test_power_respects_branch_cut_choice():
-    # spectrum on the negative real axis: the default cut is unusable,
-    # a cut along the positive imaginary axis is fine
-    a = np.diag([-4.0, -9.0]).astype(complex)
+def test_power_rejects_spectrum_on_the_cut():
+    # the cut runs along the negative real axis
     with pytest.raises(EigenvalueOnCut):
-        matrix_power(a, 0.5, cut_angle=np.pi)
-    val = matrix_power(a, 0.5, cut_angle=np.pi / 2)
-    # branch with arguments in (pi/2 - 2 pi, pi/2): arg(-4) = -pi
-    assert np.abs(val - np.diag([-2.0j, -3.0j])).max() < 1e-10
+        matrix_power(np.diag([-4.0, -9.0]).astype(complex), 0.5)
 
 
 def test_power_of_a_wide_spectrum_far_from_the_cut():
@@ -597,12 +592,12 @@ def test_power_rejects_spectrum_at_origin():
         matrix_power(np.diag([0.0, 2.0]).astype(complex), 0.5)
 
 
-@pytest.mark.parametrize("t, cut_angle", [(np.nan, np.pi), (np.inf, np.pi), (0.5, np.nan)])
-def test_power_rejects_non_finite_arguments_before_any_quadrature(t, cut_angle, monkeypatch):
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_power_rejects_non_finite_arguments_before_any_quadrature(t, monkeypatch):
     called = []
-    monkeypatch.setattr(contour_module, "contour_quadrature", lambda *a: called.append(a))
+    monkeypatch.setattr(contour_module, "_stacked_quadrature", lambda *a: called.append(a))
     with pytest.raises(SpecError):
-        matrix_power(np.diag([4.0, 9.0]), t, cut_angle=cut_angle)
+        matrix_power(np.diag([4.0, 9.0]), t)
     assert called == []
 
 

@@ -151,10 +151,17 @@ def test_sign_iteration_stall_names_the_mode():
     # the spectrum at mode (-1, 0) of the self-adjoint double (4x4
     # companions, inverted by LAPACK) sits close enough to the imaginary
     # axis that the sign iteration stalls, although it passes the defect
-    # screen
+    # screen.  The weighted projector takes the same frame steps, so it
+    # stalls there alike, and at (1, 0) too
+    spec = selfadjoint_double(build_gallery("dirac3", mu=1, v=0.005))
     with pytest.raises(DefectMode) as info:
-        assemble_point(selfadjoint_double(build_gallery("dirac3", mu=1, v=0.005)), 16)
+        assemble_point(spec, 16)
     assert info.value.mode == (-1, 0)
+    for m in [(-1, 0), (1, 0)]:
+        with pytest.raises(DefectMode) as one:
+            orthogonal_projector(mode_symbol(spec, m), "plus", 0.5)
+        assert one.value.mode == m
+        assert str(one.value) == str(info.value).replace("(-1, 0)", str(m))
 
 
 @pytest.mark.parametrize("v", [0.005, 0.0133])

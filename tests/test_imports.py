@@ -1,6 +1,7 @@
 """A fresh process loads only the modules its subcommand runs, and
-scipy only when the Schur oracle runs; the lazy package root resolves
-every public name; the public calls keep their pinned parameter lists."""
+scipy only when the Schur split runs, which no subcommand but acceptance
+does; the lazy package root resolves every public name; the public calls
+keep their pinned parameter lists."""
 
 import importlib
 import inspect
@@ -94,6 +95,8 @@ def test_pipelines_never_load_scipy(specs, tmp_path):
 PAIR_MODULES = {"calderon", "calderon.cli", "calderon.errors", "calderon.symbols",
                 "calderon._kernels", "calderon.grassmann"}
 LAYER_MODULES = PAIR_MODULES - {"calderon.grassmann"} | {"calderon.projector", "calderon.contour"}
+# the weighted projector takes its frame from assemble_point's frame steps
+WEIGHTED_MODULES = LAYER_MODULES | {"calderon.grassmann"}
 
 
 @pytest.mark.parametrize(
@@ -104,7 +107,7 @@ LAYER_MODULES = PAIR_MODULES - {"calderon.grassmann"} | {"calderon.projector", "
         (["index", "PAIR"], PAIR_MODULES),
         (["ellipticity", "--spec", "dirac_a"], PAIR_MODULES - {"calderon.grassmann"}),
         (["projector", "--spec", "laplace", "--mode", "3", "--kind", "R"], LAYER_MODULES),
-        (["projector", "--spec", "laplace", "--mode", "3", "--kind", "P"], LAYER_MODULES),
+        (["projector", "--spec", "laplace", "--mode", "3", "--kind", "P"], WEIGHTED_MODULES),
     ],
     ids=["compare", "schatten-csv", "index", "ellipticity", "projector-R", "projector-P"],
 )
@@ -114,7 +117,8 @@ def test_each_subcommand_loads_only_what_it_runs(specs, tmp_path, argv, modules)
     got = _fresh([argv + ["--cutoff", "8", "--out", "report"]], tmp_path)
     assert got["codes"] == [0]
     assert {m for m in got["loaded"] if m.split(".")[0] == "calderon"} == modules
-    if "--spec-a" in argv:  # nor scipy, nor numpy.ma, which weighted_range_sweep keeps out
+    assert [m for m in got["loaded"] if m.split(".")[0] == "scipy"] == []
+    if "--spec-a" in argv:  # nor numpy.ma, which weighted_range_sweep keeps out
         assert [m for m in got["loaded"] if m.split(".")[0] != "calderon"] == []
 
 
@@ -130,8 +134,7 @@ ROOT_NAMES = {
     "grassmann": ["CompareReport", "GrassmannPoint", "IndexReport", "SchattenReport",
                   "assemble_point", "chiral_point", "compare_points", "fredholm_index",
                   "krichever_reference", "schatten_fit"],
-    "projector": ["calderon_projector",
-                  "calderon_projector_stack", "cauchy_frame_oracle", "entry_growth_fit",
+    "projector": ["calderon_projector", "calderon_projector_stack", "entry_growth_fit",
                   "jump_operator", "layer_potential_blocks", "orthogonal_projector"],
     "symbols": ["EllipticityReport", "ModeSymbol", "OperatorSpec", "agree_up_to_order",
                 "build_gallery", "check_ellipticity", "companion_matrix", "dump_spec",
@@ -167,11 +170,11 @@ def test_root_resolves_its_submodules_and_rejects_unknown_names():
         exec("from calderon import no_such_name", {})
 
 
-def test_schur_oracle_loads_scipy_and_matches_in_process(specs, tmp_path):
+def test_weighted_projector_loads_no_scipy_and_matches_in_process(specs, tmp_path):
     args = ["projector", "--spec", specs["laplace"], "--mode", "3", "--kind", "P", "--cutoff", "8"]
     got = _fresh([args + ["--out", "fresh.json"]], tmp_path)
     assert got["codes"] == [0]
-    assert "scipy.linalg" in got["loaded"]
+    assert [m for m in got["loaded"] if m.split(".")[0] == "scipy"] == []
     assert main(args + ["--out", str(tmp_path / "here.json")]) == 0
     assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
@@ -185,12 +188,11 @@ SIGNATURES = {
     "contour.Contour.circle": "(center, radius, nodes=16)",
     "contour.contour_quadrature": "(f, contour)",
     "contour.riesz_projector": "(M, contour)",
-    "contour.matrix_power": "(a, t, cut_angle=3.141592653589793)",
+    "contour.matrix_power": "(a, t)",
     "contour.enclosing_circle": "(group, excluded=())",
     "contour.characteristic_roots": "(sym)",
     "contour.spectral_split": "(C)",
     "projector.calderon_projector": "(sym, side='plus')",
-    "projector.cauchy_frame_oracle": "(sym, side)",
     "projector.layer_potential_blocks": "(sym, cross_check=True)",
     "projector.orthogonal_projector": "(sym, side, alpha)",
     "symbols.check_ellipticity": "(spec, samples=64)",
