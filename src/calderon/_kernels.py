@@ -155,8 +155,7 @@ def stable_projector_sweep(mats):
     if not ok.all():
         bad = int(np.nonzero(~ok)[0][0])
         raise SignIterationStalled(
-            f"matrix sign iteration stalled at stack index {bad}; "
-            "spectrum is too close to the imaginary axis",
+            "the matrix sign iteration stalled; the spectrum is too close to the imaginary axis",
             index=bad,
         )
     eye = np.eye(d, dtype=np.complex128)
@@ -255,7 +254,8 @@ def weighted_range_sweep(mats, dims):
     for k in set(dims[dims > 1].tolist()):  # np.unique would load numpy.ma, ~10 ms
         ok[dims == k] = _frames_pass(mats[dims == k, :, :k])
     if not ok.all():
-        raise IllConditionedFrame("weighted Gram matrix is singular", index=int(ok.argmin()))
+        msg = "the weighted Gram matrix is numerically singular"
+        raise IllConditionedFrame(msg, index=int(ok.argmin()))
     lead = np.arange(mats.shape[2]) < dims[:, None]
     return orthonormal_range_sweep(np.where(lead[:, None, :], mats, 0), dims)
 

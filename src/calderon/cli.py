@@ -26,6 +26,7 @@ from .symbols import (
     build_gallery,
     check_ellipticity,
     dump_spec,
+    mode_key,
     mode_symbol,
     read_spec,
 )
@@ -235,7 +236,7 @@ def _run_projector(cfg, reports, timings):
         proj = projector.orthogonal_projector(sym, cfg.side, cfg.alpha)
     timings["projector"] = time.time() - t0
     reports["projector"] = {
-        "m": mode[0] if spec.n == 2 else list(mode),
+        "m": mode_key(mode),
         "kind": proj.kind,
         "alpha": cfg.alpha,
         "re": proj.matrix.real.tolist(),
@@ -313,11 +314,11 @@ def _run_schatten(cfg, reports, timings):
 def _run_index(cfg, reports, timings):
     from .grassmann import fredholm_index
     t0 = time.time()
-    sa, _, pa, pb = _points(cfg)
+    _, _, pa, pb = _points(cfg)
     rep = fredholm_index(pa, pb, tol=cfg.tol)
     timings["index"] = time.time() - t0
     nonzero = [
-        {"m": m[0] if sa.n == 2 else list(m), "ker": int(k), "coker": int(c)}
+        {"m": mode_key(m), "ker": int(k), "coker": int(c)}
         for m, k, c in zip(rep.modes, rep.kernel_dims, rep.cokernel_dims)
         if k or c
     ]

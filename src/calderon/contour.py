@@ -18,7 +18,7 @@ from .errors import (
     EigenvalueOnCut,
     SpecError,
 )
-from .symbols import on_real_axis
+from .symbols import mode_error, on_real_axis
 
 MAX_NODES = 2**16
 QUAD_TOL = 1e-10  # relative agreement of successive node doublings, per circle
@@ -193,7 +193,7 @@ def _enclosing_circles(points, inside, outside):
     gap = dist.min(axis=1, where=outside, initial=np.inf)
     stuck = gap <= spread * (1 + 1e-12) + 1e-300
     if np.count_nonzero(stuck):
-        msg = "cannot separate the enclosed group from excluded eigenvalues"
+        msg = "no circle separates the enclosed group from the excluded points"
         raise EigenvalueOnContour(msg, index=int(stuck.argmax()))
     # rho = max(spread / r, r / gap) is least at the geometric mean; the
     # floor gap / 8 keeps a lone point or a tight group at rho <= 1/8
@@ -226,11 +226,6 @@ def enclosing_circle(group, excluded=()):
     return Contour.circle(center[0], radius[0], _sized_nodes(rho[0]))
 
 
-def _mode_at(modes, i):
-    """Row ``i`` of a mode stack as a tuple, for error reports."""
-    return tuple(np.atleast_1d(modes[i]).tolist())
-
-
 def _linkage(gaps, far):
     """Single-linkage clusters of points whose pairwise distances are
     ``gaps`` ``(..., P, P)``, linked within ``LINK_SHARE * far`` (``far``
@@ -256,9 +251,9 @@ def _root_clusters(lam, modes):
     real = on_real_axis(dist, np.asarray(modes, dtype=float)[:, None])
     if np.count_nonzero(real):
         i = int(real.any(axis=1).argmax())
-        mode, bad = _mode_at(modes, i), list(xi[i][real[i]])
-        raise DefectMode(f"mode {mode} has characteristic roots on the real axis: {bad}",
-                         mode=mode, roots=bad)
+        bad = xi[i][real[i]].tolist()
+        raise mode_error(DefectMode(f"characteristic roots lie on the real axis: {bad}",
+                                    index=i, roots=bad), modes)
     half = np.copysign(1.0, xi.imag)
     gaps = np.abs(xi[:, :, None] - xi[:, None, :])
     # the real axis bounds each half as the cut bounds matrix_power's

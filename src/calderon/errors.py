@@ -2,7 +2,14 @@
 
 
 class CalderonError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  A per-mode error carries
+    ``index``, its row in the caller's mode stack, and ``mode``, that
+    row's ``symbols.mode_key``; ``symbols.mode_error`` sets both."""
+
+    def __init__(self, message, index=None, mode=None):
+        super().__init__(message)
+        self.index = index
+        self.mode = mode
 
 
 class SpecError(CalderonError):
@@ -17,39 +24,25 @@ class DefectMode(CalderonError):
     """A characteristic root sits on the real axis, so decaying and
     growing solutions do not split the Cauchy-data space."""
 
-    def __init__(self, message, mode=None, roots=None):
-        super().__init__(message)
-        self.mode = mode
+    def __init__(self, message, index=None, mode=None, roots=None):
+        super().__init__(message, index, mode)
         self.roots = roots
 
 
 class SignIterationStalled(DefectMode):
     """The matrix sign iteration did not converge for one matrix of a
-    stack, whose spectrum is too close to the imaginary axis; ``index``
-    is its position in the stack."""
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index
+    stack, whose spectrum is too close to the imaginary axis."""
 
 
-class _StackError(CalderonError):
-    """A failure at one entry of a stack; ``index`` is its position."""
-
-    def __init__(self, message, index=0):
-        super().__init__(message)
-        self.index = index
-
-
-class ContourNotConverged(_StackError):
+class ContourNotConverged(CalderonError):
     """Node doubling exceeded the node budget without convergence."""
 
 
-class RoutesDisagree(_StackError):
+class RoutesDisagree(CalderonError):
     """The residue and quadrature routes of the layer blocks disagree."""
 
 
-class EigenvalueOnContour(_StackError):
+class EigenvalueOnContour(CalderonError):
     """An eigenvalue lies on (or too close to) the integration contour."""
 
 
@@ -58,7 +51,7 @@ class EigenvalueOnCut(CalderonError):
     separated from it by a circle."""
 
 
-class IllConditionedFrame(_StackError):
+class IllConditionedFrame(CalderonError):
     """The weighted Gram matrix of a frame is numerically singular."""
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from . import _kernels
 from .errors import (
     CutoffMismatch,
-    DefectMode,
     IllConditionedFrame,
     InsufficientData,
     NoChiralStructure,
@@ -28,6 +27,7 @@ from .symbols import (
     agree_up_to_order,
     build_gallery,
     defect_screen,
+    mode_error,
     mode_key,
     mode_lattice,
     mode_weights,
@@ -70,8 +70,9 @@ def _side_frames(spec, modes, side, alpha):
     the ranges of the sign sweep's projectors, rescaled by ``W^{1/2}``
     and re-orthonormalized by ``_kernels.weighted_range_sweep``, whose
     Gram gate raises IllConditionedFrame.  A stalled sign iteration
-    raises DefectMode.  Both errors name their mode.  A side other than
-    plus or minus raises SpecError before any sweep runs.
+    raises SignIterationStalled, a DefectMode.  Both name their row of
+    ``modes`` (``symbols.mode_error``).  A side other than plus or minus
+    raises SpecError before any sweep runs.
     """
     if side not in ("plus", "minus"):
         raise SpecError(f"side must be plus or minus, got {side!r}")
@@ -79,25 +80,16 @@ def _side_frames(spec, modes, side, alpha):
     if side == "minus":
         comp, lam = -comp, -lam
     keep = ~bad
-    modes = modes[keep]
     comp = comp[keep]
     dims = (lam[keep].real < 0).sum(axis=1).astype(np.int64)
-    w = np.repeat(mode_weights(modes, spec.k, alpha)[1], spec.r, axis=1)
+    w = np.repeat(mode_weights(modes[keep], spec.k, alpha)[1], spec.r, axis=1)
 
     try:
         proj = _kernels.stable_projector_sweep(comp)
         raw = _kernels.orthonormal_range_sweep(proj, dims)
         ortho = _kernels.weighted_range_sweep(np.sqrt(w)[:, :, None] * raw, dims)
-    except SignIterationStalled as exc:
-        key = mode_key(modes[exc.index])
-        raise DefectMode(
-            f"matrix sign iteration stalled at mode {key}; "
-            "spectrum is too close to the imaginary axis",
-            mode=key,
-        ) from exc
-    except IllConditionedFrame as exc:
-        msg = f"weighted Gram matrix at mode {mode_key(modes[exc.index])} is numerically singular"
-        raise IllConditionedFrame(msg, index=exc.index) from exc
+    except (SignIterationStalled, IllConditionedFrame) as exc:
+        raise mode_error(exc, modes, np.flatnonzero(keep)) from exc
     return bad, dims, ortho, w
 
 
@@ -106,9 +98,9 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
     frames of :func:`_side_frames` over the lattice.
 
     Defect modes (real-axis roots) are excluded and listed in
-    ``excluded``.  A stalled sign iteration raises DefectMode, and an
-    ill-conditioned weighted frame IllConditionedFrame.  Every error
-    names its mode.
+    ``excluded``.  A stalled sign iteration raises SignIterationStalled,
+    a DefectMode, and an ill-conditioned weighted frame
+    IllConditionedFrame, each naming its row of the lattice.
     """
     if cutoff < 1:
         raise SpecError("cutoff must be at least 1")
@@ -420,10 +412,10 @@ def fredholm_index(a, b, tol=1e-6, rep=None):
     live = np.arange(cos.shape[1]) < np.minimum(da, db)[:, None]
     ambiguous = (live & (cos >= tol) & (cos < 10 * tol)).any(axis=1)
     if ambiguous.any():
-        raise ThresholdAmbiguous(
-            f"singular value in [{tol:.1e}, {10 * tol:.1e}) at mode "
-            f"{mode_key(rep.modes[ambiguous.argmax()])}; adjust tol"
-        )
+        i = int(ambiguous.argmax())
+        key = mode_key(rep.modes[i])
+        msg = f"singular value in [{tol:.1e}, {10 * tol:.1e}) at mode {key}; adjust tol"
+        raise ThresholdAmbiguous(msg, index=i, mode=key)
     rank = (live & (cos > tol)).sum(axis=1)
     ker = da - rank
     cok = db - rank

@@ -18,7 +18,6 @@ import numpy as np
 
 from .contour import (
     _enclosing_circles,
-    _mode_at,
     _root_clusters,
     _sized_nodes,
     _stacked_quadrature,
@@ -34,7 +33,7 @@ from .symbols import (  # the stack builders and the defect scan are re-exported
     _companion,
     companion_matrix,
     companion_stack,
-    mode_key,
+    mode_error,
     mode_lattice,
     mode_matrix_stack,
     scan_defect_modes,
@@ -172,9 +171,7 @@ def _layer_blocks(A, modes, lam, cross_check):
         try:
             centers, radii, rates = _enclosing_circles(xi[row], inside, ~inside)
         except EigenvalueOnContour as exc:
-            i = int(row[exc.index])
-            msg = f"no circle separates a root cluster at mode {_mode_at(modes, i)}"
-            raise EigenvalueOnContour(msg, index=i) from exc
+            raise mode_error(exc, modes, row) from exc
     if n_local:
         multiple = upper[row, col] > 1
         local = row[multiple]
@@ -213,8 +210,7 @@ def _layer_blocks(A, modes, lam, cross_check):
         try:
             values, _ = _stacked_quadrature(integrand, centers, radii, _sized_nodes(slowest))
         except ContourNotConverged as exc:
-            i = owner[exc.index]
-            raise ContourNotConverged(f"{exc} at mode {_mode_at(modes, i)}", index=int(i)) from exc
+            raise mode_error(exc, modes, owner) from exc
         if local.size:
             np.add.at(J, local, values[: local.size])
 
@@ -226,10 +222,8 @@ def _layer_blocks(A, modes, lam, cross_check):
         agree = err <= _AGREEMENT_TOL * (1.0 + np.abs(J).max(axis=(1, 2, 3)))  # NaN fails
         if np.count_nonzero(agree) < agree.size:
             i = int(agree.argmin())
-            raise RoutesDisagree(
-                f"layer-potential routes disagree at mode {_mode_at(modes, i)}: {err[i]:.3e}",
-                index=i,
-            )
+            msg = f"the layer-potential routes disagree by {err[i]:.3e}"
+            raise mode_error(RoutesDisagree(msg, index=i), modes)
     # block (q, p) is i^{p+q+1} times the integral of power p + q
     return _block_hankel([(1j) ** (s + 1) * J[:, s] for s in range(2 * k - 1)])
 
@@ -315,10 +309,10 @@ def orthogonal_projector(sym, side, alpha):
     """
     from .grassmann import _side_frames  # deferred: the layer route never loads grassmann
 
-    bad, _, Q, w = _side_frames(sym.spec, np.array([sym.m]), side, alpha)
+    modes = np.array([sym.m])
+    bad, _, Q, w = _side_frames(sym.spec, modes, side, alpha)
     if bad[0]:
-        key = mode_key(sym.m)
-        raise DefectMode(f"mode {key} has a characteristic root on the real axis", mode=key)
+        raise mode_error(DefectMode("a characteristic root lies on the real axis", index=0), modes)
     sqw = np.sqrt(w[0])
     P = (Q[0] @ Q[0].conj().T) * (sqw[None, :] / sqw[:, None])
     return BlockProjector(m=sym.m, matrix=P, kind="Pplus" if side == "plus" else "Pminus")

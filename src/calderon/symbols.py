@@ -205,6 +205,20 @@ def mode_key(vec):
     return key[0] if len(key) == 1 else key
 
 
+def mode_error(exc, modes, rows=None):
+    """The caller's copy of a stack error ``exc``: the same class and
+    attributes, ``index`` the row of ``modes`` that ``exc.index`` names
+    (``rows[exc.index]`` where the stack held the rows ``rows`` of
+    ``modes``), ``mode`` that row's :func:`mode_key`, and its message
+    led by ``at mode {key}``.  The layer and frame routes raise each
+    error that fails one mode through it."""
+    row = int(exc.index if rows is None else rows[exc.index])
+    key = mode_key(modes[row])
+    err = type(exc)(f"at mode {key} {exc}")
+    vars(err).update(vars(exc), index=row, mode=key)
+    return err
+
+
 def _term_stack(spec, modes, degree=None):
     """``A_q(m) = sum_beta c[q, beta] (i m)^beta``, shape ``(k+1, N, r, r)``, for real
     modes one per row, over the terms of total degree ``degree`` (None: all)."""

@@ -250,6 +250,18 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert record["error"]["type"] == "DefectMode"
 
 
+def test_both_projector_kinds_name_a_defect_mode_alike(tmp_path, capsys):
+    # dbar(mu=1) has its root on the real axis at mode 1
+    spec = str(tmp_path / "d1.spec")
+    assert main(["write-spec", "dbar", "-p", "mu=1", "--out", spec]) == 0
+    capsys.readouterr()
+    for kind in ("R", "P"):
+        assert main(["projector", "--spec", spec, "--mode", "1", "--kind", kind]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DefectMode"
+        assert error["message"].startswith("at mode 1 ") and "np." not in error["message"]
+
+
 def test_acceptance_subcommand_exit_code(tmp_path):
     out = tmp_path / "acc.json"
     assert main(["acceptance", "--out", str(out)]) == 0

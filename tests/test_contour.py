@@ -383,7 +383,7 @@ def test_real_root_raises_defect():
     db0 = build_gallery("dbar", mu=0.0)
     with pytest.raises(DefectMode) as info:
         characteristic_roots(mode_symbol(db0, 0))
-    assert info.value.mode == (0,) and info.value.roots == [0.0]
+    assert info.value.mode == 0 and info.value.roots == [0.0]
 
 
 def test_multiplicity_grouping():

@@ -730,6 +730,9 @@ def test_padded_threshold_band_closed_lower_edge_names_the_loops_mode(padded_pai
         got = _ambiguous_message(lambda: fredholm_index(a, b, tol=tol, rep=rep))
         assert got == _ambiguous_message(lambda: _index_by_loop(ref, tol))
         assert got.endswith(f"at mode {mode_key(rep.modes[named])}; adjust tol")
+        with pytest.raises(ThresholdAmbiguous) as info:
+            fredholm_index(a, b, tol=tol, rep=rep)
+        assert info.value.index == named and info.value.mode == mode_key(rep.modes[named])
 
 
 @pytest.mark.parametrize(

@@ -200,6 +200,8 @@ SIGNATURES = {
     "grassmann.assemble_point": "(spec, cutoff, alpha=0.5)",
     "grassmann.chiral_point": "(spec, side, cutoff, alpha=0.5)",
     "acceptance.run_acceptance": "()",
+    "errors.CalderonError": "(message, index=None, mode=None)",
+    "errors.DefectMode": "(message, index=None, mode=None, roots=None)",
 }
 
 

@@ -16,6 +16,7 @@ from calderon.errors import (
     EigenvalueOnContour,
     IllConditionedFrame,
     RoutesDisagree,
+    SignIterationStalled,
     SpecError,
 )
 from calderon.projector import (
@@ -560,7 +561,7 @@ def test_cross_check_sums_local_circles_where_no_circle_separates_the_roots(monk
         assert np.abs(row - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
     # and the summed circles still catch a wrong residue, naming the mode
     monkeypatch.setattr(projector, "_adjugate", lambda M: 2 * _adjugate(M))
-    with pytest.raises(CalderonError, match=r"disagree at mode \(-1,\)"):
+    with pytest.raises(CalderonError, match=r"^at mode -1 the layer-potential routes disagree"):
         calderon_projector(mode_symbol(spec, -1))
 
 
@@ -613,7 +614,7 @@ def test_cross_check_integrates_its_own_circle_at_a_double_root(case, monkeypatc
         return values, counts
 
     monkeypatch.setattr(projector, "_stacked_quadrature", wrong_local)
-    with pytest.raises(RoutesDisagree, match=r"disagree at mode \(0,\)"):
+    with pytest.raises(RoutesDisagree, match=r"^at mode 0 the layer-potential routes disagree"):
         calderon_projector(mode_symbol(spec, 0))
 
 
@@ -642,7 +643,7 @@ def test_each_check_circle_fails_the_mode_that_owns_it(monkeypatch):
         with pytest.raises(RoutesDisagree) as info:
             calderon_projector_stack(spec, modes)
         assert info.value.index == owner[circle]
-        assert f"disagree at mode {tuple(modes[owner[circle]].tolist())}:" in str(info.value)
+        assert str(info.value).startswith(f"at mode {mode_key(modes[owner[circle]])} the layer")
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -796,7 +797,7 @@ def test_stack_names_its_defect_mode():
     spec = build_gallery("dbar", mu=0.0)  # real root at m = 0 only
     with pytest.raises(DefectMode) as info:
         calderon_projector_stack(spec, np.array([[3], [-2], [0], [1]]))
-    assert info.value.mode == (0,)
+    assert info.value.mode == 0
     with pytest.raises(SpecError):
         calderon_projector_stack(spec, np.array([3, 1]))
 
@@ -804,7 +805,7 @@ def test_stack_names_its_defect_mode():
 def test_nan_residues_fail_the_cross_check(monkeypatch):
     monkeypatch.setattr(projector, "_adjugate", lambda M: np.full(M.shape, np.nan, dtype=complex))
     sym = mode_symbol(build_gallery("laplace_mass", mu=1), 3)  # simple roots only
-    with pytest.raises(CalderonError, match=r"disagree at mode \(3,\)"):
+    with pytest.raises(CalderonError, match=r"^at mode 3 the layer-potential routes disagree"):
         calderon_projector(sym)
 
 
@@ -819,7 +820,7 @@ def test_stack_names_the_mode_whose_routes_disagree(monkeypatch):
         return values, counts
 
     monkeypatch.setattr(projector, "_stacked_quadrature", perturbed)
-    with pytest.raises(RoutesDisagree, match=r"disagree at mode \(3,\)") as info:
+    with pytest.raises(RoutesDisagree, match=r"^at mode 3 the layer-potential routes disagree") as info:
         calderon_projector_stack(build_gallery("laplace_mass", mu=1), np.array([[1], [2], [3]]))
     assert info.value.index == 2 and isinstance(info.value, CalderonError)
 
@@ -828,7 +829,7 @@ def test_stack_names_the_mode_whose_circle_did_not_converge(monkeypatch):
     # dbar's root i (mu - m) is upper for m < mu only, so m = 3 has no
     # circle and the stack's only circle is that of m = -2, its second row
     monkeypatch.setattr(contour, "QUAD_TOL", 1e-30)
-    with pytest.raises(ContourNotConverged, match=r"at mode \(-2,\)") as info:
+    with pytest.raises(ContourNotConverged, match=r"^at mode -2 ") as info:
         calderon_projector_stack(build_gallery("dbar", mu=0.5), np.array([[3], [-2]]))
     assert info.value.index == 1
 
@@ -983,7 +984,7 @@ def test_a_cluster_around_another_root_raises_naming_its_mode():
     found = sorted((half, mult) for _, mult, half in characteristic_roots(sym))
     assert found == [("lower", 1), ("upper", 1), ("upper", 8)]
     for cross_check in (True, False):
-        with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)"):
+        with pytest.raises(EigenvalueOnContour, match=r"^at mode 0 "):
             layer_potential_blocks(sym, cross_check=cross_check)
     # at m = 1 the ninth root joins the ring's cluster, and at m = 2 it
     # lies 1 from the ring's mean, outside the ring.  These roots are ill
@@ -993,12 +994,12 @@ def test_a_cluster_around_another_root_raises_naming_its_mode():
     R = calderon_projector_stack(spec, modes)
     P = stable_projector_sweep(companion_stack(spec, modes))
     assert np.abs(R - P).max() <= 1e-6 * (1.0 + np.abs(P).max())
-    with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)") as info:
+    with pytest.raises(EigenvalueOnContour, match=r"^at mode 0 ") as info:
         calderon_projector_stack(spec, np.array([[1], [0], [2]]))
     assert info.value.index == 1
     # two upper clusters at m = 2 and one at m = 1 come first, so the
     # stuck cluster's row among all clusters is not its mode's row
-    with pytest.raises(EigenvalueOnContour, match=r"at mode \(0,\)") as info:
+    with pytest.raises(EigenvalueOnContour, match=r"^at mode 0 ") as info:
         calderon_projector_stack(spec, np.array([[2], [1], [0]]))
     assert info.value.index == 2
 
@@ -1033,7 +1034,7 @@ def test_root_table_flags_the_modes_defect_screen_flags():
             try:
                 _root_clusters(row[None], mode[None])
             except DefectMode as exc:
-                assert want and exc.mode == tuple(mode.tolist())
+                assert want and exc.mode == mode_key(mode)
             else:
                 assert not want, mode
         flagged += int(bad.sum())
@@ -1364,3 +1365,117 @@ def test_mode_lattice_order_and_size():
     lat = mode_lattice(3, 2)
     assert len(lat) == 25
     assert lat[0].tolist() == [-2, -2] and lat[-1].tolist() == [2, 2]
+
+
+def _lifted(spec, n):
+    """``spec`` itself at n = 2; at n = 3 the same symbol on the 2-torus,
+    blind to the second tangential mode."""
+    if n == 2:
+        return spec
+    terms = {(q, beta + (0,)): c for (q, beta), c in spec.terms.items()}
+    return build_gallery("custom", n=3, r=spec.r, k=spec.k, terms=terms)
+
+
+def _stack(first, n):
+    """Modes with the first tangential components ``first``, and second
+    component -1 at n = 3."""
+    m = np.array(first)[:, None]
+    return m if n == 2 else np.column_stack([m, np.full(len(m), -1)])
+
+
+def _real_root(n, monkeypatch):
+    modes = _stack([3, -2, 0, 1], n)  # dbar(0) has a real root at m = 0
+    spec = _lifted(build_gallery("dbar", mu=0.0), n)
+    return DefectMode, lambda: calderon_projector_stack(spec, modes), modes, 2
+
+
+def _stuck_circle(n, monkeypatch):
+    modes = _stack([2, 1, 0], n)  # no circle holds the ring apart at m = 0
+    spec = _lifted(_ring_spec(), n)
+    return EigenvalueOnContour, lambda: calderon_projector_stack(spec, modes), modes, 2
+
+
+def _unconverged_circle(n, monkeypatch):
+    monkeypatch.setattr(contour, "QUAD_TOL", 1e-30)
+    modes = _stack([3, -2], n)  # dbar(0.5)'s only circle is that of m = -2
+    spec = _lifted(build_gallery("dbar", mu=0.5), n)
+    return ContourNotConverged, lambda: calderon_projector_stack(spec, modes), modes, 1
+
+
+def _disagreeing_routes(n, monkeypatch):
+    real = projector._stacked_quadrature
+
+    def perturbed(f, centers, radii, *args):
+        values, counts = real(f, centers, radii, *args)
+        values[2] *= 1.0 + 1e-6  # laplace_mass: one check circle per mode
+        return values, counts
+
+    monkeypatch.setattr(projector, "_stacked_quadrature", perturbed)
+    modes = _stack([1, 2, 3], n)
+    spec = _lifted(build_gallery("laplace_mass", mu=1), n)
+    return RoutesDisagree, lambda: calderon_projector_stack(spec, modes), modes, 2
+
+
+def _lattice_failure(n, monkeypatch, cls):
+    # the double of laplace_mass(0) has 2-dimensional frames and a defect
+    # at every mode with m_1 = 0, ahead of the first mode with m_1 = 1,
+    # which fails here: its lattice row is not its row among the retained
+    spec = _lifted(selfadjoint_double(build_gallery("laplace_mass", mu=0)), n)
+    cutoff = 2 if n == 2 else 1
+    modes = mode_lattice(n, cutoff)
+    i = int(np.argmax(modes[:, 0] == 1))
+    j = i - np.count_nonzero(defect_screen(spec, modes)[2][:i])
+    assert j < i
+    if cls is SignIterationStalled:
+        real = _kernels._sign
+
+        def stalled(mats):
+            sign, ok = real(mats)
+            return sign, ok & (np.arange(len(ok)) != j)
+
+        monkeypatch.setattr(_kernels, "_sign", stalled)
+    else:
+        monkeypatch.setattr(_kernels, "_frames_pass", lambda mats: np.arange(len(mats)) != j)
+    return cls, lambda: assemble_point(spec, cutoff), modes, i
+
+
+def _stalled_sweep(n, monkeypatch):
+    return _lattice_failure(n, monkeypatch, SignIterationStalled)
+
+
+def _singular_gram(n, monkeypatch):
+    return _lattice_failure(n, monkeypatch, IllConditionedFrame)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "case",
+    [_real_root, _stuck_circle, _unconverged_circle, _disagreeing_routes, _stalled_sweep,
+     _singular_gram],
+)
+def test_each_per_mode_error_names_its_row_of_the_callers_stack(case, n, monkeypatch):
+    cls, call, modes, i = case(n, monkeypatch)
+    with pytest.raises(cls) as info:
+        call()
+    key = mode_key(modes[i])
+    assert type(info.value) is cls
+    assert info.value.index == i and info.value.mode == key
+    assert str(info.value).startswith(f"at mode {key} ")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_defect_mode_reads_alike_on_every_projector_route(n):
+    spec = _lifted(build_gallery("dbar", mu=1), n)  # a real root at m_1 = 1
+    modes = _stack([1], n)
+    sym = mode_symbol(spec, modes[0])
+    key = mode_key(modes[0])
+    routes = [
+        lambda: calderon_projector(sym),
+        lambda: calderon_projector_stack(spec, modes),
+        lambda: orthogonal_projector(sym, "plus", 0.5),
+    ]
+    for route in routes:
+        with pytest.raises(DefectMode) as info:
+            route()
+        assert info.value.mode == key and info.value.index == 0
+        assert str(info.value).startswith(f"at mode {key} ")
