@@ -13,9 +13,10 @@ _PUBLIC = {
     "contour": "Contour SpectralSplit characteristic_roots contour_quadrature enclosing_circle "
     "matrix_power riesz_projector spectral_split",
     "grassmann": "CompareReport GrassmannPoint IndexReport SchattenReport assemble_point "
-    "chiral_point compare_points fredholm_index krichever_reference schatten_fit",
+    "chiral_point compare_points fredholm_index krichever_reference orthogonal_projector "
+    "schatten_fit",
     "projector": "calderon_projector calderon_projector_stack entry_growth_fit jump_operator "
-    "layer_potential_blocks orthogonal_projector",
+    "layer_potential_blocks",
     "symbols": "EllipticityReport ModeSymbol OperatorSpec agree_up_to_order build_gallery "
     "check_ellipticity companion_matrix dump_spec from_document load_spec mode_symbol "
     "read_spec save_spec selfadjoint_double to_document",

@@ -225,22 +225,23 @@ def _run_ellipticity(cfg, reports, timings):
 
 
 def _run_projector(cfg, reports, timings):
-    from . import projector  # deferred: a runner imports what only it runs
     spec = read_spec(cfg.spec)
     mode = cfg.mode if cfg.mode is not None else (0,) * (spec.n - 1)
     t0 = time.time()
     sym = mode_symbol(spec, mode)
-    if cfg.kind == "R":
-        proj = projector.calderon_projector(sym, cfg.side)
+    if cfg.kind == "R":  # deferred imports: a runner imports what only it runs
+        from .projector import calderon_projector
+        matrix = calderon_projector(sym, cfg.side).matrix
     else:
-        proj = projector.orthogonal_projector(sym, cfg.side, cfg.alpha)
+        from .grassmann import orthogonal_projector
+        matrix = orthogonal_projector(sym, cfg.side, cfg.alpha)
     timings["projector"] = time.time() - t0
     reports["projector"] = {
         "m": mode_key(mode),
-        "kind": proj.kind,
+        "kind": cfg.kind + cfg.side,  # Rplus, Rminus, Pplus or Pminus
         "alpha": cfg.alpha,
-        "re": proj.matrix.real.tolist(),
-        "im": proj.matrix.imag.tolist(),
+        "re": matrix.real.tolist(),
+        "im": matrix.imag.tolist(),
     }
     return True
 

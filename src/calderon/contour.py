@@ -18,7 +18,7 @@ from .errors import (
     EigenvalueOnCut,
     SpecError,
 )
-from .symbols import mode_error, on_real_axis
+from .symbols import defect_error, on_real_axis
 
 MAX_NODES = 2**16
 QUAD_TOL = 1e-10  # relative agreement of successive node doublings, per circle
@@ -245,15 +245,14 @@ def _root_clusters(lam, modes):
     a half-plane link within ``LINK_SHARE`` of its least ``|Im xi|``, so
     a k-fold root that rounding splits ``eps^(1/k)`` apart is one cluster
     (Moro, Burke & Overton, SIAM J. Matrix Anal. Appl. 18, 1997).  Raises
-    DefectMode naming the first mode with a root on the real axis."""
+    the DefectMode of ``symbols.defect_error`` for the first mode with a
+    root on the real axis."""
     xi = np.sort(-1j * lam, axis=1)  # complex sorts by (real, imag)
     dist = np.abs(xi.imag)
     real = on_real_axis(dist, np.asarray(modes, dtype=float)[:, None])
     if np.count_nonzero(real):
         i = int(real.any(axis=1).argmax())
-        bad = xi[i][real[i]].tolist()
-        raise mode_error(DefectMode(f"characteristic roots lie on the real axis: {bad}",
-                                    index=i, roots=bad), modes)
+        raise defect_error(lam[i], modes, i)
     half = np.copysign(1.0, xi.imag)
     gaps = np.abs(xi[:, :, None] - xi[:, None, :])
     # the real axis bounds each half as the cut bounds matrix_power's

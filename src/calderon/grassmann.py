@@ -26,6 +26,7 @@ from .errors import (
 from .symbols import (
     agree_up_to_order,
     build_gallery,
+    defect_error,
     defect_screen,
     mode_error,
     mode_key,
@@ -60,9 +61,10 @@ class GrassmannPoint:
 
 def _side_frames(spec, modes, side, alpha):
     """Weighted frames of one side's Cauchy-data space over a stack of
-    modes, one mode per row: ``(bad, dims, ortho, weights)``, with
+    modes, one mode per row: ``(bad, lam, dims, ortho, weights)``, with
     ``bad`` the defect mask of ``modes`` (a real characteristic root:
-    no frame exists) and the rest over the modes it leaves.
+    no frame exists), ``lam`` the screen's companion eigenvalues of its
+    rows, unnegated on either side, and the rest over the modes it leaves.
 
     ``plus`` spans the stable invariant subspace of each companion
     matrix (solutions decaying as x_n grows), ``minus`` the unstable
@@ -77,6 +79,7 @@ def _side_frames(spec, modes, side, alpha):
     if side not in ("plus", "minus"):
         raise SpecError(f"side must be plus or minus, got {side!r}")
     comp, lam, bad = defect_screen(spec, modes)
+    defects = lam[bad]
     if side == "minus":
         comp, lam = -comp, -lam
     keep = ~bad
@@ -90,7 +93,21 @@ def _side_frames(spec, modes, side, alpha):
         ortho = _kernels.weighted_range_sweep(np.sqrt(w)[:, :, None] * raw, dims)
     except (SignIterationStalled, IllConditionedFrame) as exc:
         raise mode_error(exc, modes, np.flatnonzero(keep)) from exc
-    return bad, dims, ortho, w
+    return bad, defects, dims, ortho, w
+
+
+def orthogonal_projector(sym, side, alpha):
+    """Weighted-orthogonal projector onto one side's Cauchy-data space,
+    an ``(rk, rk)`` matrix: ``W^{-1/2} Q Q* W^{1/2}`` for the frame Q
+    and weight W of :func:`_side_frames` on the one-row stack of the
+    symbol's mode, whose errors it raises.  A defect mode raises the
+    layer route's DefectMode (``symbols.defect_error``)."""
+    modes = np.array([sym.m])
+    _, defects, _, Q, w = _side_frames(sym.spec, modes, side, alpha)
+    if len(defects):
+        raise defect_error(defects[0], modes, 0)
+    sqw = np.sqrt(w[0])
+    return (Q[0] @ Q[0].conj().T) * (sqw[None, :] / sqw[:, None])
 
 
 def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
@@ -105,7 +122,7 @@ def assemble_point(spec, cutoff, alpha=DEFAULT_ALPHA):
     if cutoff < 1:
         raise SpecError("cutoff must be at least 1")
     modes = mode_lattice(spec.n, cutoff)
-    bad, dims, ortho, w = _side_frames(spec, modes, "plus", alpha)
+    bad, _, dims, ortho, w = _side_frames(spec, modes, "plus", alpha)
     return GrassmannPoint(
         spec=spec,
         cutoff=int(cutoff),

@@ -1,14 +1,12 @@
-"""Per-mode Cauchy-data machinery.
+"""Per-mode Cauchy-data machinery: the layer-potential route.
 
 For one tangential mode the operator is an ODE system in the normal
 variable; its Cauchy-data space splits into the data of solutions
 decaying to the right (side ``plus``) and to the left (side ``minus``).
-The projector onto one side along the other comes from the
-layer-potential route (boundary values of the decaying inverse applied
-to delta layers), the weighted-orthogonal one from the sign-iteration
-frames that ``assemble_point`` builds.  The companion spectral split
-(``contour.spectral_split``) is an independent oracle for both, and
-tests hold them to it.
+The projector onto one side along the other comes from boundary values
+of the decaying inverse applied to delta layers.  The companion
+spectral split (``contour.spectral_split``) is an independent oracle
+for it, and tests hold the route to it.
 """
 
 import functools
@@ -22,14 +20,9 @@ from .contour import (
     _sized_nodes,
     _stacked_quadrature,
 )
-from .errors import (
-    ContourNotConverged,
-    DefectMode,
-    EigenvalueOnContour,
-    RoutesDisagree,
-    SpecError,
-)
+from .errors import ContourNotConverged, EigenvalueOnContour, RoutesDisagree, SpecError
 from .symbols import (  # the stack builders and the defect scan are re-exported
+    _as_modes,
     _companion,
     companion_matrix,
     companion_stack,
@@ -40,27 +33,14 @@ from .symbols import (  # the stack builders and the defect scan are re-exported
     symbol_values,
 )
 
-__all__ = [
-    "BlockProjector",
-    "companion_matrix",
-    "jump_operator",
-    "layer_potential_blocks",
-    "calderon_projector",
-    "calderon_projector_stack",
-    "orthogonal_projector",
-    "entry_growth_fit",
-]
-
 _AGREEMENT_TOL = 1e-8  # residue route against contour quadrature, relative
 
 
 @dataclass
 class BlockProjector:
-    """rk x rk projector matrix attached to one mode."""
+    """rk x rk projector matrix of one mode."""
 
-    m: tuple
     matrix: np.ndarray
-    kind: str  # Rplus | Rminus | Pplus | Pminus
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +247,8 @@ def calderon_projector(sym, side="plus"):
     if R is None:
         R = sym._routes["plus"] = layer_potential_blocks(sym) @ jump_operator(sym)
     if side == "minus":
-        return BlockProjector(m=sym.m, matrix=np.eye(R.shape[0], dtype=complex) - R, kind="Rminus")
-    return BlockProjector(m=sym.m, matrix=R.copy(), kind="Rplus")
+        return BlockProjector(np.eye(R.shape[0], dtype=complex) - R)
+    return BlockProjector(R.copy())
 
 
 def calderon_projector_stack(spec, modes, side="plus"):
@@ -279,43 +259,18 @@ def calderon_projector_stack(spec, modes, side="plus"):
     residue/quadrature cross-check on every mode.  Row ``i`` equals the
     single-mode matrix of ``modes[i]``: bit for bit when that mode's
     upper roots are simple, to rounding at a multiple root, whose local
-    circle the stack sums on its own node levels.
+    circle the stack sums on its own node levels.  A row that
+    ``mode_symbol`` rejects raises its SpecError.
     """
     if side not in ("plus", "minus"):
         raise SpecError(f"side must be plus or minus, got {side!r}")
-    modes = np.asarray(modes)
-    if modes.ndim != 2 or modes.shape[1] != spec.n - 1:
-        raise SpecError(f"modes must have shape (N, {spec.n - 1}), got {modes.shape}")
+    modes = _as_modes(spec, modes)
     A = mode_matrix_stack(spec, modes)
     # LAPACK at every N, as the N=1 calls take it, keeps each row bit for bit
     R = _layer_blocks(A, modes, np.linalg.eigvals(_companion(A)), True) @ _jump(A)
     if side == "minus":
         return np.eye(R.shape[-1], dtype=complex) - R
     return R
-
-
-def orthogonal_projector(sym, side, alpha):
-    """Weighted-orthogonal projector onto one side's Cauchy-data space.
-
-    Computes ``F (F* W F)^{-1} F* W`` for a frame F of the side and the
-    order-``alpha`` Sobolev weight W of the symbol's mode
-    (``symbols.mode_weights``), as ``W^{-1/2} Q Q* W^{1/2}`` with Q the
-    weighted frame of ``assemble_point``'s frame steps
-    (``grassmann._side_frames``) on the one-row stack of the mode.  A
-    defect mode or a stalled sign iteration raises DefectMode, and the
-    Gram gate IllConditionedFrame, each naming the mode.  A side other
-    than plus or minus, or an alpha that is not finite and positive,
-    raises SpecError before the sign sweep runs.
-    """
-    from .grassmann import _side_frames  # deferred: the layer route never loads grassmann
-
-    modes = np.array([sym.m])
-    bad, _, Q, w = _side_frames(sym.spec, modes, side, alpha)
-    if bad[0]:
-        raise mode_error(DefectMode("a characteristic root lies on the real axis", index=0), modes)
-    sqw = np.sqrt(w[0])
-    P = (Q[0] @ Q[0].conj().T) * (sqw[None, :] / sqw[:, None])
-    return BlockProjector(m=sym.m, matrix=P, kind="Pplus" if side == "plus" else "Pminus")
 
 
 def entry_growth_fit(spec, side, modes):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ParseError, SpecError
+from .errors import DefectMode, ParseError, SpecError
 
 _PAULI = {
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -264,6 +264,18 @@ def defect_screen(spec, modes):
     return comp, lam, on_real_axis(np.abs(lam.real).min(axis=1), modes)
 
 
+def defect_error(lam, modes, row):
+    """The DefectMode of row ``row`` of the mode stack ``modes``, ``lam``
+    that row's companion eigenvalues ``i xi``.  Its ``roots`` are the
+    sorted roots ``xi`` on the real axis, as Python complex numbers
+    without signed zeros, so the layer and frame routes, whose ``lam``
+    come from different solvers, raise one error at a defect mode."""
+    xi = np.sort(-1j * lam) + 0.0  # + 0.0 turns -0.0 into 0.0
+    roots = xi[on_real_axis(np.abs(xi.imag), modes[row])].tolist()
+    msg = f"characteristic roots lie on the real axis: {roots}"
+    return mode_error(DefectMode(msg, index=row, roots=roots), modes)
+
+
 def scan_defect_modes(spec, cutoff):
     """Modes in the lattice whose roots touch the real axis."""
     modes = mode_lattice(spec.n, cutoff)
@@ -296,6 +308,19 @@ def _as_mode(spec, m):
     if not finite:
         raise SpecError(f"mode {m} is not finite, or its squared norm overflows")
     return m
+
+
+def _as_modes(spec, modes):
+    """A stack of modes ``(N, n-1)``, one per row.  One check over the
+    stack finds the first row that :func:`_as_mode` rejects, which raises."""
+    modes = np.asarray(modes)
+    if modes.ndim != 2 or modes.shape[1] != spec.n - 1:
+        raise SpecError(f"modes must have shape (N, {spec.n - 1}), got {modes.shape}")
+    with np.errstate(over="ignore"):  # the rows whose squared norm overflows
+        finite = np.isfinite(np.square(modes.astype(float)).sum(axis=1))
+    if not finite.all():
+        _as_mode(spec, modes[finite.argmin()])
+    return modes
 
 
 def build_gallery(name, /, **params):

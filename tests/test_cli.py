@@ -255,11 +255,17 @@ def test_both_projector_kinds_name_a_defect_mode_alike(tmp_path, capsys):
     spec = str(tmp_path / "d1.spec")
     assert main(["write-spec", "dbar", "-p", "mu=1", "--out", spec]) == 0
     capsys.readouterr()
-    for kind in ("R", "P"):
-        assert main(["projector", "--spec", spec, "--mode", "1", "--kind", kind]) == 3
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error["type"] == "DefectMode"
-        assert error["message"].startswith("at mode 1 ") and "np." not in error["message"]
+    for side in ("plus", "minus"):
+        records = []
+        for kind in ("R", "P"):
+            argv = ["projector", "--spec", spec, "--mode", "1", "--kind", kind, "--side", side]
+            assert main(argv) == 3
+            records.append(json.loads(capsys.readouterr().out)["error"])
+        assert records[0] == records[1]
+        assert records[0] == {
+            "type": "DefectMode",
+            "message": "at mode 1 characteristic roots lie on the real axis: [0j]",
+        }
 
 
 def test_acceptance_subcommand_exit_code(tmp_path):

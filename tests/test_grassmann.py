@@ -19,9 +19,9 @@ from calderon.grassmann import (
     compare_points,
     fredholm_index,
     krichever_reference,
+    orthogonal_projector,
     schatten_fit,
 )
-from calderon.projector import orthogonal_projector
 from calderon.symbols import (
     build_gallery,
     companion_stack,

@@ -1,8 +1,10 @@
 """A fresh process loads only the modules its subcommand runs, and
 scipy only when the Schur split runs, which no subcommand but acceptance
-does; the lazy package root resolves every public name; the public calls
-keep their pinned parameter lists."""
+does; the layer and frame routes import nothing of each other; the lazy
+package root resolves every public name; the public calls keep their
+pinned parameter lists."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -95,8 +97,6 @@ def test_pipelines_never_load_scipy(specs, tmp_path):
 PAIR_MODULES = {"calderon", "calderon.cli", "calderon.errors", "calderon.symbols",
                 "calderon._kernels", "calderon.grassmann"}
 LAYER_MODULES = PAIR_MODULES - {"calderon.grassmann"} | {"calderon.projector", "calderon.contour"}
-# the weighted projector takes its frame from assemble_point's frame steps
-WEIGHTED_MODULES = LAYER_MODULES | {"calderon.grassmann"}
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,8 @@ WEIGHTED_MODULES = LAYER_MODULES | {"calderon.grassmann"}
         (["index", "PAIR"], PAIR_MODULES),
         (["ellipticity", "--spec", "dirac_a"], PAIR_MODULES - {"calderon.grassmann"}),
         (["projector", "--spec", "laplace", "--mode", "3", "--kind", "R"], LAYER_MODULES),
-        (["projector", "--spec", "laplace", "--mode", "3", "--kind", "P"], WEIGHTED_MODULES),
+        # the weighted projector runs assemble_point's frame steps alone
+        (["projector", "--spec", "laplace", "--mode", "3", "--kind", "P"], PAIR_MODULES),
     ],
     ids=["compare", "schatten-csv", "index", "ellipticity", "projector-R", "projector-P"],
 )
@@ -126,6 +127,34 @@ def test_bare_import_loads_no_submodule(tmp_path):
     assert _fresh([], tmp_path)["loaded"] == ["calderon"]
 
 
+def _package_imports(tree):
+    """The names a module's source imports from the package, at module
+    level and inside functions alike: ``x`` for ``from .x import ...``,
+    ``from . import x`` and ``import calderon.x``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["calderon" if node.level else None, node.module]))
+            parts = module.split(".")
+            if parts[0] == "calderon":
+                found |= {parts[1]} if len(parts) > 1 else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("calderon.")}
+    return found
+
+
+# the layer-potential route and the sign-iteration frame route
+ROUTES = {"contour": "layer", "projector": "layer", "grassmann": "frame", "_kernels": "frame"}
+
+
+def test_the_layer_and_frame_routes_import_nothing_of_each_other():
+    imports = {p.stem: _package_imports(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")}
+    assert {"projector", "grassmann", "acceptance"} <= imports["cli"]  # deferred imports count
+    for module, route in ROUTES.items():
+        other = {m for m, r in ROUTES.items() if r != route}
+        assert imports[module] & other == set(), module
+
+
 # every name the package root exported when it imported its modules
 # eagerly, and the module that defines it
 ROOT_NAMES = {
@@ -133,9 +162,9 @@ ROOT_NAMES = {
                 "enclosing_circle", "matrix_power", "riesz_projector", "spectral_split"],
     "grassmann": ["CompareReport", "GrassmannPoint", "IndexReport", "SchattenReport",
                   "assemble_point", "chiral_point", "compare_points", "fredholm_index",
-                  "krichever_reference", "schatten_fit"],
+                  "krichever_reference", "orthogonal_projector", "schatten_fit"],
     "projector": ["calderon_projector", "calderon_projector_stack", "entry_growth_fit",
-                  "jump_operator", "layer_potential_blocks", "orthogonal_projector"],
+                  "jump_operator", "layer_potential_blocks"],
     "symbols": ["EllipticityReport", "ModeSymbol", "OperatorSpec", "agree_up_to_order",
                 "build_gallery", "check_ellipticity", "companion_matrix", "dump_spec",
                 "from_document", "load_spec", "mode_symbol",
@@ -194,11 +223,11 @@ SIGNATURES = {
     "contour.spectral_split": "(C)",
     "projector.calderon_projector": "(sym, side='plus')",
     "projector.layer_potential_blocks": "(sym, cross_check=True)",
-    "projector.orthogonal_projector": "(sym, side, alpha)",
     "symbols.check_ellipticity": "(spec, samples=64)",
     "symbols.build_gallery": "(name, /, **params)",
     "grassmann.assemble_point": "(spec, cutoff, alpha=0.5)",
     "grassmann.chiral_point": "(spec, side, cutoff, alpha=0.5)",
+    "grassmann.orthogonal_projector": "(sym, side, alpha)",
     "acceptance.run_acceptance": "()",
     "errors.CalderonError": "(message, index=None, mode=None)",
     "errors.DefectMode": "(message, index=None, mode=None, roots=None)",

@@ -32,11 +32,15 @@ from calderon.projector import (
     layer_potential_blocks,
     mode_lattice,
     mode_matrix_stack,
-    orthogonal_projector,
     scan_defect_modes,
 )
 from calderon.contour import _root_clusters, characteristic_roots, enclosing_circle, spectral_split
-from calderon.grassmann import _complement_sines, assemble_point, compare_points
+from calderon.grassmann import (
+    _complement_sines,
+    assemble_point,
+    compare_points,
+    orthogonal_projector,
+)
 from calderon.symbols import (
     build_gallery,
     defect_screen,
@@ -1140,15 +1144,15 @@ def test_weights_decrease_along_components():
 def test_orthogonal_projector_full_and_zero_range():
     db = build_gallery("dbar", mu=0.5)
     P = orthogonal_projector(mode_symbol(db, 0), "plus", 0.5)
-    assert P.matrix[0, 0] == pytest.approx(1.0)
+    assert P[0, 0] == pytest.approx(1.0)
     P = orthogonal_projector(mode_symbol(db, 3), "plus", 0.5)
-    assert P.matrix[0, 0] == 0.0
+    assert P[0, 0] == 0.0
 
 
 def test_orthogonal_projector_equal_weights_match_flat_projector():
     lap = build_gallery("laplace_mass", mu=1)
     sym = mode_symbol(lap, 0)
-    P = orthogonal_projector(sym, "plus", 0.5).matrix  # weights (1, 1) at m = 0
+    P = orthogonal_projector(sym, "plus", 0.5)  # weights (1, 1) at m = 0
     expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
     assert np.abs(P - expected).max() < 1e-12
 
@@ -1157,10 +1161,8 @@ def test_orthogonal_projector_gram_formula_oracle():
     lap = build_gallery("laplace_mass", mu=2)
     sym = mode_symbol(lap, 2)
     W = np.diag(_full_weight((2,), lap, 0.5))
-    for side, kind in (("plus", "Pplus"), ("minus", "Pminus")):
+    for side in ("plus", "minus"):
         P = orthogonal_projector(sym, side, 0.5)
-        assert P.kind == kind
-        P = P.matrix
         F = _schur_frame(sym, side)
         G = F @ np.linalg.inv(F.conj().T @ W @ F) @ F.conj().T @ W
         assert np.abs(P - G).max() < 1e-12
@@ -1195,7 +1197,7 @@ def test_orthogonal_projector_matches_the_gram_formula_to_50_digits(name, params
         Fm = mpmath.matrix([[V[i, j] for j in cols] for i in range(V.rows)])
         W = mpmath.diag([mpmath.mpf(float(x)) for x in _full_weight(m, spec, alpha)])
         ref = np.array((Fm * mpmath.inverse(Fm.H * W * Fm) * Fm.H * W).tolist(), dtype=complex)
-    P = orthogonal_projector(sym, side, alpha).matrix
+    P = orthogonal_projector(sym, side, alpha)
     assert np.abs(P - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
 
 
@@ -1239,7 +1241,7 @@ def test_schur_and_sign_frames_give_one_weighted_projector(name):
         F = _schur_frame(sym, "plus")
         W = np.diag(w)
         want = F @ np.linalg.inv(F.conj().T @ W @ F) @ F.conj().T @ W
-        got = orthogonal_projector(sym, "plus", 0.5).matrix
+        got = orthogonal_projector(sym, "plus", 0.5)
         assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
 
 
@@ -1249,7 +1251,7 @@ def test_mass_one_laplacian_weighted_projector_collapses_to_flat():
     lap = build_gallery("laplace_mass", mu=1)
     for m in (0, 2, 17):
         sym = mode_symbol(lap, m)
-        P = orthogonal_projector(sym, "plus", 0.5).matrix
+        P = orthogonal_projector(sym, "plus", 0.5)
         R = calderon_projector(sym).matrix
         assert np.abs(P - R).max() < 1e-10
 
@@ -1281,8 +1283,8 @@ def test_principal_symbol_dependence_decay():
     ms = np.unique(np.geomspace(16, 256, 15).astype(int))
     norms = []
     for m in ms:
-        pa = orthogonal_projector(mode_symbol(sa, int(m)), "plus", 0.5).matrix
-        pb = orthogonal_projector(mode_symbol(sb, int(m)), "plus", 0.5).matrix
+        pa = orthogonal_projector(mode_symbol(sa, int(m)), "plus", 0.5)
+        pb = orthogonal_projector(mode_symbol(sb, int(m)), "plus", 0.5)
         sw = np.sqrt(_full_weight((int(m),), sa, 0.5))
         norms.append(np.linalg.norm((pa - pb) * (sw[:, None] / sw[None, :]), 2))
     assert max(m * v for m, v in zip(ms, norms)) < 1.0  # C/|m| bound
@@ -1465,17 +1467,44 @@ def test_each_per_mode_error_names_its_row_of_the_callers_stack(case, n, monkeyp
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_defect_mode_reads_alike_on_every_projector_route(n):
-    spec = _lifted(build_gallery("dbar", mu=1), n)  # a real root at m_1 = 1
-    modes = _stack([1], n)
-    sym = mode_symbol(spec, modes[0])
-    key = mode_key(modes[0])
-    routes = [
-        lambda: calderon_projector(sym),
-        lambda: calderon_projector_stack(spec, modes),
-        lambda: orthogonal_projector(sym, "plus", 0.5),
-    ]
-    for route in routes:
-        with pytest.raises(DefectMode) as info:
-            route()
-        assert info.value.mode == key and info.value.index == 0
-        assert str(info.value).startswith(f"at mode {key} ")
+    # a simple real root, a double one, and the root 1/2 of d_n - i/2,
+    # which a negated minus side would print as -1/2; the frame route
+    # takes its roots from eigvals_sweep and the layer route from LAPACK,
+    # and on these modes both are exact
+    half = build_gallery("custom", n=2, r=1, k=1, terms={(1, (0,)): [[1]], (0, (0,)): [[-0.5j]]})
+    for base, m, roots in [
+        (build_gallery("dbar", mu=1), 1, [0j]),
+        (build_gallery("laplace_mass", mu=-4), 2, [0j, 0j]),
+        (half, 3, [0.5 + 0j]),
+    ]:
+        spec = _lifted(base, n)
+        modes = _stack([m], n)
+        sym = mode_symbol(spec, modes[0])
+        key = mode_key(modes[0])
+        want = (f"at mode {key} characteristic roots lie on the real axis: {roots}", roots, key, 0)
+        for side in ("plus", "minus"):
+            for route in (
+                lambda: calderon_projector(sym, side),
+                lambda: calderon_projector_stack(spec, modes, side),
+                lambda: orthogonal_projector(sym, side, 0.5),
+            ):
+                with pytest.raises(DefectMode) as info:
+                    route()
+                err = info.value
+                assert type(err) is DefectMode
+                assert (str(err), err.roots, err.mode, err.index) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+def test_stack_rejects_the_modes_mode_symbol_rejects(bad, n):
+    # a non-finite mode, or one whose squared norm overflows, is no mode:
+    # the stack says so as mode_symbol does, before any numpy warning
+    spec = _lifted(build_gallery("dirac2", mu=1, v=0.3), n)
+    modes = _stack([3.0, bad, 2.0], n)
+    with pytest.raises(SpecError) as want:
+        mode_symbol(spec, modes[1])
+    with pytest.raises(SpecError) as got:
+        calderon_projector_stack(spec, modes)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("is not finite, or its squared norm overflows")
