@@ -44,10 +44,14 @@ class CriterionResult:
         )
 
 
+CRITERIA = []  # every criterion, in the order of definition
+
+
 def _criterion(number, title, budget):
-    """Make a check into a criterion: the check returns ``(ok, detail)``
-    or ``(ok, detail, data)``, and the criterion times it and passes when
-    ``ok`` holds within ``budget`` seconds."""
+    """Make a check into a criterion and append it to ``CRITERIA``: the
+    check returns ``(ok, detail)`` or ``(ok, detail, data)``, and the
+    criterion times it and passes when ``ok`` holds within ``budget``
+    seconds."""
 
     def wrap(check):
         @functools.wraps(check)
@@ -58,6 +62,7 @@ def _criterion(number, title, budget):
             return CriterionResult(number, title, ok and elapsed < budget, elapsed, budget,
                                    detail, *data)
 
+        CRITERIA.append(criterion)
         return criterion
 
     return wrap
@@ -278,20 +283,6 @@ def criterion_10():
     slope = float(np.polyfit(np.log(ms), np.log(norms), 1)[0])
     bound_c = max(m * v for m, v in zip(ms, norms))
     return slope <= -0.9, f"slope {slope:.3f}, C = max m*norm = {bound_c:.3f}"
-
-
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
 
 
 def run_acceptance():

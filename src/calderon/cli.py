@@ -10,6 +10,7 @@ usage or unparsable input, 3 a numerical precondition failed.
 """
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -200,9 +201,17 @@ def _json_text(obj):
 def _mode_tuple(text):
     """A ``--mode`` value as a tuple of ints; ``mode_symbol`` checks its length."""
     try:
-        return tuple(int(x) for x in str(text).split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise SpecError(f"mode needs comma-separated integer components, got {text!r}") from None
+
+
+def _p_list(text):
+    """A ``--p`` value as a tuple of floats; ``ExperimentConfig`` checks their range."""
+    try:
+        return tuple(float(x) for x in text.split(",") if x)
+    except ValueError as exc:
+        raise SpecError(f"bad --p list {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +220,7 @@ def _mode_tuple(text):
 
 def _run_ellipticity(cfg, reports, timings):
     spec = read_spec(cfg.spec)
-    t0 = time.time()
     rep = check_ellipticity(spec, samples=cfg.samples)
-    timings["ellipticity"] = time.time() - t0
     reports["ellipticity"] = {
         "spec": spec.name,
         "samples": rep.samples,
@@ -227,7 +234,6 @@ def _run_ellipticity(cfg, reports, timings):
 def _run_projector(cfg, reports, timings):
     spec = read_spec(cfg.spec)
     mode = cfg.mode if cfg.mode is not None else (0,) * (spec.n - 1)
-    t0 = time.time()
     sym = mode_symbol(spec, mode)
     if cfg.kind == "R":  # deferred imports: a runner imports what only it runs
         from .projector import calderon_projector
@@ -235,7 +241,6 @@ def _run_projector(cfg, reports, timings):
     else:
         from .grassmann import orthogonal_projector
         matrix = orthogonal_projector(sym, cfg.side, cfg.alpha)
-    timings["projector"] = time.time() - t0
     reports["projector"] = {
         "m": mode_key(mode),
         "kind": cfg.kind + cfg.side,  # Rplus, Rminus, Pplus or Pminus
@@ -244,22 +249,6 @@ def _run_projector(cfg, reports, timings):
         "im": matrix.imag.tolist(),
     }
     return True
-
-
-def _compare_payload(rep):
-    return {
-        "cutoff": rep.cutoff,
-        "alpha": rep.alpha,
-        "agreement": rep.agreement,
-        "modes": rep.modes,
-        "dims_a": rep.dims_a,
-        "dims_b": rep.dims_b,
-        "angles": [a for a in rep.angles],
-        "diff_norms": rep.diff_norms,
-        "svals": rep.svals,
-        "q_svals": rep.q_svals,
-        "skipped": [list(np.atleast_1d(s)) for s in rep.skipped],
-    }
 
 
 def _points(cfg):
@@ -273,17 +262,26 @@ def _points(cfg):
 
 def _run_compare(cfg, reports, timings):
     from .grassmann import compare_points
-    t0 = time.time()
     _, _, pa, pb = _points(cfg)
     rep = compare_points(pa, pb)
-    timings["compare"] = time.time() - t0
-    reports["compare"] = _compare_payload(rep)
+    reports["compare"] = {
+        "cutoff": rep.cutoff,
+        "alpha": rep.alpha,
+        "agreement": rep.agreement,
+        "modes": rep.modes,
+        "dims_a": rep.dims_a,
+        "dims_b": rep.dims_b,
+        "angles": list(rep.angles),
+        "diff_norms": rep.diff_norms,
+        "svals": rep.svals,
+        "q_svals": rep.q_svals,
+        "skipped": [list(np.atleast_1d(s)) for s in rep.skipped],
+    }
     return True
 
 
 def _run_schatten(cfg, reports, timings):
     from .grassmann import compare_points, schatten_fit
-    t0 = time.time()
     sa, sb, pa, pb = _points(cfg)
     rep = compare_points(pa, pb)
     q = cfg.q
@@ -293,7 +291,6 @@ def _run_schatten(cfg, reports, timings):
         if q is None:
             raise SpecError("principal symbols differ; pass --q explicitly")
     fit = schatten_fit(rep, n=sa.n, q=q, p_list=cfg.p_list)
-    timings["schatten"] = time.time() - t0
     reports["schatten"] = {
         "q": q,
         "n": sa.n,
@@ -314,10 +311,8 @@ def _run_schatten(cfg, reports, timings):
 
 def _run_index(cfg, reports, timings):
     from .grassmann import fredholm_index
-    t0 = time.time()
     _, _, pa, pb = _points(cfg)
     rep = fredholm_index(pa, pb, tol=cfg.tol)
-    timings["index"] = time.time() - t0
     nonzero = [
         {"m": mode_key(m), "ker": int(k), "coker": int(c)}
         for m, k, c in zip(rep.modes, rep.kernel_dims, rep.cokernel_dims)
@@ -337,9 +332,7 @@ def _run_index(cfg, reports, timings):
 
 def _run_acceptance(cfg, reports, timings):
     from .acceptance import run_acceptance  # deferred: only this subcommand runs it
-    t0 = time.time()
     results = run_acceptance()
-    timings["acceptance"] = time.time() - t0
     table = [
         {"number": r.number, "title": r.title, "passed": r.passed, "detail": r.detail}
         for r in results
@@ -353,7 +346,9 @@ def _run_acceptance(cfg, reports, timings):
 
 
 def run(config):
-    """Execute one configured pipeline; returns a ReportBundle."""
+    """Execute one configured pipeline; returns a ReportBundle.  Its
+    timings hold the pipeline's wall time, spec reading included, under
+    the subcommand's name; acceptance adds one per criterion."""
     reports, timings = {}, {}
     runner = {
         "ellipticity": _run_ellipticity,
@@ -363,7 +358,9 @@ def run(config):
         "index": _run_index,
         "acceptance": _run_acceptance,
     }[config.subcommand]
+    t0 = time.time()
     ok = runner(config, reports, timings)
+    timings[config.subcommand] = time.time() - t0
     return ReportBundle(
         config=config.echo(),
         timings=timings,
@@ -421,26 +418,14 @@ def emit_csv(bundle, fh):
     fh.write("j,s_j,bound\n" + "".join(rows))
 
 
-def _write_bundle(bundle, cfg):
-    text_out = sys.stdout
-    if cfg.fmt == "csv":
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                emit_csv(bundle, fh)
-        else:
-            emit_csv(bundle, text_out)
+def _write(text, path):
+    """Write finished text to the file ``path``, or to stdout when ``path``
+    is None.  A command that fails before this leaves ``--out`` as it was."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     else:
-        text = bundle_json(bundle, include_timing=cfg.include_timing)
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            text_out.write(text)
-
-
-def list_gallery():
-    """Deterministic text listing of the model-operator gallery."""
-    return _GALLERY_TEXT
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +452,8 @@ def _build_parser():
         p.add_argument("--cutoff", type=int)
         p.add_argument("--alpha", type=float)
         p.add_argument("--tol", type=float)
-        p.add_argument("--p", dest="p_list", metavar="P", help="comma-separated Schatten orders")
+        p.add_argument("--p", dest="p_list", type=_p_list, metavar="P",
+                       help="comma-separated Schatten orders")
         p.add_argument("--out")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"))
         p.add_argument("--timing", dest="include_timing", action="store_true",
@@ -485,7 +471,8 @@ def _build_parser():
     p.add_argument("--samples", type=int)
 
     p = pipeline("projector", "dump one per-mode projector matrix", single=True)
-    p.add_argument("--mode", help="tangential frequency (comma-separated for T^2)")
+    p.add_argument("--mode", type=_mode_tuple,
+                   help="tangential frequency (comma-separated for T^2)")
     p.add_argument("--side", choices=("plus", "minus"))
     p.add_argument("--kind", choices=("R", "P"))
 
@@ -497,31 +484,12 @@ def _build_parser():
     return ap
 
 
-def _config_from_args(args):
-    kwargs = dict(vars(args))
-    mode = kwargs.pop("mode", None)
-    if "p_list" in kwargs:
-        ptext = kwargs["p_list"]
-        try:
-            kwargs["p_list"] = tuple(float(x) for x in ptext.split(",") if x)
-        except ValueError as exc:
-            raise SpecError(f"bad --p list {ptext!r}: {exc}") from exc
-    cfg = ExperimentConfig(**kwargs)
-    if mode is not None:
-        cfg.mode = _mode_tuple(mode)
-    return cfg
-
-
 def main(argv=None):
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    try:
+        # --mode and --p convert while parsing, so their SpecError lands below
+        args = _build_parser().parse_args(argv)
         if args.subcommand == "list-gallery":
-            sys.stdout.write(list_gallery())
+            _write(_GALLERY_TEXT, None)
             return 0
         if args.subcommand == "write-spec":
             params = {}
@@ -533,18 +501,21 @@ def main(argv=None):
                     sep = ""
                 if not sep:
                     raise SpecError(f"parameter {item!r} is not KEY=NUMBER")
-            text = dump_spec(build_gallery(args.name, **params))
-            if args.out:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write(dump_spec(build_gallery(args.name, **params)), args.out)
             return 0
 
-        cfg = _config_from_args(args)
+        cfg = ExperimentConfig(**vars(args))
         bundle = run(cfg)
-        _write_bundle(bundle, cfg)
+        if cfg.fmt == "csv":
+            sink = io.StringIO()
+            emit_csv(bundle, sink)
+            text = sink.getvalue()
+        else:
+            text = bundle_json(bundle, include_timing=cfg.include_timing)
+        _write(text, cfg.out)
         return 0 if bundle.ok else 1
+    except SystemExit as exc:  # argparse: a usage error, --help or --version
+        return exc.code if isinstance(exc.code, int) else 2
     except (ParseError, SpecError) as exc:
         _error_record(exc)
         return 2

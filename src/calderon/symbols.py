@@ -291,13 +291,13 @@ class EllipticityReport:
     samples: int
 
 
-def _as_mode(spec, m):
+def _as_mode(spec, mode):
     """A mode as a tuple of Python numbers: ints where integral.  A mode
     whose squared norm is no finite float (a non-finite entry, or one so
     large that the defect predicate's square overflows) raises SpecError."""
     m = tuple(
         x if type(x) is int else int(x) if float(x).is_integer() else float(x)
-        for x in np.atleast_1d(m).tolist()
+        for x in np.atleast_1d(mode).tolist()
     )
     if len(m) != spec.n - 1:
         raise SpecError(f"mode {m} has length != n-1 = {spec.n - 1}")
@@ -305,8 +305,9 @@ def _as_mode(spec, m):
         finite = math.isfinite(sum(float(x) * float(x) for x in m))
     except OverflowError:  # an int beyond the float range
         finite = False
-    if not finite:
-        raise SpecError(f"mode {m} is not finite, or its squared norm overflows")
+    if not finite:  # its entries as given: 1e+200, not a 201-digit int
+        given = tuple(np.asarray(x).item() for x in np.asarray(mode, dtype=object).ravel())
+        raise SpecError(f"mode {given} is not finite, or its squared norm overflows")
     return m
 
 
@@ -316,8 +317,13 @@ def _as_modes(spec, modes):
     modes = np.asarray(modes)
     if modes.ndim != 2 or modes.shape[1] != spec.n - 1:
         raise SpecError(f"modes must have shape (N, {spec.n - 1}), got {modes.shape}")
-    with np.errstate(over="ignore"):  # the rows whose squared norm overflows
-        finite = np.isfinite(np.square(modes.astype(float)).sum(axis=1))
+    try:
+        with np.errstate(over="ignore"):  # the rows whose squared norm overflows
+            finite = np.isfinite(np.square(modes.astype(float)).sum(axis=1))
+    except OverflowError:  # an int beyond the float range, in an object array
+        for row in modes:  # the first row that _as_mode rejects raises
+            _as_mode(spec, row)
+        raise
     if not finite.all():
         _as_mode(spec, modes[finite.argmin()])
     return modes

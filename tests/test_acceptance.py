@@ -20,6 +20,13 @@ def _check(criterion):
     return result
 
 
+def test_criteria_are_listed_once_in_order():
+    # the _criterion decorator appends each criterion as it is defined
+    want = [getattr(acceptance, f"criterion_{i}") for i in range(1, 11)]
+    assert list(acceptance.CRITERIA) == want
+    assert [c.__name__ for c in acceptance.CRITERIA] == [f"criterion_{i}" for i in range(1, 11)]
+
+
 def test_criterion_01_projector_algebra():
     _check(acceptance.criterion_1)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calderon.cli import ExperimentConfig, _build_parser, _config_from_args, main
+from calderon.cli import ExperimentConfig, _build_parser, main
 
 GOLDEN_PROJECTOR = {
     "alpha": 0.5,
@@ -303,6 +303,34 @@ def test_timing_flag_controls_payload(specs, tmp_path):
     assert "timings" in json.loads(out.read_text())
 
 
+def test_timing_has_one_entry_per_subcommand(specs):
+    # run() times every pipeline once, under its subcommand's name;
+    # acceptance adds one entry per criterion
+    for bundle in _bundles(specs):
+        sub = bundle.config["subcommand"]
+        extra = [f"criterion_{i}" for i in range(1, 11)] if sub == "acceptance" else []
+        assert sorted(bundle.timings) == sorted([sub, *extra]), sub
+        assert all(t >= 0 for t in bundle.timings.values())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_command_leaves_its_out_file_as_it_was(specs, tmp_path, capsys, fmt):
+    # an index bundle has no CSV view, and a missing spec fails before any
+    # report: neither may truncate the file
+    out = tmp_path / f"r.{fmt}"
+    out.write_bytes(b"earlier report\n")
+    if fmt == "csv":
+        argv = ["index", "--spec-a", specs["twist3"], "--spec-b", specs["dbar"], "--cutoff", "8"]
+    else:
+        argv = ["compare", "--spec-a", specs["dbar"], "--spec-b", str(tmp_path / "none.spec")]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] in ("SpecError", "ParseError")
+    if fmt == "csv":
+        assert record["error"]["message"].startswith("bundle has no singular values")
+    assert out.read_bytes() == b"earlier report\n"
+
+
 def _plain(obj):
     """Reference walk to plain Python for ``json.dumps``: numpy arrays
     and scalars by ``tolist()`` or their Python type, NaN as None."""
@@ -449,15 +477,35 @@ P_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(P_GOLDEN))
-def test_weighted_projector_reports_match_the_golden_files(tmp_path, monkeypatch, name):
+# other one-spec reports: (gallery operator, command) per golden file
+SPEC_GOLDEN = {
+    "ellipticity_dirac3_mu1_v1": (["dirac3", "-p", "mu=1", "-p", "v=1"], ["ellipticity"]),
+    "projector_R_laplace2_m3_plus": (
+        ["laplace_mass", "-p", "mu=2"],
+        ["projector", "--kind", "R", "--side", "plus", "--mode", "3"],
+    ),
+}
+
+
+def _assert_golden(tmp_path, monkeypatch, name, gallery, command):
+    """Write the gallery operator to ``op.spec``, run ``command`` on it and
+    compare the report with the golden file ``name``, byte for byte."""
     golden = Path(__file__).parent / "golden" / f"{name}.json"
-    gallery, options = P_GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     assert main(["write-spec", *gallery, "--out", "op.spec"]) == 0
-    assert main(["projector", "--spec", "op.spec", "--kind", "P", *options,
-                 "--out", "report.json"]) == 0
+    assert main([*command, "--spec", "op.spec", "--out", "report.json"]) == 0
     assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(P_GOLDEN))
+def test_weighted_projector_reports_match_the_golden_files(tmp_path, monkeypatch, name):
+    gallery, options = P_GOLDEN[name]
+    _assert_golden(tmp_path, monkeypatch, name, gallery, ["projector", "--kind", "P", *options])
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_GOLDEN))
+def test_one_spec_reports_match_the_golden_files(tmp_path, monkeypatch, name):
+    _assert_golden(tmp_path, monkeypatch, name, *SPEC_GOLDEN[name])
 
 
 def test_non_finite_spec_coefficient_gives_a_spec_error_record(specs, tmp_path, capsys):
@@ -472,7 +520,7 @@ def test_non_finite_spec_coefficient_gives_a_spec_error_record(specs, tmp_path, 
 
 
 def _parsed_config(argv):
-    return _config_from_args(_build_parser().parse_args(argv))
+    return ExperimentConfig(**vars(_build_parser().parse_args(argv)))
 
 
 def test_config_defaults_are_the_only_defaults():

@@ -1496,15 +1496,19 @@ def test_one_defect_mode_reads_alike_on_every_projector_route(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, 1e200, 10**400], ids=["nan", "inf", "1e200", "10**400"]
+)
 def test_stack_rejects_the_modes_mode_symbol_rejects(bad, n):
     # a non-finite mode, or one whose squared norm overflows, is no mode:
-    # the stack says so as mode_symbol does, before any numpy warning
+    # the stack says so as mode_symbol does, before any numpy warning; an
+    # int beyond the float range makes an object array, as a list or not
     spec = _lifted(build_gallery("dirac2", mu=1, v=0.3), n)
     modes = _stack([3.0, bad, 2.0], n)
     with pytest.raises(SpecError) as want:
         mode_symbol(spec, modes[1])
-    with pytest.raises(SpecError) as got:
-        calderon_projector_stack(spec, modes)
-    assert str(got.value) == str(want.value)
+    for stack in (modes, modes.tolist()):
+        with pytest.raises(SpecError) as got:
+            calderon_projector_stack(spec, stack)
+        assert str(got.value) == str(want.value)
     assert str(got.value).endswith("is not finite, or its squared norm overflows")
