@@ -65,23 +65,15 @@ def _sign(mats):
     x = mats
     n, d, _ = x.shape
     converged = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
+    idx = np.arange(n)  # the rows still iterating, ascending
     for _ in range(_SIGN_MAXIT):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
         # while every row iterates, the stack itself is the active part
         xa = x if idx.size == n else x[idx]
         det = _det(xa)
         # a singular iterate means an eigenvalue hit zero: no sign exists
-        bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
-        if bad.any():
-            active[idx[bad]] = False
-            idx = idx[~bad]
-            if idx.size == 0:
-                continue
-            xa = xa[~bad]
-            det = det[~bad]
+        ok = np.isfinite(det) & (np.abs(det) >= 1e-280)
+        if not ok.all():
+            idx, xa, det = idx[ok], xa[ok], det[ok]
         # determinant scaling keeps the spectral radius near 1 uniformly in m
         mu = np.clip(np.abs(det) ** (-1.0 / d), 1e-8, 1e8)[:, None, None]
         xn = 0.5 * (mu * xa + _inv(xa, det) / mu)
@@ -95,7 +87,9 @@ def _sign(mats):
             x[idx] = xn
         done = num <= _SIGN_TOL * den
         converged[idx[done]] = True
-        active[idx[done]] = False
+        idx = idx[~done]
+        if idx.size == 0:
+            break
     return x, converged
 
 
@@ -265,13 +259,10 @@ def _padded_sines(sines_a, da, db):
 
     ``sines_a`` is ``(N, d)``: row ``i`` holds the singular values of the
     complement of frame A against frame B, of which the leading
-    ``da[i]`` count.  Each row becomes ``(db - da)+`` right-angle sines,
-    then A's sines, then -1 padding, which sorts last and clips to angle
-    0; ``d`` must be at least ``max(da, db)``.
+    ``da[i]`` count.  Each row keeps A's sines, then right-angle sines
+    up to ``max(da, db)``, then -1 padding, which sorts last and clips
+    to angle 0; ``d`` must be at least ``max(da, db)``.
     """
-    d = sines_a.shape[1]
-    j = np.arange(d)
-    lead = np.maximum(db - da, 0)[:, None]
-    shifted = np.take_along_axis(sines_a, np.clip(j - lead, 0, d - 1), axis=1)
-    sines = np.where(j < lead, 1.0, np.where(j < lead + da[:, None], shifted, -1.0))
-    return np.sort(sines, axis=1)[:, ::-1]
+    j = np.arange(sines_a.shape[1])
+    pad = np.where(j < np.maximum(da, db)[:, None], 1.0, -1.0)
+    return np.sort(np.where(j < da[:, None], sines_a, pad), axis=1)[:, ::-1]

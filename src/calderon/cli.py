@@ -51,6 +51,8 @@ available model operators (calderon write-spec NAME -p key=value ...):
   custom          n, r, k, ...  raw coefficient table via the document format
 """
 
+_NO_CSV = "bundle has no singular values or exponent table to emit"
+
 
 @dataclass
 class ExperimentConfig:
@@ -86,6 +88,8 @@ class ExperimentConfig:
             raise SpecError("tol must be finite and in (0, 0.1]")
         if not all(0 < p < np.inf for p in self.p_list):
             raise SpecError("Schatten orders must be finite and positive")
+        if self.fmt == "csv" and self.subcommand in ("ellipticity", "projector", "index"):
+            raise SpecError(_NO_CSV)  # emit_csv's refusal, before any spec is read
 
     def echo(self):
         out = {
@@ -221,13 +225,7 @@ def _p_list(text):
 def _run_ellipticity(cfg, reports, timings):
     spec = read_spec(cfg.spec)
     rep = check_ellipticity(spec, samples=cfg.samples)
-    reports["ellipticity"] = {
-        "spec": spec.name,
-        "samples": rep.samples,
-        "min_abs_det": rep.min_abs_det,
-        "passed": rep.passed,
-        "defect_modes": rep.defect_modes,
-    }
+    reports["ellipticity"] = {"spec": spec.name, **vars(rep)}
     return rep.passed
 
 
@@ -403,7 +401,7 @@ def emit_csv(bundle, fh):
         return
     rep = bundle.reports.get("schatten") or bundle.reports.get("compare")
     if rep is None or "svals" not in rep:
-        raise SpecError("bundle has no singular values or exponent table to emit")
+        raise SpecError(_NO_CSV)
     svals = np.asarray(rep["svals"], dtype=float)
     target = rep.get("target_exponent")
     const = rep.get("bound_constant")

@@ -9,7 +9,7 @@ at finite truncation.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -160,17 +160,7 @@ def chiral_point(spec, side, cutoff, alpha=DEFAULT_ALPHA):
     svals = _kernels.svdvals_sweep(sub)
     dims = (svals > 1e-10).sum(axis=1).astype(np.int64)
     ortho = _kernels.orthonormal_range_sweep(sub, dims)
-    return GrassmannPoint(
-        spec=spec,
-        cutoff=base.cutoff,
-        alpha=base.alpha,
-        modes=base.modes,
-        dims=dims,
-        ortho=ortho,
-        weights=base.weights[:, rows],
-        excluded=base.excluded,
-        chiral_side=side,
-    )
+    return replace(base, dims=dims, ortho=ortho, weights=base.weights[:, rows], chiral_side=side)
 
 
 @dataclass
@@ -425,15 +415,14 @@ def fredholm_index(a, b, tol=1e-6, rep=None):
     if rep is None:
         rep = compare_points(a, b)
     da, db = rep.dims_a, rep.dims_b
-    cos = rep.cos_rows
-    live = np.arange(cos.shape[1]) < np.minimum(da, db)[:, None]
-    ambiguous = (live & (cos >= tol) & (cos < 10 * tol)).any(axis=1)
+    cos = rep.cos_rows  # zero past the frame dimensions, so below every tol
+    ambiguous = ((cos >= tol) & (cos < 10 * tol)).any(axis=1)
     if ambiguous.any():
         i = int(ambiguous.argmax())
         key = mode_key(rep.modes[i])
         msg = f"singular value in [{tol:.1e}, {10 * tol:.1e}) at mode {key}; adjust tol"
         raise ThresholdAmbiguous(msg, index=i, mode=key)
-    rank = (live & (cos > tol)).sum(axis=1)
+    rank = (cos > tol).sum(axis=1)
     ker = da - rank
     cok = db - rank
 

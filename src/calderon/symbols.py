@@ -106,14 +106,6 @@ class ModeSymbol:
         C.setflags(write=False)
         return C
 
-    @property
-    def r(self):
-        return self.spec.r
-
-    @property
-    def k(self):
-        return self.spec.k
-
     def __call__(self, xi_n):
         """Full mode symbol a(m, xi_n) = sum_q A_q (i xi_n)^q.
 
@@ -219,7 +211,7 @@ def mode_error(exc, modes, rows=None):
     return err
 
 
-def _term_stack(spec, modes, degree=None):
+def mode_matrix_stack(spec, modes, degree=None):
     """``A_q(m) = sum_beta c[q, beta] (i m)^beta``, shape ``(k+1, N, r, r)``, for real
     modes one per row, over the terms of total degree ``degree`` (None: all)."""
     im = 1j * np.asarray(modes, dtype=complex)
@@ -234,11 +226,6 @@ def _term_stack(spec, modes, degree=None):
                 phase = f if phase is None else phase * f
         A[q] += c if phase is None else phase[:, None, None] * c
     return A
-
-
-def mode_matrix_stack(spec, modes):
-    """A_q(m) for a whole stack of modes: shape (k+1, N, r, r)."""
-    return _term_stack(spec, modes)
 
 
 def companion_stack(spec, modes):
@@ -292,21 +279,21 @@ class EllipticityReport:
 
 
 def _as_mode(spec, mode):
-    """A mode as a tuple of Python numbers: ints where integral.  A mode
-    whose squared norm is no finite float (a non-finite entry, or one so
-    large that the defect predicate's square overflows) raises SpecError."""
+    """A mode as a tuple of Python numbers: ints where integral.  A mode of the wrong
+    length, or whose squared norm is no finite float (a non-finite entry, or one whose
+    square overflows), raises SpecError naming its entries as given."""
     m = tuple(
         x if type(x) is int else int(x) if float(x).is_integer() else float(x)
         for x in np.atleast_1d(mode).tolist()
     )
-    if len(m) != spec.n - 1:
-        raise SpecError(f"mode {m} has length != n-1 = {spec.n - 1}")
     try:
         finite = math.isfinite(sum(float(x) * float(x) for x in m))
     except OverflowError:  # an int beyond the float range
         finite = False
-    if not finite:  # its entries as given: 1e+200, not a 201-digit int
+    if len(m) != spec.n - 1 or not finite:  # as given: 1e+200, not a 201-digit int
         given = tuple(np.asarray(x).item() for x in np.asarray(mode, dtype=object).ravel())
+        if len(m) != spec.n - 1:
+            raise SpecError(f"mode {given} has length != n-1 = {spec.n - 1}")
         raise SpecError(f"mode {given} is not finite, or its squared norm overflows")
     return m
 
@@ -482,7 +469,7 @@ def check_ellipticity(spec, samples=64):
     if samples < 8:
         raise SpecError("need at least 8 cosphere samples")
     dirs = _cosphere_directions(spec.n, samples)
-    dets = np.linalg.det(symbol_values(_term_stack(spec, dirs[:, :-1], spec.k), dirs[:, -1]))
+    dets = np.linalg.det(symbol_values(mode_matrix_stack(spec, dirs[:, :-1], spec.k), dirs[:, -1]))
     min_det = float(np.abs(dets).min())
     passed = min_det > 1e-10 * (1.0 + float(np.abs(dets).max()))
 

@@ -331,6 +331,25 @@ def test_a_failed_command_leaves_its_out_file_as_it_was(specs, tmp_path, capsys,
     assert out.read_bytes() == b"earlier report\n"
 
 
+@pytest.mark.parametrize("sub", ["ellipticity", "projector", "index"])
+def test_csv_of_a_command_without_a_csv_view_fails_before_any_spec_is_read(
+    specs, monkeypatch, capsys, sub
+):
+    # the configuration refuses it with the CSV writer's text: no spec is
+    # read and no point is built for a report that cannot be written
+    from calderon import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "read_spec", lambda path: calls.append(path))
+    pair = ["--spec-a", specs["twist3"], "--spec-b", specs["dbar"]]
+    argv = [sub] + (pair if sub == "index" else ["--spec", specs["dbar"]])
+    assert main(argv + ["--format", "csv"]) == 2
+    assert calls == []
+    record = json.loads(capsys.readouterr().out)
+    message = "bundle has no singular values or exponent table to emit"
+    assert record["error"] == {"type": "SpecError", "message": message}
+
+
 def _plain(obj):
     """Reference walk to plain Python for ``json.dumps``: numpy arrays
     and scalars by ``tolist()`` or their Python type, NaN as None."""
@@ -536,11 +555,12 @@ def test_config_defaults_are_the_only_defaults():
     ]
     for argv, required in minimal:
         assert _parsed_config(argv) == ExperimentConfig(subcommand=argv[0], **required), argv
-    # every option lands in the config field of its name
-    argv = ["index", *pair_argv, "--cutoff", "8", "--alpha", "0.7", "--tol", "1e-3",
+    # every option lands in the config field of its name (schatten: an
+    # index report has no CSV view, and its config refuses --format csv)
+    argv = ["schatten", *pair_argv, "--cutoff", "8", "--alpha", "0.7", "--tol", "1e-3",
             "--p", "1,3", "--out", "r.csv", "--format", "csv", "--timing"]
     assert _parsed_config(argv) == ExperimentConfig(
-        subcommand="index", cutoff=8, alpha=0.7, tol=1e-3, p_list=(1.0, 3.0), out="r.csv",
+        subcommand="schatten", cutoff=8, alpha=0.7, tol=1e-3, p_list=(1.0, 3.0), out="r.csv",
         fmt="csv", include_timing=True, **pair,
     )
 

@@ -80,6 +80,32 @@ def test_sign_iteration_never_writes_its_input():
     assert np.array_equal(good, before)
 
 
+@pytest.mark.parametrize("d", [2, 4])  # closed-form 2x2 steps, and LAPACK
+def test_a_sign_row_is_its_single_row_run(d):
+    # rows leave the iteration at different steps, as they converge or turn
+    # singular; no row's result or flag depends on the rows beside it
+    rng = np.random.default_rng(29 + d)
+    rows = []
+    for re in (1e-4, 1e-2, 1.0, 1e3):  # distance of the spectrum from the axis
+        for _ in range(6):
+            lam = re * rng.uniform(1, 2, size=d) * rng.choice([-1.0, 1.0], size=d)
+            X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rows.append(X @ np.diag(lam + 1j * rng.normal(size=d)) @ np.linalg.inv(X))
+    singular = rng.normal(size=(3, d, d)) + 0j
+    singular[:, -1] = 0  # a zero row: the determinant is exactly 0
+    rest = [-1.0, 2.0, -3.0][: d - 1]
+    axis = [np.diag([1j, *rest]), np.diag([2.5j, *rest]), np.diag([0.3j, *rest])]
+    mats = np.array(rows + list(singular) + axis + [np.zeros((d, d))], dtype=complex)
+    mats = mats[rng.permutation(len(mats))]
+    before = mats.copy()
+    sign, ok = _kernels._sign(mats)
+    assert mats.tobytes() == before.tobytes()
+    assert ok.sum() == len(rows)
+    for i, row in enumerate(mats):
+        one, flag = _kernels._sign(row[None].copy())
+        assert sign[i].tobytes() == one[0].tobytes() and ok[i] == flag[0]
+
+
 def test_sign_iteration_rejects_imaginary_spectrum():
     bad = np.array([[[1.0, 0.0], [0.0, -1.0]], [[1j, 0.0], [0.0, -1.0]]], dtype=complex)
     with pytest.raises(SignIterationStalled) as info:

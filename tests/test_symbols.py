@@ -11,7 +11,6 @@ from calderon.symbols import (
     ModeSymbol,
     _as_mode,
     _cosphere_directions,
-    _term_stack,
     agree_up_to_order,
     build_gallery,
     check_ellipticity,
@@ -19,6 +18,7 @@ from calderon.symbols import (
     dump_spec,
     load_spec,
     mode_lattice,
+    mode_matrix_stack,
     mode_symbol,
     on_real_axis,
     scan_defect_modes,
@@ -172,6 +172,22 @@ def test_non_finite_mode_is_rejected_before_any_arithmetic():
     assert mode_symbol(dirac3, (1e150, 3)).m == (int(1e150), 3)
 
 
+def test_a_mode_of_the_wrong_length_is_named_as_given():
+    # the length error prints the caller's entries, as the finiteness error
+    # does: 1e+200, not the 201-digit int the mode normalizes to
+    dbar, dirac3 = build_gallery("dbar", mu=0.5), build_gallery("dirac3", mu=1, v=0.3)
+    for spec, m, text in [
+        (dbar, (1e200, 0), "(1e+200, 0)"),
+        (dbar, (1, 2), "(1, 2)"),
+        (dbar, np.array([2.0, -0.5]), "(2.0, -0.5)"),
+        (dirac3, 4, "(4,)"),
+        (dirac3, (1, 2, 3), "(1, 2, 3)"),
+    ]:
+        with pytest.raises(SpecError) as info:
+            mode_symbol(spec, m)
+        assert str(info.value) == f"mode {text} has length != n-1 = {spec.n - 1}"
+
+
 def test_mode_symbol_is_read_only_and_copies_a_callers_array():
     spec = build_gallery("dirac3", mu=1, v=0.3)
     sym = mode_symbol(spec, np.array([3, -2]))
@@ -186,7 +202,7 @@ def test_mode_symbol_is_read_only_and_copies_a_callers_array():
 def homogeneous_component(spec, j, m, xi):
     """Degree ``k - j`` homogeneous part of the symbol at ``(m, xi)``: the
     N=1 mode stack of that degree's terms, evaluated by ``symbol_values``."""
-    A = _term_stack(spec, [_as_mode(spec, m)], spec.k - j)
+    A = mode_matrix_stack(spec, [_as_mode(spec, m)], spec.k - j)
     return symbol_values(A, np.asarray(complex(xi)))[0]
 
 

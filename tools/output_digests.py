@@ -1,0 +1,163 @@
+"""SHA-256 digests of calderon's outputs, for a bit-for-bit check of two trees.
+
+Run it once with each tree's ``src`` on ``PYTHONPATH`` and diff the two
+texts; any difference names the output that moved:
+
+    PYTHONPATH=/path/to/old/src python tools/output_digests.py --seed 901 > old.json
+    PYTHONPATH=src python tools/output_digests.py --seed 901 > new.json
+    diff old.json new.json
+
+It prints one JSON object, keys sorted, of hex digests of:
+
+* ``assemble_point`` modes, dims, frames, weights and exclusions at
+  alpha 0.5 and 1.7 on the five acceptance specs and one
+  ``selfadjoint_double``;
+* ``compare_points`` rows, and ``fredholm_index`` counts, of the
+  criterion 5-7 pairs and of twisted_dbar (d = 3) against dbar;
+* ``chiral_point`` on both sides of three chiral specs;
+* ``calderon_projector`` and ``orthogonal_projector`` on both sides at a
+  few modes of each acceptance spec (an error digests its type and text);
+* the report bytes and exit code of each ``calderon`` command of
+  ``perfbench/cli_pipelines.py``'s workload of the given seed, each run
+  as a fresh process on that tree's ``src``.
+
+``--toy`` shrinks every cutoff and runs the toy-scale command set.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import calderon as cal  # noqa: E402
+from calderon.acceptance import _acceptance_specs  # noqa: E402
+from calderon.errors import CalderonError  # noqa: E402
+from cli_pipelines import Workload  # noqa: E402
+
+ALPHAS = (0.5, 1.7)
+TOY = 8  # --toy divides every cutoff by this
+
+
+def _digest(*parts):
+    """Hex SHA-256 of bytes, text, arrays (dtype, shape and bytes) or
+    any other value's ``repr``."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            part = part.encode()
+        elif isinstance(part, np.ndarray):
+            a = np.ascontiguousarray(part)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            part = a.tobytes()
+        elif not isinstance(part, bytes):
+            part = repr(part).encode()
+        h.update(part)
+    return h.hexdigest()
+
+
+def _outcome(call):
+    """What ``call()`` gives: its value, or its error's type and text."""
+    try:
+        return call()
+    except CalderonError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _point_digests(out, key, point):
+    for name in ("modes", "dims", "ortho", "weights", "excluded"):
+        out[f"{key}/{name}"] = _digest(getattr(point, name))
+
+
+def point_digests(shrink):
+    """Acceptance-spec points at both alphas, and both chiral halves."""
+    out = {}
+    double = cal.selfadjoint_double(cal.build_gallery("dirac2", mu=1))
+    cutoffs = {spec.n: cutoff // shrink for spec, cutoff in _acceptance_specs()}
+    for spec in [spec for spec, _ in _acceptance_specs()] + [double]:
+        for alpha in ALPHAS:
+            point = cal.assemble_point(spec, cutoffs[spec.n], alpha=alpha)
+            _point_digests(out, f"assemble/{spec.name}/a{alpha}", point)
+    chiral = [
+        cal.build_gallery("dirac2", mu=1, v=0.3),
+        cal.build_gallery("dirac3", mu=1, v=0.3),
+        cal.selfadjoint_double(cal.build_gallery("twisted_dbar", mu=0.5, d=3)),
+    ]
+    for spec in chiral:
+        for side in ("L", "R"):
+            point = cal.chiral_point(spec, side, cutoffs[spec.n])
+            _point_digests(out, f"chiral/{spec.name}/{side}", point)
+    return out
+
+
+def compare_digests(shrink):
+    """Comparison rows and index counts of the criterion 5-7 pairs and
+    of the twisted dbar index pair."""
+    g = cal.build_gallery
+    pairs = {
+        "dirac2": (g("dirac2", mu=1, v=0), g("dirac2", mu=1, v=0.3), 512),
+        "laplace_mass": (g("laplace_mass", mu=1), g("laplace_mass", mu=2), 512),
+        "dirac3": (g("dirac3", mu=1, v=0), g("dirac3", mu=1, v=0.3), 48),
+        "twist3": (g("twisted_dbar", mu=0.5, d=3), g("dbar", mu=0.5), 16),
+    }
+    out = {}
+    for label, (sa, sb, cutoff) in pairs.items():
+        pa, pb = (cal.assemble_point(s, cutoff // shrink) for s in (sa, sb))
+        rep = cal.compare_points(pa, pb)
+        for name in ("modes", "dims_a", "dims_b", "angle_rows", "cross", "cos_rows",
+                     "diff_norms", "svals", "q_svals", "agreement", "skipped"):
+            out[f"compare/{label}/{name}"] = _digest(getattr(rep, name))
+        idx = _outcome(lambda: list(vars(cal.fredholm_index(pa, pb, rep=rep)).values()))
+        out[f"index/{label}"] = _digest(*idx) if isinstance(idx, list) else _digest(idx)
+    return out
+
+
+def projector_digests():
+    """Both projector routes on both sides at three modes of each
+    acceptance spec."""
+    modes = {2: [0, 3, -7], 3: [(0, 0), (2, -1), (-5, 3)]}
+    out = {}
+    for spec, _ in _acceptance_specs():
+        for m in modes[spec.n]:
+            sym = cal.mode_symbol(spec, m)
+            for side in ("plus", "minus"):
+                key = f"projector/{spec.name}/{m}/{side}"
+                R = _outcome(lambda: cal.calderon_projector(sym, side).matrix)
+                out[f"{key}/R"] = _digest(R)
+                for alpha in ALPHAS:
+                    P = _outcome(lambda: cal.orthogonal_projector(sym, side, alpha))
+                    out[f"{key}/P/a{alpha}"] = _digest(P)
+    return out
+
+
+def cli_digests(seed, scale):
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        wl = Workload(seed, scale, tmp)
+        for cmd in wl.commands:
+            proc = wl._launch(cmd.argv())
+            path = Path(tmp) / cmd.out
+            report = path.read_bytes() if path.exists() else b""
+            out[f"cli/{cmd.out}"] = _digest(f"exit {proc.returncode}\n", report)
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=901, help="cli_pipelines workload seed")
+    ap.add_argument("--toy", action="store_true", help="small cutoffs and the toy command set")
+    args = ap.parse_args(argv)
+    shrink = TOY if args.toy else 1
+    out = {**point_digests(shrink), **compare_digests(shrink), **projector_digests(),
+           **cli_digests(args.seed, "toy" if args.toy else "full")}
+    sys.stdout.write(json.dumps(out, sort_keys=True, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
