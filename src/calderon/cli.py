@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -23,7 +23,6 @@ from . import __version__
 from .errors import CalderonError, ParseError, SpecError
 from .symbols import (
     GALLERY_NAMES,
-    agree_up_to_order,
     build_gallery,
     check_ellipticity,
     dump_spec,
@@ -53,6 +52,14 @@ available model operators (calderon write-spec NAME -p key=value ...):
 
 _NO_CSV = "bundle has no singular values or exponent table to emit"
 
+_ECHO_NAMES = {"p_list": "p", "fmt": "format"}  # config fields the echo renames
+
+
+def _fields(obj, *skip):
+    """A dataclass's fields but ``skip``, by name.  A cached property is no
+    field, so ``CompareReport.angles`` or ``cos_rows`` never reaches a report."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
 
 @dataclass
 class ExperimentConfig:
@@ -75,7 +82,6 @@ class ExperimentConfig:
     mode: tuple | None = None
     side: str = "plus"
     kind: str = "R"
-    samples: int = 64
     q: int | None = None
     include_timing: bool = False
 
@@ -92,19 +98,12 @@ class ExperimentConfig:
             raise SpecError(_NO_CSV)  # emit_csv's refusal, before any spec is read
 
     def echo(self):
-        out = {
-            "subcommand": self.subcommand,
-            "cutoff": self.cutoff,
-            "alpha": self.alpha,
-            "tol": self.tol,
-            "p": list(self.p_list),
-            "format": self.fmt,
+        """The set fields but ``out`` and ``include_timing``, under their report names."""
+        return {
+            _ECHO_NAMES.get(key, key): list(val) if isinstance(val, tuple) else val
+            for key, val in _fields(self, "out", "include_timing").items()
+            if val is not None
         }
-        for key in ("spec", "spec_a", "spec_b", "mode", "side", "kind", "q"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = list(val) if isinstance(val, tuple) else val
-        return out
 
 
 @dataclass
@@ -210,6 +209,15 @@ def _mode_tuple(text):
         raise SpecError(f"mode needs comma-separated integer components, got {text!r}") from None
 
 
+def _param(text):
+    """A ``write-spec -p`` value as a ``(key, float)`` pair."""
+    key, _, val = text.partition("=")  # no "=": val is "", no number
+    try:
+        return key, float(val)
+    except ValueError:
+        raise SpecError(f"parameter {text!r} is not KEY=NUMBER") from None
+
+
 def _p_list(text):
     """A ``--p`` value as a tuple of floats; ``ExperimentConfig`` checks their range."""
     try:
@@ -224,8 +232,8 @@ def _p_list(text):
 
 def _run_ellipticity(cfg, reports, timings):
     spec = read_spec(cfg.spec)
-    rep = check_ellipticity(spec, samples=cfg.samples)
-    reports["ellipticity"] = {"spec": spec.name, **vars(rep)}
+    rep = check_ellipticity(spec)
+    reports["ellipticity"] = {"spec": spec.name, **_fields(rep)}
     return rep.passed
 
 
@@ -250,29 +258,18 @@ def _run_projector(cfg, reports, timings):
 
 
 def _points(cfg):
-    """Both specs of a pair command and their assembled points."""
+    """The assembled points of both specs of a pair command."""
     from .grassmann import assemble_point
     sa, sb = read_spec(cfg.spec_a), read_spec(cfg.spec_b)
-    pa = assemble_point(sa, cfg.cutoff, alpha=cfg.alpha)
-    pb = assemble_point(sb, cfg.cutoff, alpha=cfg.alpha)
-    return sa, sb, pa, pb
+    return [assemble_point(spec, cfg.cutoff, alpha=cfg.alpha) for spec in (sa, sb)]
 
 
 def _run_compare(cfg, reports, timings):
     from .grassmann import compare_points
-    _, _, pa, pb = _points(cfg)
-    rep = compare_points(pa, pb)
+    rep = compare_points(*_points(cfg))
     reports["compare"] = {
-        "cutoff": rep.cutoff,
-        "alpha": rep.alpha,
-        "agreement": rep.agreement,
-        "modes": rep.modes,
-        "dims_a": rep.dims_a,
-        "dims_b": rep.dims_b,
-        "angles": list(rep.angles),
-        "diff_norms": rep.diff_norms,
-        "svals": rep.svals,
-        "q_svals": rep.q_svals,
+        **_fields(rep, "angle_rows", "cross"),
+        "angles": rep.angles,
         "skipped": [list(np.atleast_1d(s)) for s in rep.skipped],
     }
     return True
@@ -280,51 +277,29 @@ def _run_compare(cfg, reports, timings):
 
 def _run_schatten(cfg, reports, timings):
     from .grassmann import compare_points, schatten_fit
-    sa, sb, pa, pb = _points(cfg)
+    pa, pb = _points(cfg)
     rep = compare_points(pa, pb)
     q = cfg.q
     if q is None:
-        agreement = agree_up_to_order(sa, sb)
-        q = sa.k if agreement == "full" else agreement
+        q = pa.spec.k if rep.agreement == "full" else rep.agreement
         if q is None:
             raise SpecError("principal symbols differ; pass --q explicitly")
-    fit = schatten_fit(rep, n=sa.n, q=q, p_list=cfg.p_list)
-    reports["schatten"] = {
-        "q": q,
-        "n": sa.n,
-        "count": fit.count,
-        "finite_rank": fit.finite_rank,
-        "slope": "FINITE_RANK" if fit.finite_rank is not None else fit.slope,
-        "slope_halfwidth": fit.slope_halfwidth,
-        "window": None if fit.window is None else list(fit.window),
-        "target_exponent": fit.target_exponent,
-        "bound_constant": fit.bound_constant,
-        "bound_holds": fit.bound_holds,
-        "sums": {str(p): v for p, v in fit.sums.items()},
-        "tail_increase": {str(p): v for p, v in fit.tail_increase.items()},
-        "svals": fit.svals,
-    }
+    fit = schatten_fit(rep, n=pa.spec.n, q=q, p_list=cfg.p_list)
+    slope = "FINITE_RANK" if fit.finite_rank is not None else fit.slope
+    reports["schatten"] = {**_fields(fit), "q": q, "n": pa.spec.n, "slope": slope}
     return True
 
 
 def _run_index(cfg, reports, timings):
     from .grassmann import fredholm_index
-    _, _, pa, pb = _points(cfg)
-    rep = fredholm_index(pa, pb, tol=cfg.tol)
+    rep = fredholm_index(*_points(cfg), tol=cfg.tol)
     nonzero = [
         {"m": mode_key(m), "ker": int(k), "coker": int(c)}
         for m, k, c in zip(rep.modes, rep.kernel_dims, rep.cokernel_dims)
         if k or c
     ]
-    reports["index"] = {
-        "index": rep.index,
-        "kernel_total": rep.kernel_total,
-        "cokernel_total": rep.cokernel_total,
-        "tail_safe": rep.tail_safe,
-        "min_tail_gap": rep.min_tail_gap,
-        "tol": rep.tol,
-        "nonzero_modes": nonzero,
-    }
+    per_mode = ("modes", "kernel_dims", "cokernel_dims")
+    reports["index"] = {**_fields(rep, *per_mode), "nonzero_modes": nonzero}
     return rep.tail_safe
 
 
@@ -373,15 +348,9 @@ def run(config):
 
 
 def bundle_json(bundle, include_timing=False):
-    payload = {
-        "config": bundle.config,
-        "reports": bundle.reports,
-        "version": bundle.version,
-        "ok": bundle.ok,
-    }
-    if include_timing:
-        payload["timings"] = bundle.timings
-    return _json_text(payload) + "\n"
+    """The bundle's fields as canonical JSON; ``timings`` only on request."""
+    skip = () if include_timing else ("timings",)
+    return _json_text(_fields(bundle, *skip)) + "\n"
 
 
 def emit_csv(bundle, fh):
@@ -462,12 +431,11 @@ def _build_parser():
 
     p = sub.add_parser("write-spec", help="write a gallery operator document")
     p.add_argument("name", choices=[g for g in GALLERY_NAMES if g != "custom"])
-    p.add_argument("-p", "--param", action="append", default=[], metavar="KEY=VALUE")
+    p.add_argument("-p", "--param", action="append", default=[], type=_param,
+                   metavar="KEY=VALUE")
     p.add_argument("--out", default=None)
 
-    p = pipeline("ellipticity", "cosphere determinant scan and defect modes", single=True)
-    p.add_argument("--samples", type=int)
-
+    pipeline("ellipticity", "cosphere determinant scan and defect modes", single=True)
     p = pipeline("projector", "dump one per-mode projector matrix", single=True)
     p.add_argument("--mode", type=_mode_tuple,
                    help="tangential frequency (comma-separated for T^2)")
@@ -484,22 +452,13 @@ def _build_parser():
 
 def main(argv=None):
     try:
-        # --mode and --p convert while parsing, so their SpecError lands below
+        # -p, --mode and --p convert while parsing, so their SpecError lands below
         args = _build_parser().parse_args(argv)
         if args.subcommand == "list-gallery":
             _write(_GALLERY_TEXT, None)
             return 0
         if args.subcommand == "write-spec":
-            params = {}
-            for item in args.param:
-                key, sep, val = item.partition("=")
-                try:
-                    params[key] = float(val)
-                except ValueError:
-                    sep = ""
-                if not sep:
-                    raise SpecError(f"parameter {item!r} is not KEY=NUMBER")
-            _write(dump_spec(build_gallery(args.name, **params)), args.out)
+            _write(dump_spec(build_gallery(args.name, **dict(args.param))), args.out)
             return 0
 
         cfg = ExperimentConfig(**vars(args))

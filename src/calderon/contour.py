@@ -6,6 +6,7 @@ the contour; node doubling supplies the error estimate.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class Contour:
     def __post_init__(self):
         if not (np.isfinite(self.center) and np.isfinite(self.radius) and self.radius > 0):
             raise SpecError("contour center and radius must be finite, the radius positive")
+        if not (isinstance(self.nodes, numbers.Real) and float(self.nodes).is_integer()):
+            raise SpecError(f"contour node count must be an integer, got {self.nodes!r}")
         if self.nodes < 8:
             raise SpecError("contour needs at least 8 nodes")
 

@@ -10,6 +10,7 @@ and everything downstream reduces to finite matrix algebra per mode.
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ _PAULI = {
 }
 
 GALLERY_NAMES = ("dbar", "twisted_dbar", "laplace_mass", "dirac2", "dirac3", "custom")
+COSPHERE_SAMPLES = 64  # directions of check_ellipticity's determinant scan
 
 
 @dataclass
@@ -279,38 +281,42 @@ class EllipticityReport:
 
 
 def _as_mode(spec, mode):
-    """A mode as a tuple of Python numbers: ints where integral.  A mode of the wrong
-    length, or whose squared norm is no finite float (a non-finite entry, or one whose
-    square overflows), raises SpecError naming its entries as given."""
-    m = tuple(
-        x if type(x) is int else int(x) if float(x).is_integer() else float(x)
-        for x in np.atleast_1d(mode).tolist()
-    )
-    try:
-        finite = math.isfinite(sum(float(x) * float(x) for x in m))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if len(m) != spec.n - 1 or not finite:  # as given: 1e+200, not a 201-digit int
-        given = tuple(np.asarray(x).item() for x in np.asarray(mode, dtype=object).ravel())
-        if len(m) != spec.n - 1:
-            raise SpecError(f"mode {given} has length != n-1 = {spec.n - 1}")
-        raise SpecError(f"mode {given} is not finite, or its squared norm overflows")
-    return m
+    """A mode as a tuple of Python numbers: ints where integral.  A mode with an entry
+    that is no real number (a complex one, even with a zero imaginary part, or text), of
+    the wrong length, or whose squared norm is no finite float (a non-finite entry, or
+    one whose square overflows), raises SpecError naming its entries as given."""
+    m = np.atleast_1d(mode).tolist()
+    if not all(isinstance(x, numbers.Real) for x in m):
+        problem = "has an entry that is not a real number"
+    elif len(m) != spec.n - 1:
+        problem = f"has length != n-1 = {spec.n - 1}"
+    else:
+        try:
+            finite = math.isfinite(sum(float(x) * float(x) for x in m))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if finite:
+            return tuple(x if type(x) is int else int(x) if float(x).is_integer() else float(x)
+                         for x in m)
+        problem = "is not finite, or its squared norm overflows"
+    # as given: 1e+200, not a 201-digit int
+    given = tuple(np.asarray(x).item() for x in np.asarray(mode, dtype=object).ravel())
+    raise SpecError(f"mode {given} {problem}")
 
 
 def _as_modes(spec, modes):
-    """A stack of modes ``(N, n-1)``, one per row.  One check over the
-    stack finds the first row that :func:`_as_mode` rejects, which raises."""
+    """A stack of modes ``(N, n-1)``, one per row.  The first row that
+    :func:`_as_mode` rejects raises: one check over a real stack finds it,
+    and a stack of complex, text or object entries is checked row by row."""
     modes = np.asarray(modes)
     if modes.ndim != 2 or modes.shape[1] != spec.n - 1:
         raise SpecError(f"modes must have shape (N, {spec.n - 1}), got {modes.shape}")
-    try:
-        with np.errstate(over="ignore"):  # the rows whose squared norm overflows
-            finite = np.isfinite(np.square(modes.astype(float)).sum(axis=1))
-    except OverflowError:  # an int beyond the float range, in an object array
-        for row in modes:  # the first row that _as_mode rejects raises
+    if modes.dtype.kind not in "biuf":
+        for row in modes:
             _as_mode(spec, row)
-        raise
+        return modes
+    with np.errstate(over="ignore"):  # the rows whose squared norm overflows
+        finite = np.isfinite(np.square(modes.astype(float)).sum(axis=1))
     if not finite.all():
         _as_mode(spec, modes[finite.argmin()])
     return modes
@@ -458,17 +464,16 @@ def _cosphere_directions(n, samples):
     return v
 
 
-def check_ellipticity(spec, samples=64):
-    """Sample ``det a_k`` on the unit cosphere and scan for defect modes.
+def check_ellipticity(spec):
+    """Sample ``det a_k`` at 64 directions of the unit cosphere and scan
+    for defect modes.
 
     A failure is reported through the returned flag, never raised.  The
     defect scan (:func:`scan_defect_modes`) walks integer modes with
     ``|m|_inf <= 64`` for n = 2, else 24, and flags those whose full
     mode symbol has a characteristic root on the real axis.
     """
-    if samples < 8:
-        raise SpecError("need at least 8 cosphere samples")
-    dirs = _cosphere_directions(spec.n, samples)
+    dirs = _cosphere_directions(spec.n, COSPHERE_SAMPLES)
     dets = np.linalg.det(symbol_values(mode_matrix_stack(spec, dirs[:, :-1], spec.k), dirs[:, -1]))
     min_det = float(np.abs(dets).min())
     passed = min_det > 1e-10 * (1.0 + float(np.abs(dets).max()))
@@ -478,7 +483,7 @@ def check_ellipticity(spec, samples=64):
         min_abs_det=min_det,
         passed=passed,
         defect_modes=defects,
-        samples=samples,
+        samples=COSPHERE_SAMPLES,
     )
 
 

@@ -474,15 +474,32 @@ def test_writer_matches_json_dumps_on_every_subcommand(specs):
             assert bundle_json(bundle, include_timing=timing) == _reference_json(payload)
 
 
-@pytest.mark.parametrize("sub", ["compare", "index"])
+# pair reports: (golden file, spec A, spec B, cutoff) per command; a spec is
+# (file name, gallery operator and parameters)
+DBAR = ("dbar.spec", ["dbar", "-p", "mu=0.5"])
+TWIST3 = ("twist3.spec", ["twisted_dbar", "-p", "mu=0.5", "-p", "d=3"])
+PAIR_GOLDEN = {
+    "compare": ("compare_dbar_twist3_c16", DBAR, TWIST3, "16"),
+    "index": ("index_dbar_twist3_c16", DBAR, TWIST3, "16"),
+    "schatten": ("schatten_dbar_twist3_c16", DBAR, TWIST3, "16"),  # FINITE_RANK
+    "schatten-fitted": (
+        "schatten_laplace_mu1_mu2_c64",
+        ("laplace1.spec", ["laplace_mass", "-p", "mu=1"]),
+        ("laplace2.spec", ["laplace_mass", "-p", "mu=2"]),
+        "64",
+    ),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(PAIR_GOLDEN))
 def test_reports_match_the_golden_files(tmp_path, monkeypatch, sub):
-    golden = Path(__file__).parent / "golden" / f"{sub}_dbar_twist3_c16.json"
+    name, (path_a, gallery_a), (path_b, gallery_b), cutoff = PAIR_GOLDEN[sub]
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
     monkeypatch.chdir(tmp_path)
-    assert main(["write-spec", "dbar", "-p", "mu=0.5", "--out", "dbar.spec"]) == 0
-    assert main(["write-spec", "twisted_dbar", "-p", "mu=0.5", "-p", "d=3",
-                 "--out", "twist3.spec"]) == 0
-    assert main([sub, "--spec-a", "dbar.spec", "--spec-b", "twist3.spec", "--cutoff", "16",
-                 "--out", "report.json"]) == 0
+    assert main(["write-spec", *gallery_a, "--out", path_a]) == 0
+    assert main(["write-spec", *gallery_b, "--out", path_b]) == 0
+    assert main([sub.split("-")[0], "--spec-a", path_a, "--spec-b", path_b,
+                 "--cutoff", cutoff, "--out", "report.json"]) == 0
     assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
 
@@ -567,3 +584,20 @@ def test_config_defaults_are_the_only_defaults():
 
 def test_bench_subcommand_is_gone(capsys):
     assert main(["bench"]) == 2
+
+
+def test_ellipticity_samples_option_is_gone(specs, capsys):
+    # the scan uses a fixed 64 cosphere directions, and its report says so
+    assert main(["ellipticity", "--spec", specs["dbar"], "--samples", "32"]) == 2
+    assert main(["ellipticity", "--spec", specs["dbar"]]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"]["ellipticity"]["samples"] == 64
+
+
+def test_write_spec_params_convert_while_parsing(capsys):
+    args = _build_parser().parse_args(["write-spec", "dbar", "-p", "mu=2", "-p", "mu=0.5"])
+    assert args.param == [("mu", 2.0), ("mu", 0.5)]
+    # a repeated key: the last value wins
+    assert main(["write-spec", "dbar", "-p", "mu=2", "-p", "mu=0.5"]) == 0
+    first = capsys.readouterr().out
+    assert main(["write-spec", "dbar", "-p", "mu=0.5"]) == 0
+    assert capsys.readouterr().out == first

@@ -266,6 +266,11 @@ def test_quadrature_peak_memory_stays_near_one_level():
 def test_contour_validation():
     with pytest.raises(SpecError):
         Contour.circle(0, 1.0, nodes=4)
+    with pytest.raises(SpecError, match="must be an integer, got 16.5"):
+        Contour.circle(0, 1.0, nodes=16.5)  # no grid of 16.5 nodes to halve
+    for nodes in (16, 16.0, np.int64(16)):  # an integral count of any type
+        value, used = contour_quadrature(lambda z: 1 / z, Contour.circle(0, 1.0, nodes=nodes))
+        assert abs(value - 1) < 1e-12 and used == 32
     with pytest.raises(SpecError):
         Contour.circle(0, -1.0)
 

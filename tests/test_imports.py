@@ -223,7 +223,7 @@ SIGNATURES = {
     "contour.spectral_split": "(C)",
     "projector.calderon_projector": "(sym, side='plus')",
     "projector.layer_potential_blocks": "(sym, cross_check=True)",
-    "symbols.check_ellipticity": "(spec, samples=64)",
+    "symbols.check_ellipticity": "(spec)",
     "symbols.build_gallery": "(name, /, **params)",
     "grassmann.assemble_point": "(spec, cutoff, alpha=0.5)",
     "grassmann.chiral_point": "(spec, side, cutoff, alpha=0.5)",

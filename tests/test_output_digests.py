@@ -20,7 +20,9 @@ def test_output_digests_prints_hex_digests_only():
     digests = json.loads(proc.stdout)
     assert list(digests) == sorted(digests)
     assert all(re.fullmatch(r"[0-9a-f]{64}", v) for v in digests.values())
-    # every kind of output is there, and one digest per toy CLI command
+    # every kind of output is there, one digest per toy CLI command and one per
+    # in-process command (acceptance runs at full size only)
     kinds = {key.split("/")[0] for key in digests}
-    assert kinds == {"assemble", "chiral", "compare", "index", "projector", "cli"}
+    assert kinds == {"assemble", "chiral", "compare", "index", "projector", "cli", "main"}
     assert sum(key.startswith("cli/") for key in digests) == 7
+    assert sum(key.startswith("main/") for key in digests) == 25

@@ -1497,18 +1497,26 @@ def test_one_defect_mode_reads_alike_on_every_projector_route(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
-    "bad", [np.nan, np.inf, 1e200, 10**400], ids=["nan", "inf", "1e200", "10**400"]
+    "bad", [np.nan, np.inf, 1e200, 10**400, 1j, 2 + 0j, "a"],
+    ids=["nan", "inf", "1e200", "10**400", "1j", "2+0j", "a"],
 )
 def test_stack_rejects_the_modes_mode_symbol_rejects(bad, n):
-    # a non-finite mode, or one whose squared norm overflows, is no mode:
-    # the stack says so as mode_symbol does, before any numpy warning; an
-    # int beyond the float range makes an object array, as a list or not
+    # a non-finite mode, or one whose squared norm overflows, is no mode,
+    # nor is one with a complex or text entry: the stack says so as
+    # mode_symbol does at its first such row, before any numpy warning
+    # and before any arithmetic.  An int beyond the float range makes an
+    # object array, as a list or not; a complex or text entry makes every
+    # row of the stack complex or text, so its first row is rejected.  An
+    # object array is checked row by row
     spec = _lifted(build_gallery("dirac2", mu=1, v=0.3), n)
     modes = _stack([3.0, bad, 2.0], n)
     with pytest.raises(SpecError) as want:
-        mode_symbol(spec, modes[1])
-    for stack in (modes, modes.tolist()):
+        for row in modes:
+            mode_symbol(spec, row)
+    for stack in (modes, modes.tolist(), modes.astype(object)):
         with pytest.raises(SpecError) as got:
             calderon_projector_stack(spec, stack)
         assert str(got.value) == str(want.value)
-    assert str(got.value).endswith("is not finite, or its squared norm overflows")
+    real = isinstance(bad, (int, float))
+    ending = "is not finite, or its squared norm overflows" if real else "is not a real number"
+    assert str(got.value).endswith(ending)

@@ -19,14 +19,24 @@ It prints one JSON object, keys sorted, of hex digests of:
   few modes of each acceptance spec (an error digests its type and text);
 * the report bytes and exit code of each ``calderon`` command of
   ``perfbench/cli_pipelines.py``'s workload of the given seed, each run
-  as a fresh process on that tree's ``src``.
+  as a fresh process on that tree's ``src``;
+* the exit code, stdout and ``--out`` bytes of ``cli.main`` run in
+  process on the commands that workload never runs: ``list-gallery``,
+  ``write-spec``, ``ellipticity``, ``projector``, ``compare`` and
+  ``schatten`` in JSON and CSV, ``index``, four error cases and, at full
+  size, ``acceptance`` (its elapsed seconds masked).
 
-``--toy`` shrinks every cutoff and runs the toy-scale command set.
+``--toy`` shrinks every cutoff, runs the toy-scale command set and
+skips ``acceptance``.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +46,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import calderon as cal  # noqa: E402
+from calderon import cli  # noqa: E402
 from calderon.acceptance import _acceptance_specs  # noqa: E402
 from calderon.errors import CalderonError  # noqa: E402
 from cli_pipelines import Workload  # noqa: E402
@@ -147,14 +158,82 @@ def cli_digests(seed, scale):
     return out
 
 
+# spec files of the in-process commands: file name -> write-spec arguments
+SPECS = {
+    "dbar.spec": ["dbar", "-p", "mu=0.5"],
+    "twist3.spec": ["twisted_dbar", "-p", "mu=0.5", "-p", "d=3"],
+    "laplace1.spec": ["laplace_mass", "-p", "mu=1"],
+    "laplace2.spec": ["laplace_mass", "-p", "mu=2"],
+    "dirac2.spec": ["dirac2", "-p", "mu=1", "-p", "v=0.3"],
+    "dirac3.spec": ["dirac3", "-p", "mu=1", "-p", "v=0.3"],
+}
+DBAR_TWIST3 = ["--spec-a", "dbar.spec", "--spec-b", "twist3.spec", "--cutoff", "16"]
+LAPLACE = ["--spec-a", "laplace1.spec", "--spec-b", "laplace2.spec", "--cutoff", "64"]
+
+
+def main_commands(full):
+    """``cli.main`` argument lists by digest key."""
+    runs = {"list-gallery": ["list-gallery"]}
+    for path, args in SPECS.items():  # every gallery operator
+        runs[f"write-spec/{path}"] = ["write-spec", *args]
+    runs["write-spec/repeated"] = ["write-spec", "dbar", "-p", "mu=2", "-p", "mu=0.5"]
+    for spec in ("dirac3.spec", "dbar.spec"):
+        runs[f"ellipticity/{spec}"] = ["ellipticity", "--spec", spec]
+    for kind in ("R", "P"):
+        for side in ("plus", "minus"):
+            runs[f"projector/{kind}{side}"] = ["projector", "--spec", "dirac3.spec", "--mode",
+                                               "2,-3", "--kind", kind, "--side", side]
+    runs.update({
+        "compare/json": ["compare", *DBAR_TWIST3],
+        "compare/csv": ["compare", *LAPLACE, "--format", "csv"],
+        "schatten/fitted": ["schatten", *LAPLACE],
+        "schatten/finite-rank": ["schatten", *DBAR_TWIST3],
+        "schatten/q0": ["schatten", *LAPLACE, "--q", "0"],
+        "schatten/csv": ["schatten", *LAPLACE, "--format", "csv"],
+        "index": ["index", *DBAR_TWIST3],
+        "error/param": ["write-spec", "dbar", "-p", "mu=abc"],
+        "error/index-csv": ["index", *DBAR_TWIST3, "--format", "csv"],
+        "error/incompatible": ["compare", "--spec-a", "dbar.spec", "--spec-b", "dirac3.spec"],
+        "error/index-tol": ["index", *LAPLACE, "--tol", "0.1"],
+    })
+    if full:
+        for fmt in ("json", "csv"):
+            runs[f"acceptance/{fmt}"] = ["acceptance", "--format", fmt, "--out", "out.txt"]
+    return runs
+
+
+def main_digests(full):
+    """Exit code, stdout and ``--out`` bytes of each in-process command,
+    run in a fresh directory that holds the spec files."""
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for path, args in SPECS.items():
+                assert cli.main(["write-spec", *args, "--out", path]) == 0
+            for key, argv in main_commands(full).items():
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(argv)
+                text = re.sub(r"\(\d+\.\ds <", "(?s <", stdout.getvalue())  # elapsed seconds
+                report = Path("out.txt").read_bytes() if Path("out.txt").exists() else b""
+                Path("out.txt").unlink(missing_ok=True)
+                out[f"main/{key}"] = _digest(f"exit {code}\n", text, report)
+        finally:
+            os.chdir(cwd)
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=901, help="cli_pipelines workload seed")
-    ap.add_argument("--toy", action="store_true", help="small cutoffs and the toy command set")
+    ap.add_argument("--toy", action="store_true",
+                    help="small cutoffs, the toy command set and no acceptance")
     args = ap.parse_args(argv)
     shrink = TOY if args.toy else 1
     out = {**point_digests(shrink), **compare_digests(shrink), **projector_digests(),
-           **cli_digests(args.seed, "toy" if args.toy else "full")}
+           **cli_digests(args.seed, "toy" if args.toy else "full"), **main_digests(not args.toy)}
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=1) + "\n")
     return 0
 
